@@ -171,7 +171,7 @@ int main(int argc, char** argv) {
                     std::to_string(r.police_evidence),
                     std::to_string(r.misbehavior_quarantines),
                     std::to_string(r.bans),
-                    std::to_string(r.violations_total)});
+                    std::to_string(r.violations.total())});
     }
   }
   std::printf("%s\n", table.ToString().c_str());
@@ -199,11 +199,11 @@ int main(int argc, char** argv) {
                     kCastNames[p], a.model.c_str(), a.wire_id, a.bound);
       }
     }
-    if (on.violations_total != 0) {
+    if (!on.violations.empty()) {
       seed_ok = false;
       std::printf("FAIL (%s): %zu invariant violations with defenses on:\n",
-                  kCastNames[p], on.violations_total);
-      for (const sim::StressViolation& v : on.violations) {
+                  kCastNames[p], on.violations.total());
+      for (const sim::CampaignViolation& v : on.violations.records()) {
         std::printf("  round %zu: %s %s\n", v.round, v.kind.c_str(),
                     v.detail.c_str());
       }
@@ -262,7 +262,8 @@ int main(int argc, char** argv) {
       metrics.Count("adversarial.police_evidence." + arm, r.police_evidence);
       metrics.Count("adversarial.quarantines." + arm,
                     r.misbehavior_quarantines);
-      metrics.Count("adversarial.violations." + arm, r.violations_total);
+      metrics.Count("adversarial.violations." + arm,
+                    r.violations.total());
       if (r.victim_offered > 0) {
         metrics.Observe("adversarial.victim_delivery_permille." + arm,
                         r.victim_delivered * 1000 / r.victim_offered);

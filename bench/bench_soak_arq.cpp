@@ -231,7 +231,7 @@ int main(int argc, char** argv) {
                   std::to_string(s.transport_duplicates),
                   std::to_string(s.transport_expired),
                   std::to_string(s.transport_holes_skipped),
-                  std::to_string(result.violations.size()),
+                  std::to_string(result.violations.total()),
                   std::to_string(legacy.fired),
                   std::to_string(legacy.received),
                   std::to_string(legacy.fired - legacy.received)});
@@ -242,7 +242,7 @@ int main(int argc, char** argv) {
       bench::WriteTextFile(path, sim::SoakReplayJson(soaks[i], result));
       std::printf("VIOLATION (seed %llu): replay record written to %s\n",
                   static_cast<unsigned long long>(seeds[i]), path.c_str());
-      for (const sim::SoakViolation& v : result.violations) {
+      for (const sim::CampaignViolation& v : result.violations.records()) {
         std::printf("  round %zu: %s %s\n", v.round, v.kind.c_str(),
                     v.detail.c_str());
       }
@@ -281,7 +281,7 @@ int main(int argc, char** argv) {
                 replay->expect_digest == broken_result.digest;
   }
   std::printf("deliberate violations=%zu, record=%s, reproduces=%s\n\n",
-              broken_result.violations.size(), record_path.c_str(),
+              broken_result.violations.total(), record_path.c_str(),
               replay_ok ? "bit-for-bit" : "NO (BUG)");
 
   sim::TablePrinter verdict({"check", "result"});

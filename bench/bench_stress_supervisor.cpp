@@ -115,7 +115,7 @@ int main(int argc, char** argv) {
                     std::to_string(r.recoveries),
                     std::to_string(r.probes_sent),
                     std::to_string(r.boost_commands),
-                    std::to_string(r.violations.size())});
+                    std::to_string(r.violations.total())});
     }
   }
   std::printf("%s\n", table.ToString().c_str());
@@ -148,7 +148,7 @@ int main(int argc, char** argv) {
       std::printf("FAIL (seed %llu, supervisor %s): invariants violated:\n",
                   static_cast<unsigned long long>(seeds[p]),
                   t == 0 ? "on" : "off");
-      for (const sim::StressViolation& v : r.violations) {
+      for (const sim::CampaignViolation& v : r.violations.records()) {
         std::printf("  round %zu: %s %s\n", v.round, v.kind.c_str(),
                     v.detail.c_str());
       }
@@ -210,7 +210,7 @@ int main(int argc, char** argv) {
       metrics.Count("stress.faded_frames." + arm, r.faded_frames);
       metrics.Count("stress.quarantines." + arm, r.quarantines);
       metrics.Count("stress.recoveries." + arm, r.recoveries);
-      metrics.Count("stress.violations." + arm, r.violations.size());
+      metrics.Count("stress.violations." + arm, r.violations.total());
       if (r.offered > 0) {
         metrics.Observe("stress.delivery_permille." + arm,
                         r.delivered * 1000 / r.offered);

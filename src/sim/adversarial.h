@@ -9,7 +9,8 @@
 // run is audited against the defense contract:
 //
 //   * transport invariants — per audited id, deliveries advance the
-//     sequence space strictly forward (the same tracker as sim/stress);
+//     sequence space strictly forward (sim/campaign_audit's SeqAudit,
+//     shared with sim/stress and sim/soak);
 //     with defenses on this must hold for *every* id including the
 //     rogues' — a replayed frame that sneaks through the wrap shows up
 //     here as a duplicate/reorder violation;
@@ -38,8 +39,8 @@
 #include <string>
 #include <vector>
 
+#include "sim/campaign_audit.h"
 #include "sim/multitag.h"
-#include "sim/stress.h"
 
 namespace freerider::sim {
 
@@ -114,8 +115,7 @@ struct AdversarialResult {
   std::vector<RogueAudit> audits;
   /// First kMaxRecordedViolations violations verbatim; the total keeps
   /// counting past the cap.
-  std::vector<StressViolation> violations;
-  std::size_t violations_total = 0;
+  ViolationLog violations{kMaxRecordedViolations};
   /// Canonical outcome string (doubles in hex-float): two runs agree
   /// iff their digests are equal byte-for-byte.
   std::string digest;

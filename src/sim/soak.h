@@ -31,6 +31,7 @@
 #include <string>
 #include <vector>
 
+#include "sim/campaign_audit.h"
 #include "sim/multitag.h"
 
 namespace freerider::sim {
@@ -65,22 +66,12 @@ struct SoakConfig {
   /// Impairment schedule, sorted by start_round (segment 0 should
   /// start at round 0; rounds before the first segment run clean).
   std::vector<SoakSegment> schedule;
-  /// Optional flight-recorder sink (non-owning; must outlive the run).
-  /// Runtime wiring, not part of the replay record: SoakReplayJson
-  /// neither serializes nor restores it, and null keeps the sim on
-  /// the bit-identical legacy path.
-  obs::TraceRing* trace = nullptr;
-};
-
-struct SoakViolation {
-  std::size_t round = 0;
-  std::string kind;    ///< duplicate | reorder | skip | expired | ...
-  std::string detail;  ///< Human-readable specifics (tag, seq, ...).
 };
 
 struct SoakResult {
   bool passed = false;
-  std::vector<SoakViolation> violations;
+  /// duplicate | reorder | skip | expired | queue-full | stuck | lost
+  ViolationLog violations;
   FullStackStats stats;
   /// Canonical outcome string: every violation plus a stats digest,
   /// doubles in hex-float. Two runs agree iff their digests are equal

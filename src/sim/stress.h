@@ -30,6 +30,7 @@
 #include <string>
 #include <vector>
 
+#include "sim/campaign_audit.h"
 #include "sim/multitag.h"
 
 namespace freerider::sim {
@@ -65,12 +66,6 @@ struct StressConfig {
   bool HasDeadTag() const { return dead_tag < num_tags; }
 };
 
-struct StressViolation {
-  std::size_t round = 0;
-  std::string kind;    ///< duplicate | reorder | resync_healthy | ...
-  std::string detail;
-};
-
 struct StressResult {
   /// All audited invariants held (the delivery target is the bench's
   /// call — it compares on vs off).
@@ -100,7 +95,8 @@ struct StressResult {
   std::size_t quarantine_round = 0;   ///< Round the dead tag was quarantined.
   std::size_t detection_rounds = 0;   ///< Rounds from last heard to quarantine.
   std::size_t detection_bound = 0;    ///< QuarantineDetectionBound(config).
-  std::vector<StressViolation> violations;
+  /// duplicate | reorder | resync_healthy | no_quarantine | ...
+  ViolationLog violations;
   /// Canonical outcome string (doubles in hex-float): two runs agree
   /// iff their digests are equal byte-for-byte.
   std::string digest;

@@ -180,7 +180,7 @@ TEST(StressCampaignTest, RerunIsDigestIdenticalAndPassesItsAudits) {
 
   // Audited contract on the supervisor-on run.
   EXPECT_TRUE(first.passed)
-      << (first.violations.empty() ? "" : first.violations[0].kind);
+      << first.violations.Digest();
   EXPECT_GT(first.offered, 0u);
   EXPECT_GT(first.delivered, 0u);
   ASSERT_TRUE(first.dead_tag_audited);
@@ -196,7 +196,7 @@ TEST(StressCampaignTest, SupervisorOffStillHoldsTransportInvariants) {
   // No supervisor: no quarantines, no audit — but the transport's
   // no-duplicate / no-reorder contract must hold on its own.
   EXPECT_TRUE(result.passed)
-      << (result.violations.empty() ? "" : result.violations[0].kind);
+      << result.violations.Digest();
   EXPECT_FALSE(result.dead_tag_audited);
   EXPECT_EQ(result.quarantines, 0u);
   EXPECT_EQ(result.probes_sent, 0u);
@@ -225,8 +225,8 @@ TEST(StressResultSerializeTest, RoundTripsBitExactly) {
   result.quarantine_round = 421;
   result.detection_rounds = 29;
   result.detection_bound = 23;
-  result.violations.push_back({421, "quarantine_late", "tag=6"});
-  result.violations.push_back({7, "duplicate", "tag=2 seq=9"});
+  result.violations.Add(421, "quarantine_late", "tag=6");
+  result.violations.Add(7, "duplicate", "tag=2 seq=9");
   result.digest = "stress ratio=0x1.cp-1 ...\n";
 
   const std::string payload = sim::SerializeStressResult(result);
@@ -237,9 +237,9 @@ TEST(StressResultSerializeTest, RoundTripsBitExactly) {
   EXPECT_EQ(restored.delivery_ratio, result.delivery_ratio);
   EXPECT_EQ(restored.skipped, result.skipped);
   EXPECT_EQ(restored.quarantine_round, result.quarantine_round);
-  ASSERT_EQ(restored.violations.size(), 2u);
-  EXPECT_EQ(restored.violations[0].kind, "quarantine_late");
-  EXPECT_EQ(restored.violations[1].detail, "tag=2 seq=9");
+  ASSERT_EQ(restored.violations.total(), 2u);
+  EXPECT_EQ(restored.violations.records()[0].kind, "quarantine_late");
+  EXPECT_EQ(restored.violations.records()[1].detail, "tag=2 seq=9");
   EXPECT_EQ(restored.digest, result.digest);
 
   // Truncations and trailing bytes never load.

@@ -62,7 +62,7 @@ int main(int argc, char** argv) {
     std::printf("--- digest ---\n%s--------------\n", result.digest.c_str());
   }
   std::printf("replay: passed=%s violations=%zu\n",
-              result.passed ? "yes" : "no", result.violations.size());
+              result.passed ? "yes" : "no", result.violations.total());
 
   if (replay->expect_digest.empty()) {
     std::printf("record carries no digest; nothing to verify\n");

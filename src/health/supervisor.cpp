@@ -472,40 +472,31 @@ std::string LinkSupervisor::Serialize() const {
 
 bool LinkSupervisor::Deserialize(const std::string& payload) {
   runtime::PayloadReader r(payload);
-  std::uint64_t v = 0;
-  auto u = [&](std::size_t* field) {
-    if (!r.U64(&v)) return false;
-    *field = static_cast<std::size_t>(v);
-    return true;
-  };
-  auto b = [&](bool* field) {
-    if (!r.U64(&v) || v > 1) return false;
-    *field = v == 1;
-    return true;
-  };
   std::uint64_t version = 0;
   if (!r.U64(&version) || version != kSupervisorStateVersion) return false;
   std::uint64_t num_tags = 0;
   if (!r.U64(&num_tags) || num_tags != tags_.size()) return false;
   std::vector<TagState> tags(tags_.size());
   for (TagState& t : tags) {
-    if (!r.U64(&v) || v > 4) return false;
-    t.state = static_cast<TagHealth>(v);
+    std::uint64_t state = 0;
+    if (!r.U64(&state) || state > 4) return false;
+    t.state = static_cast<TagHealth>(state);
     std::uint64_t tag_id = 0;
     std::uint64_t boost = 0;
-    if (!r.F64(&t.loss) || !r.F64(&t.retx) || !b(&t.loss_primed) ||
-        !b(&t.retx_primed) || !u(&t.silent_rounds) || !u(&t.clean_rounds) ||
-        !u(&t.probe_failures) || !b(&t.probe_outstanding) ||
-        !u(&t.probe_sent_round) || !u(&t.last_probe_round) ||
-        !b(&t.command_dirty) || !r.U64(&tag_id) || tag_id > 255 ||
-        !b(&t.cmd.admit) || !b(&t.cmd.probe) || !r.U64(&boost) ||
-        boost > kMaxBoostSteps) {
+    if (!r.F64(&t.loss) || !r.F64(&t.retx) || !r.Bool(&t.loss_primed) ||
+        !r.Bool(&t.retx_primed) || !r.Size(&t.silent_rounds) ||
+        !r.Size(&t.clean_rounds) || !r.Size(&t.probe_failures) ||
+        !r.Bool(&t.probe_outstanding) || !r.Size(&t.probe_sent_round) ||
+        !r.Size(&t.last_probe_round) || !r.Bool(&t.command_dirty) ||
+        !r.U64(&tag_id) || tag_id > 255 || !r.Bool(&t.cmd.admit) ||
+        !r.Bool(&t.cmd.probe) || !r.U64(&boost) || boost > kMaxBoostSteps) {
       return false;
     }
     t.cmd.tag_id = static_cast<std::uint8_t>(tag_id);
     t.cmd.boost_steps = static_cast<std::uint8_t>(boost);
-    if (!r.F64(&t.misbehavior_score) || !b(&t.misbehaving) ||
-        !u(&t.strikes) || !b(&t.banned) || !b(&t.relapse_armed)) {
+    if (!r.F64(&t.misbehavior_score) || !r.Bool(&t.misbehaving) ||
+        !r.Size(&t.strikes) || !r.Bool(&t.banned) ||
+        !r.Bool(&t.relapse_armed)) {
       return false;
     }
   }
@@ -514,17 +505,18 @@ bool LinkSupervisor::Deserialize(const std::string& payload) {
   std::size_t round = 0;
   std::size_t rotation = 0;
   SupervisorStats stats;
-  if (!r.F64(&crc_fail) || !b(&crc_primed) || !u(&round) || !u(&rotation) ||
-      !u(&stats.degradations) || !u(&stats.probations) ||
-      !u(&stats.quarantines) || !u(&stats.recoveries) ||
-      !u(&stats.readmissions) || !u(&stats.probes_sent) ||
-      !u(&stats.probe_failures) || !u(&stats.boost_commands) ||
-      !u(&stats.evidence_rounds) || !u(&stats.misbehavior_quarantines) ||
-      !u(&stats.misbehavior_relapses) || !u(&stats.bans)) {
+  if (!r.F64(&crc_fail) || !r.Bool(&crc_primed) || !r.Size(&round) ||
+      !r.Size(&rotation) || !r.Size(&stats.degradations) ||
+      !r.Size(&stats.probations) || !r.Size(&stats.quarantines) ||
+      !r.Size(&stats.recoveries) || !r.Size(&stats.readmissions) ||
+      !r.Size(&stats.probes_sent) || !r.Size(&stats.probe_failures) ||
+      !r.Size(&stats.boost_commands) || !r.Size(&stats.evidence_rounds) ||
+      !r.Size(&stats.misbehavior_quarantines) ||
+      !r.Size(&stats.misbehavior_relapses) || !r.Size(&stats.bans)) {
     return false;
   }
   std::size_t num_transitions = 0;
-  if (!u(&num_transitions) || num_transitions > kMaxTransitionLog) {
+  if (!r.Size(&num_transitions) || num_transitions > kMaxTransitionLog) {
     return false;
   }
   std::vector<HealthTransition> transitions(num_transitions);
@@ -532,8 +524,9 @@ bool LinkSupervisor::Deserialize(const std::string& payload) {
     std::uint64_t tag_id = 0;
     std::uint64_t from = 0;
     std::uint64_t to = 0;
-    if (!u(&tr.round) || !r.U64(&tag_id) || tag_id > 255 || !r.U64(&from) ||
-        from > 4 || !r.U64(&to) || to > 4 || !b(&tr.misbehavior)) {
+    if (!r.Size(&tr.round) || !r.U64(&tag_id) || tag_id > 255 ||
+        !r.U64(&from) || from > 4 || !r.U64(&to) || to > 4 ||
+        !r.Bool(&tr.misbehavior)) {
       return false;
     }
     tr.tag_id = static_cast<std::uint8_t>(tag_id);

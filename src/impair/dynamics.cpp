@@ -144,17 +144,16 @@ bool ChannelDynamics::Deserialize(const std::string& payload) {
   if (!r.U64(&v) || v != bad_.size()) return false;
   std::vector<bool> bad(bad_.size());
   for (std::size_t t = 0; t < bad.size(); ++t) {
-    if (!r.U64(&v) || v > 1) return false;
-    bad[t] = v == 1;
+    bool b = false;
+    if (!r.Bool(&b)) return false;
+    bad[t] = b;
   }
   std::uint64_t round = 0;
-  std::uint64_t stepped = 0;
-  if (!r.U64(&round) || !r.U64(&stepped) || stepped > 1 || !r.AtEnd()) {
-    return false;
-  }
+  bool stepped = false;
+  if (!r.U64(&round) || !r.Bool(&stepped) || !r.AtEnd()) return false;
   bad_ = std::move(bad);
   round_ = static_cast<std::size_t>(round);
-  stepped_ = stepped == 1;
+  stepped_ = stepped;
   for (std::size_t t = 0; t < links_.size(); ++t) {
     links_[t].bad_state = bad_[t];
   }

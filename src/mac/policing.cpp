@@ -132,17 +132,6 @@ std::string SlotPolice::Serialize() const {
 
 bool SlotPolice::Deserialize(const std::string& payload) {
   runtime::PayloadReader r(payload);
-  std::uint64_t v = 0;
-  auto u = [&](std::size_t* field) {
-    if (!r.U64(&v)) return false;
-    *field = static_cast<std::size_t>(v);
-    return true;
-  };
-  auto b = [&](bool* field) {
-    if (!r.U64(&v) || v > 1) return false;
-    *field = v == 1;
-    return true;
-  };
   std::uint64_t version = 0;
   std::uint64_t num_tags = 0;
   if (!r.U64(&version) || version != kPolicingStateVersion ||
@@ -153,19 +142,19 @@ bool SlotPolice::Deserialize(const std::string& payload) {
   for (TagState& t : tags) {
     std::uint64_t last_seq = 0;
     std::uint64_t jump_bits = 0;
-    if (!u(&t.frames_this_round) || !b(&t.has_last_seq) ||
+    if (!r.Size(&t.frames_this_round) || !r.Bool(&t.has_last_seq) ||
         !r.U64(&last_seq) || last_seq > 255 || !r.U64(&jump_bits) ||
-        jump_bits > 0xFFFFFFFFull || !u(&t.arrivals) ||
-        !b(&t.collision_latched) || !b(&t.collision_this_round) ||
-        !u(&t.stats.extra_frames) || !u(&t.stats.multi_fire_rounds) ||
-        !u(&t.stats.seq_jumps) || !u(&t.stats.collision_suspicions)) {
+        jump_bits > 0xFFFFFFFFull || !r.Size(&t.arrivals) ||
+        !r.Bool(&t.collision_latched) || !r.Bool(&t.collision_this_round) ||
+        !r.Size(&t.stats.extra_frames) || !r.Size(&t.stats.multi_fire_rounds) ||
+        !r.Size(&t.stats.seq_jumps) || !r.Size(&t.stats.collision_suspicions)) {
       return false;
     }
     t.last_seq = static_cast<std::uint8_t>(last_seq);
     t.jump_bits = static_cast<std::uint32_t>(jump_bits);
   }
   PolicingStats stats;
-  if (!u(&stats.unattributed_frames) || !u(&stats.evidence_total) ||
+  if (!r.Size(&stats.unattributed_frames) || !r.Size(&stats.evidence_total) ||
       !r.AtEnd()) {
     return false;
   }

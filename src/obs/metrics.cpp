@@ -3,9 +3,10 @@
 #include <algorithm>
 #include <cinttypes>
 #include <cstdio>
+#include <cstring>
 #include <set>
 
-#include "obs/codec.h"
+#include "common/frame.h"
 
 namespace freerider::obs {
 namespace {
@@ -261,11 +262,15 @@ std::string SerializeMetrics(std::string_view label,
 
 MetricsDecodeResult DecodeMetrics(std::string_view bytes) {
   MetricsDecodeResult result;
-  FrameReader frames(bytes);
-  std::string_view payload;
+  std::size_t pos = 0;
   bool have_header = false;
-  while (frames.NextFrame(payload)) {
-    ByteReader r(payload);
+  while (pos < bytes.size()) {
+    // A torn tail (kNeedMore on the whole file) ends the prefix like a
+    // corrupt frame does.
+    const ParsedFrame frame = ParseFrame(bytes.substr(pos));
+    if (frame.status != FrameStatus::kFrame) break;
+    pos += frame.size;
+    ByteReader r(frame.payload);
     std::uint8_t type = 0;
     if (!r.ReadU8(type)) break;
     if (type == 'M') {
@@ -307,9 +312,9 @@ MetricsDecodeResult DecodeMetrics(std::string_view bytes) {
       break;
     }
   }
-  if (frames.remaining() > 0) {
+  if (pos < bytes.size()) {
     result.salvaged = true;
-    result.dropped_bytes = frames.remaining();
+    result.dropped_bytes = bytes.size() - pos;
   }
   result.ok = have_header;
   if (!result.ok) result.error = "no valid metrics header";

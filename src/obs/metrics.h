@@ -112,7 +112,7 @@ std::string MetricsToJson(std::string_view label,
 std::string MetricsToJson(std::string_view label,
                           const MetricsRegistry& registry);
 
-// Binary snapshot using the shared obs framing (see obs/codec.h):
+// Binary snapshot in the shared frame format (see common/frame.h):
 // header frame 'M' + magic/version/label, then one frame per metric.
 // Same salvage behavior as the trace codec.
 inline constexpr std::uint32_t kMetricsMagic = 0x4D4F5242;  // 'BROM' LE

@@ -4,7 +4,7 @@
 #include <cinttypes>
 #include <cstdio>
 
-#include "obs/codec.h"
+#include "common/frame.h"
 
 namespace freerider::obs {
 namespace {
@@ -117,11 +117,15 @@ std::string SerializeTrace(std::string_view name, const TraceRing& ring) {
 
 TraceDecodeResult DecodeTraces(std::string_view bytes) {
   TraceDecodeResult result;
-  FrameReader frames(bytes);
-  std::string_view payload;
+  std::size_t pos = 0;
   bool have_ring = false;
-  while (frames.NextFrame(payload)) {
-    ByteReader r(payload);
+  while (pos < bytes.size()) {
+    // A torn tail (kNeedMore on the whole file) ends the prefix like a
+    // corrupt frame does.
+    const ParsedFrame frame = ParseFrame(bytes.substr(pos));
+    if (frame.status != FrameStatus::kFrame) break;
+    pos += frame.size;
+    ByteReader r(frame.payload);
     std::uint8_t type = 0;
     if (!r.ReadU8(type)) break;
     if (type == static_cast<std::uint8_t>(kHeaderTag)) {
@@ -161,9 +165,9 @@ TraceDecodeResult DecodeTraces(std::string_view bytes) {
       break;  // unknown frame type
     }
   }
-  if (frames.remaining() > 0) {
+  if (pos < bytes.size()) {
     result.salvaged = true;
-    result.dropped_bytes = frames.remaining();
+    result.dropped_bytes = bytes.size() - pos;
   }
   if (result.traces.empty()) {
     result.ok = bytes.empty();

@@ -117,7 +117,7 @@ struct NamedTrace {
 //
 // file   := ring*
 // ring   := header-frame event-frame*
-// frame  := [u32 len][payload][u32 crc32(payload)]        (obs/codec.h)
+// frame  := [u32 len][payload][u32 crc32(payload)]      (common/frame.h)
 // header := 'H' magic:u32('FROB') version:u32 name:str
 //           capacity:u64 recorded:u64
 // event  := 'E' round:u32 slot:u16 kind:u8 tag:u8 a:u64 b:u64

@@ -10,71 +10,9 @@
 #include <fstream>
 #include <unordered_set>
 
-#include "common/crc.h"
+#include "common/frame.h"
 
 namespace freerider::runtime {
-
-namespace {
-
-void PutU32(std::string& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out += static_cast<char>((v >> (8 * i)) & 0xFF);
-  }
-}
-
-void PutU64(std::string& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out += static_cast<char>((v >> (8 * i)) & 0xFF);
-  }
-}
-
-std::uint32_t GetU32(const char* p) {
-  std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) {
-    v |= static_cast<std::uint32_t>(static_cast<unsigned char>(p[i]))
-         << (8 * i);
-  }
-  return v;
-}
-
-std::uint64_t GetU64(const char* p) {
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) {
-    v |= static_cast<std::uint64_t>(static_cast<unsigned char>(p[i]))
-         << (8 * i);
-  }
-  return v;
-}
-
-std::uint32_t FrameCrc(std::string_view payload) {
-  return Crc32({reinterpret_cast<const std::uint8_t*>(payload.data()),
-                payload.size()});
-}
-
-void AppendFrame(std::string& out, std::string_view payload) {
-  PutU32(out, static_cast<std::uint32_t>(payload.size()));
-  out.append(payload.data(), payload.size());
-  PutU32(out, FrameCrc(payload));
-}
-
-/// Pull the next CRC-validated frame payload off `bytes` at `pos`.
-/// Returns false on truncation, oversize length, or CRC mismatch —
-/// the caller stops there and salvages the prefix.
-bool NextFrame(std::string_view bytes, std::size_t* pos,
-               std::string_view* payload) {
-  if (bytes.size() - *pos < 8) return false;
-  const std::uint32_t len = GetU32(bytes.data() + *pos);
-  if (len > kMaxFramePayload) return false;
-  if (bytes.size() - *pos - 8 < len) return false;
-  const std::string_view body = bytes.substr(*pos + 4, len);
-  const std::uint32_t crc = GetU32(bytes.data() + *pos + 4 + len);
-  if (crc != FrameCrc(body)) return false;
-  *pos += 8 + static_cast<std::size_t>(len);
-  *payload = body;
-  return true;
-}
-
-}  // namespace
 
 std::uint64_t CampaignId(std::string_view name, std::uint64_t seed) {
   // FNV-1a over the name, avalanched together with the seed via the
@@ -97,15 +35,15 @@ std::string EncodeCheckpoint(const CheckpointHeader& header,
                              const std::vector<TaskRecord>& records) {
   std::string out;
   std::string payload;
-  PutU32(payload, kCheckpointMagic);
-  PutU32(payload, header.version);
-  PutU64(payload, header.campaign);
-  PutU64(payload, header.points);
-  PutU64(payload, header.trials);
+  AppendU32(payload, kCheckpointMagic);
+  AppendU32(payload, header.version);
+  AppendU64(payload, header.campaign);
+  AppendU64(payload, header.points);
+  AppendU64(payload, header.trials);
   AppendFrame(out, payload);
   for (const TaskRecord& r : records) {
     payload.clear();
-    PutU64(payload, r.index);
+    AppendU64(payload, r.index);
     payload += static_cast<char>(r.state);
     payload += r.payload;
     AppendFrame(out, payload);
@@ -115,22 +53,24 @@ std::string EncodeCheckpoint(const CheckpointHeader& header,
 
 CheckpointDecodeResult DecodeCheckpoint(std::string_view bytes) {
   CheckpointDecodeResult result;
-  std::size_t pos = 0;
-  std::string_view payload;
-  if (!NextFrame(bytes, &pos, &payload)) {
+  const ParsedFrame head = ParseFrame(bytes);
+  if (head.status != FrameStatus::kFrame) {
     result.error = "missing or corrupt header frame";
     result.dropped_bytes = bytes.size();
     return result;
   }
-  if (payload.size() != 32 || GetU32(payload.data()) != kCheckpointMagic) {
+  ByteReader h(head.payload);
+  std::uint32_t magic = 0;
+  if (head.payload.size() != 32 || !h.ReadU32(magic) ||
+      magic != kCheckpointMagic) {
     result.error = "not a checkpoint (bad magic)";
     result.dropped_bytes = bytes.size();
     return result;
   }
-  result.header.version = GetU32(payload.data() + 4);
-  result.header.campaign = GetU64(payload.data() + 8);
-  result.header.points = GetU64(payload.data() + 16);
-  result.header.trials = GetU64(payload.data() + 24);
+  h.ReadU32(result.header.version);
+  h.ReadU64(result.header.campaign);
+  h.ReadU64(result.header.points);
+  h.ReadU64(result.header.trials);
   if (result.header.version != kCheckpointVersion) {
     result.error = "unsupported checkpoint version";
     result.dropped_bytes = bytes.size();
@@ -148,37 +88,30 @@ CheckpointDecodeResult DecodeCheckpoint(std::string_view bytes) {
   const std::uint64_t grid_tasks = result.header.points * result.header.trials;
 
   std::unordered_set<std::uint64_t> seen;
+  std::size_t pos = head.size;
   while (pos < bytes.size()) {
-    const std::size_t frame_start = pos;
-    if (!NextFrame(bytes, &pos, &payload)) {
-      result.salvaged = true;
-      result.dropped_bytes = bytes.size() - frame_start;
-      return result;
-    }
-    // Semantic validation: a CRC-valid frame whose fields are
-    // impossible for this grid is still corrupt — stop the salvage
-    // there rather than guess.
-    if (payload.size() < 9) {
-      result.salvaged = true;
-      result.dropped_bytes = bytes.size() - frame_start;
-      return result;
-    }
+    // A torn tail, a corrupt frame, or a CRC-valid frame whose fields
+    // are impossible for this grid all end the valid prefix: stop the
+    // salvage there rather than guess.
+    const ParsedFrame frame = ParseFrame(bytes.substr(pos));
+    ByteReader r(frame.payload);
     TaskRecord record;
-    record.index = GetU64(payload.data());
-    const auto state = static_cast<std::uint8_t>(payload[8]);
-    if (record.index >= grid_tasks ||
+    std::uint8_t state = 0;
+    if (frame.status != FrameStatus::kFrame || !r.ReadU64(record.index) ||
+        !r.ReadU8(state) || record.index >= grid_tasks ||
         (state != static_cast<std::uint8_t>(TaskState::kDone) &&
          state != static_cast<std::uint8_t>(TaskState::kQuarantined))) {
       result.salvaged = true;
-      result.dropped_bytes = bytes.size() - frame_start;
+      result.dropped_bytes = bytes.size() - pos;
       return result;
     }
+    pos += frame.size;
     record.state = static_cast<TaskState>(state);
     if (!seen.insert(record.index).second) {
       ++result.duplicates;  // first occurrence wins
       continue;
     }
-    record.payload.assign(payload.data() + 9, payload.size() - 9);
+    record.payload = frame.payload.substr(9);
     result.records.push_back(std::move(record));
     ++result.frames_kept;
   }
@@ -272,6 +205,13 @@ bool PayloadReader::Size(std::size_t* v) {
   return true;
 }
 
+bool PayloadReader::Bool(bool* v) {
+  std::uint64_t u = 0;
+  if (!U64(&u) || u > 1) return false;
+  *v = u == 1;
+  return true;
+}
+
 bool PayloadReader::F64(double* v) {
   const std::size_t space = data_.find(' ', pos_);
   if (space == std::string_view::npos || space == pos_) return false;
@@ -292,7 +232,9 @@ bool PayloadReader::Str(std::string* s) {
   errno = 0;
   const unsigned long long len = std::strtoull(len_token.c_str(), &end, 10);
   if (errno != 0 || end != len_token.c_str() + len_token.size()) return false;
-  if (data_.size() - colon - 1 < len + 1) return false;
+  // len + 1 (the bytes and the trailing space) must fit; comparing
+  // without adding keeps a length token near 2^64 from wrapping.
+  if (len >= data_.size() - colon - 1) return false;
   s->assign(data_.data() + colon + 1, len);
   if (data_[colon + 1 + len] != ' ') return false;
   pos_ = colon + 1 + static_cast<std::size_t>(len) + 1;

@@ -8,6 +8,7 @@
 //
 //   file   := header-frame record-frame*
 //   frame  := [u32 payload_len][payload bytes][u32 crc32(payload)]
+//             (common/frame.h, which owns the format and its cap)
 //   header := magic 'FRCK', format version, campaign id, grid shape
 //   record := grid index, task state (done | quarantined), an opaque
 //             caller-serialized result payload
@@ -40,9 +41,6 @@ namespace freerider::runtime {
 
 inline constexpr std::uint32_t kCheckpointMagic = 0x4652434Bu;  // 'FRCK'
 inline constexpr std::uint32_t kCheckpointVersion = 1;
-/// Frames larger than this are rejected as corrupt before any
-/// allocation is sized from an untrusted length field.
-inline constexpr std::uint32_t kMaxFramePayload = 1u << 28;
 
 struct CheckpointHeader {
   std::uint32_t version = kCheckpointVersion;
@@ -127,6 +125,8 @@ class PayloadReader {
 
   bool U64(std::uint64_t* v);
   bool Size(std::size_t* v);
+  /// A U64 field that must be 0 or 1.
+  bool Bool(bool* v);
   bool F64(double* v);
   bool Str(std::string* s);
   /// True when every field has been consumed (trailing garbage is a

@@ -1,35 +1,8 @@
 #include "runtime/dist/wire.h"
 
-#include <cstring>
-
-#include "common/crc.h"
 #include "runtime/checkpoint.h"
 
 namespace freerider::runtime::dist {
-
-namespace {
-
-std::uint32_t WireCrc(std::string_view bytes) {
-  return ::freerider::Crc32(
-      {reinterpret_cast<const std::uint8_t*>(bytes.data()), bytes.size()});
-}
-
-void PutU32(std::string& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out.push_back(static_cast<char>((v >> (8 * i)) & 0xFF));
-  }
-}
-
-std::uint32_t GetU32(const char* p) {
-  std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) {
-    v |= static_cast<std::uint32_t>(static_cast<std::uint8_t>(p[i]))
-         << (8 * i);
-  }
-  return v;
-}
-
-}  // namespace
 
 std::string EncodeMsg(const WireMsg& msg) {
   PayloadWriter w;
@@ -78,9 +51,7 @@ bool DecodeMsg(std::string_view payload, WireMsg* msg) {
     }
     case static_cast<std::uint64_t>(MsgType::kStartAck): {
       out.type = MsgType::kStartAck;
-      std::uint64_t ok = 0;
-      if (!r.U64(&ok) || ok > 1 || !r.Str(&out.error)) return false;
-      out.ok = ok == 1;
+      if (!r.Bool(&out.ok) || !r.Str(&out.error)) return false;
       break;
     }
     case static_cast<std::uint64_t>(MsgType::kTask): {
@@ -118,9 +89,7 @@ bool DecodeMsg(std::string_view payload, WireMsg* msg) {
 std::string EncodeFrame(std::string_view payload) {
   std::string out;
   out.reserve(payload.size() + 8);
-  PutU32(out, static_cast<std::uint32_t>(payload.size()));
-  out.append(payload.data(), payload.size());
-  PutU32(out, WireCrc(payload));
+  AppendFrame(out, payload);
   return out;
 }
 
@@ -131,22 +100,11 @@ FrameStatus FrameStream::Next(std::string* payload) {
     buf_.clear();
     pos_ = 0;
   }
-  const std::size_t avail = buf_.size() - pos_;
-  if (avail < 4) return FrameStatus::kNeedMore;
-  const std::uint32_t len = GetU32(buf_.data() + pos_);
-  if (len > kMaxWireFramePayload) {
-    corrupt_ = true;
-    return FrameStatus::kCorrupt;
-  }
-  if (avail < 4u + len + 4u) return FrameStatus::kNeedMore;
-  const std::string_view body(buf_.data() + pos_ + 4, len);
-  const std::uint32_t stored = GetU32(buf_.data() + pos_ + 4 + len);
-  if (stored != WireCrc(body)) {
-    corrupt_ = true;
-    return FrameStatus::kCorrupt;
-  }
-  payload->assign(body.data(), body.size());
-  pos_ += 4u + len + 4u;
+  const ParsedFrame frame = ParseFrame(std::string_view(buf_).substr(pos_));
+  if (frame.status == FrameStatus::kCorrupt) corrupt_ = true;
+  if (frame.status != FrameStatus::kFrame) return frame.status;
+  payload->assign(frame.payload);
+  pos_ += frame.size;
   return FrameStatus::kFrame;
 }
 

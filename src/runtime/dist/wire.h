@@ -1,9 +1,9 @@
 // Wire protocol for the distributed sweep coordinator (DESIGN.md §12).
 //
-// Coordinator and workers talk over anonymous pipes with the same
-// outer framing as the PR 4 checkpoints — [u32 len][payload][u32
-// crc32(payload)] — so one salvage/corruption rule covers every byte
-// stream the repo produces. Message payloads use the checkpoint
+// Coordinator and workers talk over anonymous pipes in the repo's one
+// frame format — [u32 len][payload][u32 crc32(payload)], owned with its
+// payload cap by common/frame.h — so one salvage/corruption rule covers
+// every byte stream the repo produces. Message payloads use the checkpoint
 // PayloadWriter grammar (decimal u64s, length-prefixed strings), so a
 // result payload rides the wire bit-exactly the way it rides a
 // checkpoint record.
@@ -23,12 +23,9 @@
 #include <string>
 #include <string_view>
 
-namespace freerider::runtime::dist {
+#include "common/frame.h"
 
-/// Frames larger than this are corruption, not data (a stress-campaign
-/// result with its flight recording is ~100 KiB; 1 GiB can only be a
-/// flipped length field).
-inline constexpr std::uint32_t kMaxWireFramePayload = 1u << 28;
+namespace freerider::runtime::dist {
 
 enum class MsgType : std::uint8_t {
   kStart = 1,     ///< coord→worker: body name/params + grid shape.
@@ -77,16 +74,13 @@ bool DecodeMsg(std::string_view payload, WireMsg* msg);
 /// Wrap a payload in the outer [len][payload][crc32] frame.
 std::string EncodeFrame(std::string_view payload);
 
-enum class FrameStatus : std::uint8_t {
-  kFrame = 0,     ///< A whole, CRC-valid frame was extracted.
-  kNeedMore = 1,  ///< Prefix of a frame buffered; feed more bytes.
-  kCorrupt = 2,   ///< Oversized length or CRC mismatch — stream dead.
-};
+/// FrameStream::Next reports ParseFrame's outcome for the next frame.
+using ::freerider::FrameStatus;
 
 /// Incremental frame extractor over a pipe byte stream. Feed() appends
-/// raw read() bytes; Next() pops whole frames. Once a stream turns
-/// corrupt it stays corrupt: with the length fields untrustworthy
-/// there is no way to find the next frame boundary.
+/// raw read() bytes; Next() pops whole frames via ParseFrame. Once a
+/// stream turns corrupt it stays corrupt: with the length fields
+/// untrustworthy there is no way to find the next frame boundary.
 class FrameStream {
  public:
   void Feed(const char* data, std::size_t n) { buf_.append(data, n); }

@@ -246,34 +246,26 @@ bool DeserializeAdversarialResult(const std::string& payload,
                                   AdversarialResult* result) {
   runtime::PayloadReader r(payload);
   AdversarialResult out;
-  std::uint64_t v = 0;
-  auto u = [&](std::size_t* field) {
-    if (!r.U64(&v)) return false;
-    *field = static_cast<std::size_t>(v);
-    return true;
-  };
-  auto b = [&](bool* field) {
-    if (!r.U64(&v) || v > 1) return false;
-    *field = v == 1;
-    return true;
-  };
   std::size_t num_audits = 0;
-  if (!b(&out.passed) || !r.F64(&out.victim_delivery) ||
-      !u(&out.victim_offered) || !u(&out.victim_delivered) ||
-      !u(&out.rogue_extra_frames) || !u(&out.rx_invalid_id) ||
-      !u(&out.replay_rejected) || !u(&out.stale_rejected) ||
-      !u(&out.police_evidence) || !u(&out.collision_suspicions) ||
-      !u(&out.misbehavior_quarantines) || !u(&out.bans) ||
-      !u(&out.forged_heard) || !u(&out.forged_rejected) ||
-      !u(&out.forged_accepted) || !u(&num_audits) || num_audits > 1024) {
+  if (!r.Bool(&out.passed) || !r.F64(&out.victim_delivery) ||
+      !r.Size(&out.victim_offered) || !r.Size(&out.victim_delivered) ||
+      !r.Size(&out.rogue_extra_frames) || !r.Size(&out.rx_invalid_id) ||
+      !r.Size(&out.replay_rejected) || !r.Size(&out.stale_rejected) ||
+      !r.Size(&out.police_evidence) || !r.Size(&out.collision_suspicions) ||
+      !r.Size(&out.misbehavior_quarantines) || !r.Size(&out.bans) ||
+      !r.Size(&out.forged_heard) || !r.Size(&out.forged_rejected) ||
+      !r.Size(&out.forged_accepted) || !r.Size(&num_audits) ||
+      num_audits > 1024) {
     return false;
   }
   out.audits.resize(num_audits);
   for (RogueAudit& a : out.audits) {
     std::uint64_t wire_id = 0;
-    if (!u(&a.tag) || !r.U64(&wire_id) || wire_id > 255 || !r.Str(&a.model) ||
-        !b(&a.via_misbehavior) || !b(&a.quarantined) || !b(&a.bound_met) ||
-        !b(&a.parked_at_end) || !u(&a.quarantine_round) || !u(&a.bound)) {
+    if (!r.Size(&a.tag) || !r.U64(&wire_id) || wire_id > 255 ||
+        !r.Str(&a.model) || !r.Bool(&a.via_misbehavior) ||
+        !r.Bool(&a.quarantined) || !r.Bool(&a.bound_met) ||
+        !r.Bool(&a.parked_at_end) || !r.Size(&a.quarantine_round) ||
+        !r.Size(&a.bound)) {
       return false;
     }
     a.wire_id = static_cast<std::uint8_t>(wire_id);

@@ -685,43 +685,37 @@ bool DeserializeSoakResult(const std::string& payload, SoakResult* result) {
   std::uint64_t version = 0;
   if (!r.U64(&version) || version != kSoakResultVersion) return false;
   SoakResult out;
-  std::uint64_t v = 0;
-  auto u = [&](std::size_t* field) {
-    if (!r.U64(&v)) return false;
-    *field = static_cast<std::size_t>(v);
-    return true;
-  };
-  std::uint64_t passed = 0;
-  if (!r.U64(&passed) || passed > 1) return false;
-  out.passed = passed == 1;
-  if (!out.violations.Read(r)) return false;
+  if (!r.Bool(&out.passed) || !out.violations.Read(r)) return false;
   FullStackStats& s = out.stats;
   std::size_t tags = 0;
-  if (!u(&s.rounds) || !u(&s.slots_total) || !u(&s.deliveries) ||
-      !u(&s.observed_collisions) || !u(&s.observed_empties) || !u(&tags) ||
-      tags > (1u << 16)) {
+  if (!r.Size(&s.rounds) || !r.Size(&s.slots_total) || !r.Size(&s.deliveries) ||
+      !r.Size(&s.observed_collisions) || !r.Size(&s.observed_empties) ||
+      !r.Size(&tags) || tags > (1u << 16)) {
     return false;
   }
   s.per_tag_deliveries.resize(tags);
   for (std::size_t& d : s.per_tag_deliveries) {
-    if (!u(&d)) return false;
+    if (!r.Size(&d)) return false;
   }
   if (!r.F64(&s.airtime_s) || !r.F64(&s.goodput_bps) ||
-      !r.F64(&s.jain_fairness) || !u(&s.faults_injected) ||
-      !u(&s.desync_events) || !u(&s.sequence_gaps) ||
-      !u(&s.reannouncements) || !u(&s.rounds_recovered) ||
-      !r.F64(&s.backoff_airtime_s) || !u(&s.fault_counters.cfo_rotations) ||
-      !u(&s.fault_counters.window_slips) ||
-      !u(&s.fault_counters.interferer_bursts) ||
-      !u(&s.fault_counters.excitation_dropouts) ||
-      !u(&s.fault_counters.pulses_dropped) ||
-      !u(&s.fault_counters.pulses_spurious) ||
-      !u(&s.fault_counters.pulses_jittered) || !u(&s.transport_offered) ||
-      !u(&s.transport_delivered) || !u(&s.transport_duplicates) ||
-      !u(&s.transport_retransmissions) || !u(&s.transport_expired) ||
-      !u(&s.transport_holes_skipped) || !u(&s.transport_acked) ||
-      !u(&s.transport_escalations) || !u(&s.transport_ext_rejected) ||
-      !u(&s.transport_rejected_full) || !r.Str(&out.digest) || !r.AtEnd()) {
+      !r.F64(&s.jain_fairness) || !r.Size(&s.faults_injected) ||
+      !r.Size(&s.desync_events) || !r.Size(&s.sequence_gaps) ||
+      !r.Size(&s.reannouncements) || !r.Size(&s.rounds_recovered) ||
+      !r.F64(&s.backoff_airtime_s) ||
+      !r.Size(&s.fault_counters.cfo_rotations) ||
+      !r.Size(&s.fault_counters.window_slips) ||
+      !r.Size(&s.fault_counters.interferer_bursts) ||
+      !r.Size(&s.fault_counters.excitation_dropouts) ||
+      !r.Size(&s.fault_counters.pulses_dropped) ||
+      !r.Size(&s.fault_counters.pulses_spurious) ||
+      !r.Size(&s.fault_counters.pulses_jittered) ||
+      !r.Size(&s.transport_offered) || !r.Size(&s.transport_delivered) ||
+      !r.Size(&s.transport_duplicates) ||
+      !r.Size(&s.transport_retransmissions) || !r.Size(&s.transport_expired) ||
+      !r.Size(&s.transport_holes_skipped) || !r.Size(&s.transport_acked) ||
+      !r.Size(&s.transport_escalations) || !r.Size(&s.transport_ext_rejected) ||
+      !r.Size(&s.transport_rejected_full) || !r.Str(&out.digest) ||
+      !r.AtEnd()) {
     return false;
   }
   *result = std::move(out);

@@ -193,28 +193,18 @@ bool DeserializeStressResult(const std::string& payload,
                              StressResult* result) {
   runtime::PayloadReader r(payload);
   StressResult out;
-  std::uint64_t v = 0;
-  auto u = [&](std::size_t* field) {
-    if (!r.U64(&v)) return false;
-    *field = static_cast<std::size_t>(v);
-    return true;
-  };
-  auto b = [&](bool* field) {
-    if (!r.U64(&v) || v > 1) return false;
-    *field = v == 1;
-    return true;
-  };
-  if (!b(&out.passed) || !r.F64(&out.delivery_ratio) || !u(&out.offered) ||
-      !u(&out.delivered) || !u(&out.expired) || !u(&out.rejected_full) ||
-      !u(&out.duplicates) || !u(&out.skipped) || !u(&out.faded_frames) ||
-      !u(&out.blackout_tag_rounds) || !u(&out.quarantines) ||
-      !u(&out.recoveries) || !u(&out.probes_sent) ||
-      !u(&out.boost_commands) || !u(&out.resyncs) ||
-      !u(&out.ooo_evicted) || !b(&out.dead_tag_audited) ||
-      !b(&out.quarantine_bound_met) || !u(&out.quarantine_round) ||
-      !u(&out.detection_rounds) || !u(&out.detection_bound) ||
-      !out.violations.Read(r) || !r.Str(&out.digest) ||
-      !r.Str(&out.trace) || !r.AtEnd()) {
+  if (!r.Bool(&out.passed) || !r.F64(&out.delivery_ratio) ||
+      !r.Size(&out.offered) || !r.Size(&out.delivered) ||
+      !r.Size(&out.expired) || !r.Size(&out.rejected_full) ||
+      !r.Size(&out.duplicates) || !r.Size(&out.skipped) ||
+      !r.Size(&out.faded_frames) || !r.Size(&out.blackout_tag_rounds) ||
+      !r.Size(&out.quarantines) || !r.Size(&out.recoveries) ||
+      !r.Size(&out.probes_sent) || !r.Size(&out.boost_commands) ||
+      !r.Size(&out.resyncs) || !r.Size(&out.ooo_evicted) ||
+      !r.Bool(&out.dead_tag_audited) || !r.Bool(&out.quarantine_bound_met) ||
+      !r.Size(&out.quarantine_round) || !r.Size(&out.detection_rounds) ||
+      !r.Size(&out.detection_bound) || !out.violations.Read(r) ||
+      !r.Str(&out.digest) || !r.Str(&out.trace) || !r.AtEnd()) {
     return false;
   }
   *result = std::move(out);

@@ -24,16 +24,10 @@ void WriteFaultCounters(runtime::PayloadWriter& w,
 }
 
 bool ReadFaultCounters(runtime::PayloadReader& r, impair::FaultCounters* fc) {
-  std::uint64_t v = 0;
-  auto u = [&](std::size_t* field) {
-    if (!r.U64(&v)) return false;
-    *field = static_cast<std::size_t>(v);
-    return true;
-  };
-  return u(&fc->cfo_rotations) && u(&fc->window_slips) &&
-         u(&fc->interferer_bursts) && u(&fc->excitation_dropouts) &&
-         u(&fc->pulses_dropped) && u(&fc->pulses_spurious) &&
-         u(&fc->pulses_jittered);
+  return r.Size(&fc->cfo_rotations) && r.Size(&fc->window_slips) &&
+         r.Size(&fc->interferer_bursts) && r.Size(&fc->excitation_dropouts) &&
+         r.Size(&fc->pulses_dropped) && r.Size(&fc->pulses_spurious) &&
+         r.Size(&fc->pulses_jittered);
 }
 
 }  // namespace
@@ -61,19 +55,13 @@ bool DeserializeLinkStats(const std::string& payload, LinkStats* stats) {
   std::uint64_t version = 0;
   if (!r.U64(&version) || version != kLinkStatsVersion) return false;
   LinkStats s;
-  std::uint64_t v = 0;
-  auto u = [&](std::size_t* field) {
-    if (!r.U64(&v)) return false;
-    *field = static_cast<std::size_t>(v);
-    return true;
-  };
-  if (!u(&s.packets_attempted) || !u(&s.packets_decoded) ||
+  if (!r.Size(&s.packets_attempted) || !r.Size(&s.packets_decoded) ||
       !r.F64(&s.packet_reception_rate) || !r.F64(&s.tag_ber) ||
       !r.F64(&s.tag_throughput_bps) || !r.F64(&s.rssi_dbm) ||
-      !r.F64(&s.snr_db) || !u(&s.redundancy_used) ||
-      !u(&s.faults_injected) || !u(&s.desync_events) ||
-      !u(&s.rounds_recovered) || !ReadFaultCounters(r, &s.fault_counters) ||
-      !r.AtEnd()) {
+      !r.F64(&s.snr_db) || !r.Size(&s.redundancy_used) ||
+      !r.Size(&s.faults_injected) || !r.Size(&s.desync_events) ||
+      !r.Size(&s.rounds_recovered) ||
+      !ReadFaultCounters(r, &s.fault_counters) || !r.AtEnd()) {
     return false;
   }
   *stats = s;

@@ -228,6 +228,34 @@ TEST(PayloadCodec, RejectsMalformedFields) {
   EXPECT_FALSE(r.U64(&u));  // past the end
 }
 
+// A length token near 2^64 must not wrap the bounds check: the reader
+// returns false instead of throwing out of std::string::assign.
+TEST(PayloadCodec, HugeStringLengthIsRejectedWithoutThrowing) {
+  std::string s;
+  for (const char* payload :
+       {"18446744073709551615:x ", "18446744073709551614:x ",
+        "18446744073709551615: ", "18446744073709551615:"}) {
+    bool ok = true;
+    EXPECT_NO_THROW(ok = PayloadReader(payload).Str(&s)) << payload;
+    EXPECT_FALSE(ok) << payload;
+  }
+  // The largest length that fits still reads.
+  EXPECT_TRUE(PayloadReader("1:x ").Str(&s));
+  EXPECT_EQ(s, "x");
+}
+
+TEST(PayloadCodec, BoolAcceptsOnlyZeroAndOne) {
+  bool b = true;
+  EXPECT_TRUE(PayloadReader("0 ").Bool(&b));
+  EXPECT_FALSE(b);
+  EXPECT_TRUE(PayloadReader("1 ").Bool(&b));
+  EXPECT_TRUE(b);
+  EXPECT_FALSE(PayloadReader("2 ").Bool(&b));
+  EXPECT_FALSE(PayloadReader("18446744073709551615 ").Bool(&b));
+  EXPECT_FALSE(PayloadReader("").Bool(&b));
+  EXPECT_TRUE(b);  // untouched by the failed reads
+}
+
 // --------------------------------------------------------- file I/O
 
 TEST(AtomicFile, WriteReadRoundTripAndOverwrite) {

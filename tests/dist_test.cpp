@@ -107,6 +107,18 @@ TEST(WireMsgTest, RejectsMalformedPayloads) {
   EXPECT_FALSE(DecodeMsg(bytes + "x", &out)) << "trailing garbage";
 }
 
+// A CRC-valid result frame whose payload length token is 2^64 - 1 must
+// be rejected, not thrown: the coordinator decodes worker frames
+// outside any try block.
+TEST(WireMsgTest, HugeStringLengthIsRejectedWithoutThrowing) {
+  WireMsg out;
+  bool ok = true;
+  EXPECT_NO_THROW(ok = DecodeMsg("4 7 0 18446744073709551615:x ", &out));
+  EXPECT_FALSE(ok);
+  EXPECT_NO_THROW(ok = DecodeMsg("1 8 3 18446744073709551615:", &out));
+  EXPECT_FALSE(ok);
+}
+
 std::vector<std::string> SamplePayloads() {
   return {
       EncodeMsg([] {

@@ -9,7 +9,7 @@
 #include <string>
 #include <vector>
 
-#include "obs/codec.h"
+#include "common/frame.h"
 #include "obs/metrics.h"
 #include "obs/profile.h"
 #include "obs/trace.h"
@@ -288,13 +288,13 @@ TEST(MetricsFuzzTest, TruncationAndBitFlipsAreSafe) {
 TEST(TraceFuzzTest, HostileHeaderCountsAreRejectedOrBounded) {
   std::string payload;
   payload.push_back('H');
-  obs::AppendU32(payload, obs::kTraceMagic);
-  obs::AppendU32(payload, obs::kTraceVersion);
-  obs::AppendStr(payload, "evil");
-  obs::AppendU64(payload, ~0ull);  // capacity far past kMaxCapacity
-  obs::AppendU64(payload, ~0ull);  // recorded: 2^64-1 phantom events
+  AppendU32(payload, obs::kTraceMagic);
+  AppendU32(payload, obs::kTraceVersion);
+  AppendStr(payload, "evil");
+  AppendU64(payload, ~0ull);  // capacity far past kMaxCapacity
+  AppendU64(payload, ~0ull);  // recorded: 2^64-1 phantom events
   std::string bytes;
-  obs::AppendFrame(bytes, payload);
+  AppendFrame(bytes, payload);
   const obs::TraceDecodeResult decoded = obs::DecodeTraces(bytes);
   EXPECT_FALSE(decoded.ok);
 }

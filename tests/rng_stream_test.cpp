@@ -115,7 +115,6 @@ TEST(RngStream, NextBelowOneIsAlwaysZero) {
   for (int i = 0; i < 100; ++i) EXPECT_EQ(rng.NextBelow(1), 0u);
 }
 
-#if !defined(FREERIDER_RNG_LEGACY_MODULO)
 TEST(RngStream, NextBelowIsUnbiasedForSmallN) {
   // χ²-style uniformity check over n=13 (a bound where the legacy
   // modulo path is measurably biased in the limit). With 130k draws
@@ -142,7 +141,6 @@ TEST(RngStream, NextBelowRejectionMatchesScaledMultiply) {
     EXPECT_EQ(a.NextBelow(8), expect);
   }
 }
-#endif  // !FREERIDER_RNG_LEGACY_MODULO
 
 }  // namespace
 }  // namespace freerider

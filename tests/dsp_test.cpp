@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <utility>
+#include <vector>
 
 #include "common/rng.h"
 #include "common/units.h"
@@ -89,6 +92,86 @@ TEST(Fft, Linearity) {
   IqBuffer fsum = FftCopy(sum);
   for (int i = 0; i < 64; ++i) {
     EXPECT_NEAR(std::abs(fsum[i] - (fa[i] + 2.0 * fb[i])), 0.0, 1e-9);
+  }
+}
+
+// Bit-identity oracle: the radix-2 transform written with std::complex
+// temporaries, the form dsp::Fft had before its butterfly moved to
+// explicit real arithmetic. Same twiddle formula, same bit-reversal,
+// same butterfly order, so every finite output must match byte for
+// byte. The one documented divergence is non-finite input: a
+// std::complex product whose real and imaginary parts both come out NaN
+// goes through libgcc's __muldc3 (C Annex G), which can recover an
+// infinity, while the real-arithmetic butterfly leaves the NaN. No
+// simulated signal is non-finite, so only finite inputs are pinned.
+void OracleFft(IqBuffer& data) {
+  const std::size_t n = data.size();
+  if (n == 1) return;
+  std::vector<Cplx> tw(n / 2);
+  for (std::size_t k = 0; k < n / 2; ++k) {
+    const double angle = -kTwoPi * static_cast<double>(k) / static_cast<double>(n);
+    tw[k] = {std::cos(angle), std::sin(angle)};
+  }
+  std::size_t j = 0;
+  for (std::size_t i = 1; i < n; ++i) {
+    std::size_t bit = n >> 1;
+    for (; j & bit; bit >>= 1) j ^= bit;
+    j ^= bit;
+    if (i < j) std::swap(data[i], data[j]);
+  }
+  for (std::size_t len = 2; len <= n; len <<= 1) {
+    const std::size_t step = n / len;
+    for (std::size_t i = 0; i < n; i += len) {
+      for (std::size_t k = 0; k < len / 2; ++k) {
+        const Cplx w = tw[k * step];
+        const Cplx u = data[i + k];
+        const Cplx v = data[i + k + len / 2] * w;
+        data[i + k] = u + v;
+        data[i + k + len / 2] = u - v;
+      }
+    }
+  }
+}
+
+void OracleIfft(IqBuffer& data) {
+  for (auto& x : data) x = std::conj(x);
+  OracleFft(data);
+  const double inv_n = 1.0 / static_cast<double>(data.size());
+  for (auto& x : data) x = std::conj(x) * inv_n;
+}
+
+bool SameBytes(const IqBuffer& a, const IqBuffer& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(Cplx)) == 0;
+}
+
+TEST(Fft, BitIdenticalToComplexTemporaryOracle) {
+  Rng rng(2026);
+  for (std::size_t log2n = 0; log2n <= 15; ++log2n) {
+    const std::size_t n = std::size_t{1} << log2n;
+    std::vector<std::pair<const char*, IqBuffer>> inputs;
+    inputs.emplace_back("gaussian", RandomSignal(rng, n));
+    IqBuffer impulse(n, Cplx{0.0, 0.0});
+    impulse[n / 3] = Cplx{0.75, -1.25};
+    inputs.emplace_back("impulse", impulse);
+    inputs.emplace_back("zero", IqBuffer(n, Cplx{0.0, 0.0}));
+    for (const double scale : {1e150, 1e-150}) {
+      IqBuffer scaled = RandomSignal(rng, n);
+      for (auto& x : scaled) x *= scale;
+      inputs.emplace_back(scale > 1.0 ? "1e+150" : "1e-150", scaled);
+    }
+    for (const auto& [name, input] : inputs) {
+      IqBuffer fast = input;
+      IqBuffer oracle = input;
+      Fft(fast);
+      OracleFft(oracle);
+      EXPECT_TRUE(SameBytes(fast, oracle)) << "Fft n=" << n << " " << name;
+      fast = input;
+      oracle = input;
+      Ifft(fast);
+      OracleIfft(oracle);
+      EXPECT_TRUE(SameBytes(fast, oracle)) << "Ifft n=" << n << " " << name;
+    }
   }
 }
 

@@ -43,10 +43,15 @@ IqBuffer SquareWaveMix(std::span<const Cplx> input, double freq_hz,
 }
 
 IqBuffer RotatePhase(std::span<const Cplx> input, double theta) {
-  const Cplx rot{std::cos(theta), std::sin(theta)};
-  IqBuffer out(input.size());
-  for (std::size_t n = 0; n < input.size(); ++n) out[n] = input[n] * rot;
+  IqBuffer out;
+  RotatePhaseInto(input, theta, out);
   return out;
+}
+
+void RotatePhaseInto(std::span<const Cplx> input, double theta, IqBuffer& out) {
+  const Cplx rot{std::cos(theta), std::sin(theta)};
+  out.resize(input.size());
+  for (std::size_t n = 0; n < input.size(); ++n) out[n] = input[n] * rot;
 }
 
 double MeanPower(std::span<const Cplx> input) {

@@ -35,6 +35,10 @@ IqBuffer SquareWaveMix(std::span<const Cplx> input, double freq_hz,
 /// Apply a constant phase rotation exp(jθ).
 IqBuffer RotatePhase(std::span<const Cplx> input, double theta);
 
+/// Allocation-free RotatePhase: writes into `out` (resized to match).
+/// Same per-sample product, so the samples are bit-identical.
+void RotatePhaseInto(std::span<const Cplx> input, double theta, IqBuffer& out);
+
 /// Mean power of a buffer (E[|x|^2]); 0 for empty input.
 double MeanPower(std::span<const Cplx> input);
 

@@ -1,8 +1,11 @@
 // Radix-2 iterative FFT/IFFT on power-of-two sizes.
 //
 // The 802.11 OFDM modulator/demodulator runs this at N = 64 thousands of
-// times per packet, so the implementation precomputes twiddles per size
-// and works in place.
+// times per packet, and the 802.15.4 SHR search at N = 2048 twice per
+// 1533-position block of a capture, so the implementation precomputes
+// twiddles per size and works in place. Finite outputs are
+// bit-identical to the same radix-2 transform written with std::complex
+// temporaries.
 #pragma once
 
 #include <span>

@@ -1,7 +1,7 @@
 // Microbenchmarks of the PHY substrate kernels (google-benchmark):
-// FFT, preamble detection, Viterbi (hard + soft), interleaver, full
-// TX/RX chains for all three radios. These bound how fast the figure
-// benches can sweep.
+// FFT, preamble detection, Viterbi (hard + soft), interleaver, the
+// tag's phase translation, full TX/RX chains for all three radios.
+// These bound how fast the figure benches can sweep.
 //
 // FREERIDER_PHY_SCALAR=1 pins the dispatching entry points to the
 // legacy scalar paths, so the same binary measures before/after for the
@@ -21,6 +21,7 @@
 #include "channel/awgn.h"
 #include "common/cli.h"
 #include "common/rng.h"
+#include "core/translator.h"
 #include "dsp/fft.h"
 #include "dsp/workspace.h"
 #include "phy80211/convolutional.h"
@@ -109,6 +110,54 @@ void BM_DetectPreamble(benchmark::State& state) {
                           static_cast<std::int64_t>(rx.size()));
 }
 BENCHMARK(BM_DetectPreamble);
+
+// The 800-byte WiFi frame of the wifi_link perfbench workload (and of
+// figs 10, 11 and 14), padded with 150 samples on each side as
+// sim::SimulateTagLink pads it: ~22k samples.
+IqBuffer WifiCapture800B(Rng& rng) {
+  const phy80211::TxFrame frame =
+      phy80211::BuildFrame(RandomBytes(rng, 800), {});
+  channel::ReceiverFrontEnd fe;
+  fe.sample_rate_hz = phy80211::kSampleRateHz;
+  fe.noise_figure_db = 5.0;
+  IqBuffer padded(150, Cplx{0.0, 0.0});
+  padded.insert(padded.end(), frame.waveform.begin(), frame.waveform.end());
+  padded.insert(padded.end(), 150, Cplx{0.0, 0.0});
+  return channel::ApplyLink(padded, -80.0, fe, rng);
+}
+
+// Preamble scan over the 800-byte capture; ReceiveFrame runs it twice
+// per frame (before and after CFO correction).
+void BM_DetectPreamble22k(benchmark::State& state) {
+  Rng rng(10);
+  const IqBuffer rx = WifiCapture800B(rng);
+  for (auto _ : state) {
+    phy80211::Detection det = phy80211::DetectPreamble(rx, 0.55);
+    benchmark::DoNotOptimize(&det);
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(rx.size()));
+}
+BENCHMARK(BM_DetectPreamble22k);
+
+// The tag's phase translation of the 800-byte frame at the default
+// redundancy: one core::Translate call of a wifi_link slot.
+void BM_Translate800B(benchmark::State& state) {
+  Rng rng(12);
+  const phy80211::TxFrame frame =
+      phy80211::BuildFrame(RandomBytes(rng, 800), {});
+  const core::TranslateConfig config;
+  const BitVector tag_bits = RandomBits(
+      rng, core::TagBitCapacity(frame.waveform.size(), config));
+  for (auto _ : state) {
+    IqBuffer out = core::Translate(frame.waveform, tag_bits, config);
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(frame.waveform.size()));
+}
+BENCHMARK(BM_Translate800B);
 
 void BM_ViterbiDecode1k(benchmark::State& state) {
   Rng rng(2);

@@ -1,5 +1,7 @@
 #include "dsp/kernels.h"
 
+#include <cmath>
+#include <cstring>
 #include <stdexcept>
 
 namespace freerider::dsp {
@@ -21,7 +23,7 @@ double CorrelationPower(const double* x_re, const double* x_im,
                         const double* p_re, const double* p_im,
                         std::size_t len) {
   // One sequential chain per component, the same expression shape the
-  // blocked kernel uses per position — so a position computed here (the
+  // blocked kernel runs in each lane — so a position computed here (the
   // scan remainder) and one computed inside a block produce the same
   // doubles.
   double cr = 0.0;
@@ -38,28 +40,107 @@ double CorrelationPower(const double* x_re, const double* x_im,
   return cr * cr + ci * ci;
 }
 
-void CorrelationPowerX4(const double* x_re, const double* x_im,
-                        const double* p_re, const double* p_im,
-                        std::size_t len, double* out4) {
-  // Vectorized over *positions*: the four lanes are the four adjacent
-  // scan offsets, so x loads are contiguous (no gather shuffles) and
-  // each pattern element is loaded once and broadcast across the block.
-  // Each position keeps a single sequential accumulation chain over k —
-  // identical, term for term, to CorrelationPower above — so blocking
-  // is purely a scheduling change, never a float-semantics change.
-  double cr[4] = {0.0, 0.0, 0.0, 0.0};
-  double ci[4] = {0.0, 0.0, 0.0, 0.0};
+namespace {
+
+using V2 = double __attribute__((vector_size(16)));
+using V4 = double __attribute__((vector_size(32)));
+
+// The one body of NormalizedCorrelationX8, instantiated per build. The
+// lanes of V are adjacent scan positions; each lane runs exactly the
+// CorrelationPower chain and then the scalar normalization expression,
+// with IEEE-754 mul/add/sub/sqrt/div applied lane by lane. No target
+// the body is built for enables FMA, so nothing contracts, and the
+// lane width changes only how many positions one instruction covers.
+// Always inlined, and V only ever lives in locals: no vector crosses a
+// call boundary, so no ABI depends on the target (-Wpsabi).
+template <class V>
+__attribute__((always_inline)) inline void NormalizedCorrelationX8Body(
+    const double* x_re, const double* x_im, const double* p_re,
+    const double* p_im, std::size_t len, const double* energy8,
+    double p_energy, double* out8) {
+  constexpr std::size_t kLanes = sizeof(V) / sizeof(double);
+  constexpr std::size_t kVecs = 8 / kLanes;
+  V cr[kVecs] = {};
+  V ci[kVecs] = {};
   for (std::size_t k = 0; k < len; ++k) {
-    const double pr = p_re[k];
-    const double pi = p_im[k];
-    for (int j = 0; j < 4; ++j) {
-      const double xr = x_re[k + static_cast<std::size_t>(j)];
-      const double xi = x_im[k + static_cast<std::size_t>(j)];
-      cr[j] += xr * pr + xi * pi;
-      ci[j] += xi * pr - xr * pi;
+    V pr;
+    V pi;
+    for (std::size_t j = 0; j < kLanes; ++j) {
+      pr[j] = p_re[k];
+      pi[j] = p_im[k];
+    }
+    for (std::size_t v = 0; v < kVecs; ++v) {
+      V xr;
+      V xi;
+      std::memcpy(&xr, x_re + k + v * kLanes, sizeof(V));
+      std::memcpy(&xi, x_im + k + v * kLanes, sizeof(V));
+      cr[v] += xr * pr + xi * pi;
+      ci[v] += xi * pr - xr * pi;
     }
   }
-  for (int j = 0; j < 4; ++j) out4[j] = cr[j] * cr[j] + ci[j] * ci[j];
+  for (std::size_t v = 0; v < kVecs; ++v) {
+    V e;
+    std::memcpy(&e, energy8 + v * kLanes, sizeof(V));
+    const V power = cr[v] * cr[v] + ci[v] * ci[v];
+    const V norm = e * p_energy;
+    V num;
+    V den;
+    // Lane-wise std::sqrt: kernels.cpp is built with -fno-math-errno,
+    // so GCC packs these into one sqrtpd/vsqrtpd. The square root is
+    // correctly rounded either way.
+    for (std::size_t j = 0; j < kLanes; ++j) {
+      num[j] = std::sqrt(power[j]);
+      den[j] = std::sqrt(norm[j]);
+    }
+    // `e <= 0` (not `!(e > 0)`) so a NaN energy yields NaN, as the
+    // scalar `if (e <= 0.0) continue;` form does.
+    const V out = e <= 0.0 ? V{} : num / den;
+    std::memcpy(out8 + v * kLanes, &out, sizeof(V));
+  }
+}
+
+}  // namespace
+
+void NormalizedCorrelationX8Baseline(const double* x_re, const double* x_im,
+                                     const double* p_re, const double* p_im,
+                                     std::size_t len, const double* energy8,
+                                     double p_energy, double* out8) {
+  // 16-byte lanes: without AVX, GCC keeps a 32-byte vector in memory
+  // and round-trips every accumulator through the stack.
+  NormalizedCorrelationX8Body<V2>(x_re, x_im, p_re, p_im, len, energy8,
+                                  p_energy, out8);
+}
+
+#if defined(__x86_64__) || defined(__i386__)
+#define FREERIDER_TARGET_AVX2 __attribute__((target("avx2")))
+#else
+#define FREERIDER_TARGET_AVX2
+#endif
+
+FREERIDER_TARGET_AVX2 void NormalizedCorrelationX8Avx2(
+    const double* x_re, const double* x_im, const double* p_re,
+    const double* p_im, std::size_t len, const double* energy8,
+    double p_energy, double* out8) {
+  NormalizedCorrelationX8Body<V4>(x_re, x_im, p_re, p_im, len, energy8,
+                                  p_energy, out8);
+}
+
+bool CpuHasAvx2() {
+#if defined(__x86_64__) || defined(__i386__)
+  __builtin_cpu_init();
+  return __builtin_cpu_supports("avx2") != 0;
+#else
+  return false;
+#endif
+}
+
+void NormalizedCorrelationX8(const double* x_re, const double* x_im,
+                             const double* p_re, const double* p_im,
+                             std::size_t len, const double* energy8,
+                             double p_energy, double* out8) {
+  static const auto build = CpuHasAvx2() ? NormalizedCorrelationX8Avx2
+                                         : NormalizedCorrelationX8Baseline;
+  build(x_re, x_im, p_re, p_im, len, energy8, p_energy, out8);
 }
 
 void SlidingWindowEnergy64(const double* x_re, const double* x_im,

@@ -1,17 +1,22 @@
-// SIMD-friendly scalar-replaceable kernels for the PHY hot paths.
+// Fixed-shape kernels for the PHY hot paths, over structure-of-arrays
+// (SoA) doubles.
 //
-// Everything here is written as fixed-shape, branch-free loops over
-// structure-of-arrays (SoA) doubles so GCC/Clang auto-vectorize them at
-// -O2/-O3 (verified with -fopt-info-vec / objdump; see
-// docs/phy_fast_path.md for the build note). No intrinsics: the kernels
-// stay portable and the float semantics stay pinned by the source.
+// Most are plain loops that GCC auto-vectorizes at -O2/-O3 with the
+// baseline ISA. The preamble-scan block, NormalizedCorrelationX8, is
+// written once over GCC vector-extension types and built twice: for
+// the baseline target (SSE2 on x86-64) and under
+// __attribute__((target("avx2"))). It picks a build once per process
+// from the CPU. docs/phy_fast_path.md ("Build note") has the
+// disassembly that motivates this.
 //
-// Determinism contract: each kernel fixes its accumulation shape — a
-// constant number of lanes and an explicit reduction-tree order — so a
-// given input produces bit-identical doubles on every run, thread count
-// and (IEEE-754-conforming) target. Vector width only changes how many
-// lane-slots the hardware executes at once, never the order in which
-// the lane partial sums are combined.
+// Determinism contract: each kernel fixes its accumulation shape — one
+// sequential chain per output, in a fixed order — so a given input
+// produces bit-identical doubles on every run, thread count and
+// IEEE-754 host. The vector lanes are independent outputs, so their
+// width never changes which operations a result goes through. No build
+// enables FMA (the avx2 target does not imply it): a fused multiply-add
+// rounds once where the source rounds twice, so contraction, not lane
+// width, is what would make the bytes depend on the host.
 #pragma once
 
 #include <cstdint>
@@ -31,21 +36,36 @@ void SplitComplex(std::span<const Cplx> input, std::vector<double>& re,
 /// Complex correlation c = sum_k x[k] * conj(p[k]) over SoA inputs,
 /// returning |c|^2. Accumulation is one sequential chain per component
 /// (re += xr*pr + xi*pi, im += xi*pr - xr*pi, in k order) — the same
-/// per-position chain CorrelationPowerX4 uses, so scan positions get
-/// bit-identical doubles whether they land in a block or the remainder.
+/// chain each lane of NormalizedCorrelationX8 runs, so scan positions
+/// get bit-identical doubles whether they land in a block or the
+/// remainder.
 double CorrelationPower(const double* x_re, const double* x_im,
                         const double* p_re, const double* p_im,
                         std::size_t len);
 
-/// Blocked form of CorrelationPower for 4 adjacent scan positions:
-/// out4[j] = |sum_k x[k+j] * conj(p[k])|^2 for j = 0..3. The SIMD lanes
-/// run across positions (contiguous x loads, one broadcast pattern
-/// element per k), while each position's accumulation chain stays the
-/// sequential k-order of the 1-position kernel — blocking changes the
-/// schedule, not the float results.
-void CorrelationPowerX4(const double* x_re, const double* x_im,
-                        const double* p_re, const double* p_im,
-                        std::size_t len, double* out4);
+/// Normalized correlation of 8 adjacent scan positions, j = 0..7:
+///   out8[j] = 0                                    if energy8[j] <= 0,
+///   out8[j] = sqrt(P_j) / sqrt(energy8[j] * p_energy)   otherwise,
+/// where P_j = CorrelationPower(x_re + j, x_im + j, p_re, p_im, len)
+/// bit for bit. Reads x[0, len + 7). Runs the AVX2 build when the CPU
+/// has AVX2 and the baseline build otherwise; both give the same bytes.
+void NormalizedCorrelationX8(const double* x_re, const double* x_im,
+                             const double* p_re, const double* p_im,
+                             std::size_t len, const double* energy8,
+                             double p_energy, double* out8);
+
+/// The two builds NormalizedCorrelationX8 chooses between, exposed so
+/// tests can hold each against CorrelationPower. Call the AVX2 build
+/// only when CpuHasAvx2() (off x86 it is the baseline build).
+void NormalizedCorrelationX8Baseline(const double* x_re, const double* x_im,
+                                     const double* p_re, const double* p_im,
+                                     std::size_t len, const double* energy8,
+                                     double p_energy, double* out8);
+void NormalizedCorrelationX8Avx2(const double* x_re, const double* x_im,
+                                 const double* p_re, const double* p_im,
+                                 std::size_t len, const double* energy8,
+                                 double p_energy, double* out8);
+bool CpuHasAvx2();
 
 /// Sliding 64-sample window energy over SoA inputs: out[n] holds
 /// sum_{k<64} |x[n+k]|^2 computed with the same add/subtract recurrence

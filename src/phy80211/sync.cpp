@@ -132,24 +132,19 @@ Detection DetectPreambleFast(std::span<const Cplx> rx, double threshold,
   // to compute — the only gate that provably cannot change the
   // detection decision (see DESIGN.md §13: Cauchy-Schwarz caps ncorr at
   // 1, so any *positive* window energy still admits a
-  // threshold-clearing peak). A block is skipped only when all four of
-  // its windows are gated; a partially gated block computes all four
-  // correlations and discards the gated ones, which keeps every
-  // written ncorr value independent of its neighbors' energies.
+  // threshold-clearing peak). The scan runs in blocks of 8 positions. A
+  // block is skipped only when all eight of its windows are gated; a
+  // partially gated block computes all eight correlations and writes 0
+  // for the gated ones, which keeps every written ncorr value
+  // independent of its neighbors' energies. The 1-position remainder
+  // runs the same chain and normalization per position.
   std::size_t n = 0;
-  for (; n + 4 <= positions; n += 4) {
-    if (we[n] <= 0.0 && we[n + 1] <= 0.0 && we[n + 2] <= 0.0 &&
-        we[n + 3] <= 0.0) {
-      continue;
-    }
-    double power[4];
-    dsp::CorrelationPowerX4(re + n, im + n, ltf.re.data(), ltf.im.data(),
-                            kFftSize, power);
-    for (std::size_t j = 0; j < 4; ++j) {
-      const double e = we[n + j];
-      if (e <= 0.0) continue;
-      nc[n + j] = std::sqrt(power[j]) / std::sqrt(e * ltf.energy);
-    }
+  for (; n + 8 <= positions; n += 8) {
+    bool any_energy = false;
+    for (std::size_t j = 0; j < 8; ++j) any_energy |= !(we[n + j] <= 0.0);
+    if (!any_energy) continue;
+    dsp::NormalizedCorrelationX8(re + n, im + n, ltf.re.data(), ltf.im.data(),
+                                 kFftSize, we + n, ltf.energy, nc + n);
   }
   for (; n < positions; ++n) {
     const double e = we[n];

@@ -1,6 +1,9 @@
 #include "tag/rf_frontend.h"
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <stdexcept>
 
 #include "dsp/signal_ops.h"
@@ -12,16 +15,35 @@ IqBuffer ApplyPhasePlan(std::span<const Cplx> excitation, const PhasePlan& plan,
   if (plan.samples_per_window == 0 && !plan.window_phases.empty()) {
     throw std::invalid_argument("PhasePlan: zero-length windows");
   }
-  IqBuffer out(excitation.size());
-  for (std::size_t n = 0; n < excitation.size(); ++n) {
-    double phase = 0.0;
-    if (n >= plan.start_sample && !plan.window_phases.empty()) {
-      const std::size_t w = (n - plan.start_sample) / plan.samples_per_window;
-      if (w < plan.window_phases.size()) phase = plan.window_phases[w];
+  const std::size_t size = excitation.size();
+  IqBuffer out(size);
+  // The phase is constant over each window, so the rotor's cos/sin run
+  // once per run of equal phases instead of once per sample. The
+  // per-sample product is unchanged, so every output byte is too.
+  // Phases match by bit pattern: sin(-0.0) is -0.0, not +0.0.
+  std::size_t n = 0;
+  double rotor_phase = 0.0;
+  Cplx rotor{std::cos(rotor_phase), std::sin(rotor_phase)};
+  const auto fill = [&](std::size_t end, double phase) {
+    if (std::bit_cast<std::uint64_t>(phase) !=
+        std::bit_cast<std::uint64_t>(rotor_phase)) {
+      rotor_phase = phase;
+      rotor = Cplx{std::cos(phase), std::sin(phase)};
     }
-    out[n] = excitation[n] * conversion_amplitude *
-             Cplx{std::cos(phase), std::sin(phase)};
+    for (; n < end; ++n) {
+      out[n] = excitation[n] * conversion_amplitude * rotor;
+    }
+  };
+  // Phase 0 before the start, window w's phase over its samples, and
+  // phase 0 again past the last window.
+  if (!plan.window_phases.empty()) {
+    fill(std::min(plan.start_sample, size), 0.0);
+    for (const double phase : plan.window_phases) {
+      if (n == size) break;
+      fill(n + std::min(plan.samples_per_window, size - n), phase);
+    }
   }
+  fill(size, 0.0);
   return out;
 }
 

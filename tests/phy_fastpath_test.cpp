@@ -6,6 +6,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <limits>
+#include <utility>
 #include <vector>
 
 #include "channel/awgn.h"
@@ -13,6 +16,7 @@
 #include "dsp/kernels.h"
 #include "dsp/workspace.h"
 #include "phy80211/convolutional.h"
+#include "phy80211/ofdm.h"
 #include "phy80211/params.h"
 #include "phy80211/receiver.h"
 #include "phy80211/sync.h"
@@ -139,23 +143,129 @@ TEST(FastViterbiTest, PublicDispatchersMatchScalarOnEmptyInput) {
   EXPECT_TRUE(out.empty());
 }
 
-TEST(FastCorrelationTest, BlockedKernelMatchesSinglePosition) {
-  // CorrelationPowerX4's per-position chain must equal the 1-position
-  // kernel exactly — the scan remainder depends on it.
-  Rng rng(11);
-  std::vector<double> xr(64 + 3), xi(64 + 3), pr(64), pi(64);
-  for (auto& v : xr) v = rng.NextGaussian();
-  for (auto& v : xi) v = rng.NextGaussian();
-  for (auto& v : pr) v = rng.NextGaussian();
-  for (auto& v : pi) v = rng.NextGaussian();
-  double block[4];
-  dsp::CorrelationPowerX4(xr.data(), xi.data(), pr.data(), pi.data(), 64,
-                          block);
-  for (int j = 0; j < 4; ++j) {
-    const double single = dsp::CorrelationPower(xr.data() + j, xi.data() + j,
-                                                pr.data(), pi.data(), 64);
-    EXPECT_EQ(single, block[j]) << "offset " << j;
+// What the scan's 1-position remainder writes for one position: the
+// oracle every lane of the 8-position block must match bit for bit.
+double RemainderNcorr(const double* x_re, const double* x_im,
+                      const double* p_re, const double* p_im, std::size_t len,
+                      double energy, double p_energy) {
+  if (energy <= 0.0) return 0.0;
+  const double power = dsp::CorrelationPower(x_re, x_im, p_re, p_im, len);
+  return std::sqrt(power) / std::sqrt(energy * p_energy);
+}
+
+using X8Kernel = void (*)(const double*, const double*, const double*,
+                          const double*, std::size_t, const double*, double,
+                          double*);
+
+// One kernel input: x carries len + 7 samples, so all 8 lanes see a
+// full window.
+struct X8Case {
+  const char* name;
+  std::vector<double> xr, xi, pr, pi;
+  std::vector<double> energy;  // 8 lanes
+  double p_energy;
+};
+
+// x = 1 + 2^-30 and p = 1 - 2^-30 make x·p = 1 - 2^-60, which rounds to
+// 1. Lane 0 pairs (x, x)·conj(p, -p) on even k, whose real part cancels
+// to exactly 0 with two roundings but leaves ±2^-60 when a multiply-add
+// is fused, and (0, 2)·conj(-1, 0) on odd k, which cancels the
+// imaginary part exactly. Unfused, lane 0's power is exactly 0.
+X8Case FmaSensitiveCase() {
+  const double x = 1.0 + std::ldexp(1.0, -30);
+  const double p = 1.0 - std::ldexp(1.0, -30);
+  X8Case c{"fma-sensitive", {}, {}, {}, {}, {}, 64.0};
+  for (std::size_t k = 0; k < 64 + 7; ++k) {
+    const bool even = k % 2 == 0;
+    c.xr.push_back(even ? x : 0.0);
+    c.xi.push_back(even ? x : 2.0);
+    if (k < 64) {
+      c.pr.push_back(even ? p : -1.0);
+      c.pi.push_back(even ? -p : 0.0);
+    }
   }
+  c.energy.assign(8, 3.0);
+  return c;
+}
+
+std::vector<X8Case> X8Cases() {
+  std::vector<X8Case> cases;
+  Rng rng(11);
+  const auto gaussian = [&](std::size_t n, double scale) {
+    std::vector<double> v(n);
+    for (auto& e : v) e = scale * rng.NextGaussian();
+    return v;
+  };
+  const std::vector<double> positive = {1.5, 2.0, 64.0, 1e-300,
+                                        1e300, 7.25, 0.5, 3.0};
+  // Gated lanes (0, -0, negative), a NaN energy (the scalar form
+  // computes it, giving NaN) and extreme magnitudes.
+  const std::vector<double> mixed = {
+      1.5, 0.0, -0.0, -2.0, 3.0, std::numeric_limits<double>::quiet_NaN(),
+      1e-300, 1e300};
+  for (const auto& [name, scale] :
+       {std::pair{"random", 1.0}, std::pair{"1e+150", 1e150},
+        std::pair{"1e-150", 1e-150}, std::pair{"subnormal", 1e-310}}) {
+    X8Case c{name, gaussian(71, scale), gaussian(71, scale),
+             gaussian(64, 1.0), gaussian(64, 1.0), positive, 45.0};
+    cases.push_back(c);
+    c.energy = mixed;
+    cases.push_back(c);
+  }
+  // Both sides huge: products overflow to inf and inf - inf is NaN.
+  cases.push_back({"1e+150 both", gaussian(71, 1e150), gaussian(71, 1e150),
+                   gaussian(64, 1e150), gaussian(64, 1e150), positive, 1.0});
+  cases.push_back({"zero", std::vector<double>(71, 0.0),
+                   std::vector<double>(71, 0.0), gaussian(64, 1.0),
+                   gaussian(64, 1.0), mixed, 64.0});
+  cases.push_back(FmaSensitiveCase());
+  return cases;
+}
+
+void ExpectX8MatchesRemainder(X8Kernel kernel) {
+  for (const X8Case& c : X8Cases()) {
+    double out[8];
+    kernel(c.xr.data(), c.xi.data(), c.pr.data(), c.pi.data(), 64,
+           c.energy.data(), c.p_energy, out);
+    for (std::size_t j = 0; j < 8; ++j) {
+      const double want =
+          RemainderNcorr(c.xr.data() + j, c.xi.data() + j, c.pr.data(),
+                         c.pi.data(), 64, c.energy[j], c.p_energy);
+      EXPECT_EQ(std::memcmp(&want, &out[j], sizeof want), 0)
+          << c.name << " lane " << j << ": want " << want << " got "
+          << out[j];
+    }
+  }
+}
+
+TEST(FastCorrelationTest, FmaCaseSeparatesFusedFromUnfused) {
+  // The case is only a contraction detector if fusing changes lane 0.
+  const X8Case c = FmaSensitiveCase();
+  double cr = 0.0;
+  double ci = 0.0;
+  for (std::size_t k = 0; k < 64; ++k) {
+    cr += std::fma(c.xr[k], c.pr[k], c.xi[k] * c.pi[k]);
+    ci += std::fma(c.xi[k], c.pr[k], -(c.xr[k] * c.pi[k]));
+  }
+  EXPECT_NE(cr * cr + ci * ci, 0.0);
+  EXPECT_EQ(dsp::CorrelationPower(c.xr.data(), c.xi.data(), c.pr.data(),
+                                  c.pi.data(), 64),
+            0.0);
+}
+
+TEST(FastCorrelationTest, BaselineBuildMatchesRemainderKernel) {
+  ExpectX8MatchesRemainder(dsp::NormalizedCorrelationX8Baseline);
+}
+
+TEST(FastCorrelationTest, Avx2BuildMatchesRemainderKernel) {
+  if (!dsp::CpuHasAvx2()) GTEST_SKIP() << "host has no AVX2";
+  ExpectX8MatchesRemainder(dsp::NormalizedCorrelationX8Avx2);
+}
+
+TEST(FastCorrelationTest, BlockedKernelMatchesSinglePosition) {
+  // The dispatched block (whichever build this host runs) must equal
+  // the 1-position kernel exactly — the scan remainder depends on it.
+  ExpectX8MatchesRemainder(dsp::NormalizedCorrelationX8);
 }
 
 IqBuffer NoisyCapture(std::uint64_t seed, double rx_power_dbm,
@@ -167,7 +277,7 @@ IqBuffer NoisyCapture(std::uint64_t seed, double rx_power_dbm,
   fe.sample_rate_hz = kSampleRateHz;
   fe.noise_figure_db = 5.0;
   // Odd front pad so the frame start exercises the blocked scan's
-  // mid-block (and remainder) positions, not just multiples of 4.
+  // mid-block (and remainder) positions, not just multiples of 8.
   IqBuffer padded(pad_front, Cplx{0.0, 0.0});
   padded.insert(padded.end(), frame.waveform.begin(), frame.waveform.end());
   padded.resize(padded.size() + 137, Cplx{0.0, 0.0});
@@ -195,6 +305,53 @@ TEST(FastDetectTest, DetectionMatchesScalarAcrossSnrs) {
   // The sweep must actually straddle the threshold to mean anything.
   EXPECT_GT(found, 0);
   EXPECT_GT(missed, 0);
+}
+
+TEST(FastDetectTest, ScanMatchesScalarInEveryBlockLane) {
+  // Front pads 0..15 put the frame start in every lane of an 8-position
+  // block; zero pads add gated (zero-energy) windows around it; tails
+  // of 0..7 extra samples give positions % 8 every value, so the
+  // remainder runs 0..7 positions. Besides the Detection, every ncorr
+  // the scan wrote must equal the 1-position remainder's value.
+  const IqBuffer ltf = LongTrainingSymbol64();
+  std::vector<double> ltf_re, ltf_im;
+  double ltf_energy = 0.0;
+  for (const Cplx& x : ltf) {
+    ltf_re.push_back(x.real());
+    ltf_im.push_back(x.imag());
+    ltf_energy += std::norm(x);
+  }
+  dsp::Workspace ws;
+  std::size_t residues_seen = 0;
+  for (std::size_t pad = 0; pad < 16; ++pad) {
+    for (const bool zero_pads : {false, true}) {
+      IqBuffer rx = NoisyCapture(40 + pad, -62.0, 40, pad);
+      if (zero_pads) {
+        IqBuffer padded(67 + pad, Cplx{0.0, 0.0});
+        padded.insert(padded.end(), rx.begin(), rx.end());
+        padded.resize(padded.size() + 70, Cplx{0.0, 0.0});
+        rx = std::move(padded);
+      }
+      rx.resize(rx.size() + (8 - (rx.size() - kFftSize + 1) % 8) % 8 + pad % 8,
+                Cplx{0.0, 0.0});
+      const std::size_t positions = rx.size() - kFftSize + 1;
+      residues_seen |= std::size_t{1} << (positions % 8);
+      const Detection ref = DetectPreambleScalar(rx, 0.55);
+      const Detection fast = DetectPreambleFast(rx, 0.55, ws);
+      ASSERT_TRUE(ref.found) << "pad " << pad;
+      EXPECT_EQ(ref.found, fast.found) << "pad " << pad;
+      EXPECT_EQ(ref.second_ltf_start, fast.second_ltf_start) << "pad " << pad;
+      ASSERT_EQ(ws.ncorr.size(), positions);
+      for (std::size_t n = 0; n < positions; ++n) {
+        const double want = RemainderNcorr(
+            ws.scan_re.data() + n, ws.scan_im.data() + n, ltf_re.data(),
+            ltf_im.data(), kFftSize, ws.win_energy[n], ltf_energy);
+        ASSERT_EQ(std::memcmp(&want, &ws.ncorr[n], sizeof want), 0)
+            << "pad " << pad << " zero_pads " << zero_pads << " n " << n;
+      }
+    }
+  }
+  EXPECT_EQ(residues_seen, 0xFFu);
 }
 
 void ExpectSameResult(const RxResult& ref, const RxResult& fast,

@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <limits>
+#include <utility>
+#include <vector>
 
 #include "common/rng.h"
 #include "common/stats.h"
@@ -37,6 +41,90 @@ TEST(RfFrontend, PhasePlanAppliesConversionLoss) {
   PhasePlan plan;  // empty plan: pure reflection with conversion loss
   const IqBuffer out = ApplyPhasePlan(excitation, plan);
   EXPECT_NEAR(std::abs(out[5]), kSidebandAmplitude, 1e-12);
+}
+
+// The per-sample form ApplyPhasePlan used to have: cos/sin and a divide
+// for every sample. The per-window rotor must reproduce it byte for byte.
+IqBuffer PerSamplePhasePlanOracle(std::span<const Cplx> excitation,
+                                  const PhasePlan& plan,
+                                  double conversion_amplitude) {
+  IqBuffer out(excitation.size());
+  for (std::size_t n = 0; n < excitation.size(); ++n) {
+    double phase = 0.0;
+    if (n >= plan.start_sample && !plan.window_phases.empty()) {
+      const std::size_t w = (n - plan.start_sample) / plan.samples_per_window;
+      if (w < plan.window_phases.size()) phase = plan.window_phases[w];
+    }
+    out[n] = excitation[n] * conversion_amplitude *
+             Cplx{std::cos(phase), std::sin(phase)};
+  }
+  return out;
+}
+
+TEST(RfFrontend, PhasePlanMatchesPerSampleOracleByteForByte) {
+  Rng rng(2024);
+  IqBuffer excitation(6007);
+  for (auto& x : excitation) x = rng.NextComplexGaussian();
+  // Signed zeros in the quaternary plan's window 4 (samples 1040..1199):
+  // there a rotor of sin(-0.0) instead of sin(+0.0) flips the sign of a
+  // zero output.
+  excitation[1100] = Cplx{-0.0, 0.0};
+  excitation[1101] = Cplx{0.0, -0.0};
+
+  std::vector<std::pair<const char*, PhasePlan>> plans;
+  // Nominal binary plan (WiFi-like: 400-sample start, 80-sample
+  // windows), ending with a partial window at the frame end.
+  PhasePlan nominal{400, 80, {}};
+  for (std::size_t w = 0; w < 71; ++w) {
+    nominal.window_phases.push_back(rng.NextBelow(2) ? kPi : 0.0);
+  }
+  plans.emplace_back("nominal", nominal);
+  // Quaternary plan; also covers -0.0 next to 0.0 (equal, but their
+  // sines differ in sign) and a NaN phase.
+  PhasePlan quaternary{400, 160, {}};
+  for (std::size_t w = 0; w < 35; ++w) {
+    quaternary.window_phases.push_back(
+        static_cast<double>(rng.NextBelow(4)) * (kPi / 2.0));
+  }
+  quaternary.window_phases[2] = kPi / 2.0;
+  quaternary.window_phases[3] = -0.0;
+  quaternary.window_phases[4] = 0.0;
+  quaternary.window_phases[5] = -0.0;
+  quaternary.window_phases[9] = std::numeric_limits<double>::quiet_NaN();
+  plans.emplace_back("quaternary", quaternary);
+  // Drifted: one phase per sample (window length 1), with runs of
+  // equal phases whose boundaries fall between the nominal ones.
+  PhasePlan drifted{397, 1, {}};
+  const double window_eff = 80.0 * (1.0 + 40e-6);
+  std::vector<double> phases(71);
+  for (auto& ph : phases) ph = rng.NextBelow(2) ? kPi : 0.0;
+  for (std::size_t i = 0; i + 397 < excitation.size(); ++i) {
+    const auto w = static_cast<std::size_t>(static_cast<double>(i) / window_eff);
+    drifted.window_phases.push_back(w < phases.size() ? phases[w] : 0.0);
+  }
+  plans.emplace_back("drifted", drifted);
+  plans.emplace_back("start past the end", PhasePlan{9000, 80, {kPi, kPi}});
+  plans.emplace_back("start at the end", PhasePlan{6007, 80, {kPi}});
+  plans.emplace_back("empty phases", PhasePlan{400, 80, {}});
+  plans.emplace_back("empty phases, zero windows", PhasePlan{0, 0, {}});
+  plans.emplace_back("huge windows",
+                     PhasePlan{10, std::numeric_limits<std::size_t>::max(),
+                               {kPi / 2.0, kPi}});
+
+  for (const auto& [name, plan] : plans) {
+    for (const double amplitude : {kSidebandAmplitude, 1.0}) {
+      const IqBuffer want =
+          PerSamplePhasePlanOracle(excitation, plan, amplitude);
+      const IqBuffer got = ApplyPhasePlan(excitation, plan, amplitude);
+      ASSERT_EQ(want.size(), got.size()) << name;
+      EXPECT_EQ(std::memcmp(want.data(), got.data(),
+                            want.size() * sizeof(Cplx)),
+                0)
+          << name;
+    }
+  }
+  // An empty excitation stays empty.
+  EXPECT_TRUE(ApplyPhasePlan({}, nominal).empty());
 }
 
 TEST(RfFrontend, ConversionLossIsAbout3p9Db) {

@@ -270,12 +270,13 @@ TEST(FastCorrelationTest, BlockedKernelMatchesSinglePosition) {
 
 IqBuffer NoisyCapture(std::uint64_t seed, double rx_power_dbm,
                       std::size_t payload_len = 40,
-                      std::size_t pad_front = 321) {
+                      std::size_t pad_front = 321, double cfo_hz = 0.0) {
   Rng rng(seed);
   const TxFrame frame = BuildFrame(RandomBytes(rng, payload_len), {});
   channel::ReceiverFrontEnd fe;
   fe.sample_rate_hz = kSampleRateHz;
   fe.noise_figure_db = 5.0;
+  fe.cfo_hz = cfo_hz;
   // Odd front pad so the frame start exercises the blocked scan's
   // mid-block (and remainder) positions, not just multiples of 8.
   IqBuffer padded(pad_front, Cplx{0.0, 0.0});
@@ -393,6 +394,47 @@ TEST(FastRxChainTest, FullChainMatchesScalarAcrossSnrs) {
       RxResult fast_soft;
       ReceiveFrame(rx, soft, ws, fast_soft);
       ExpectSameResult(ref_soft, fast_soft, "soft+constellation");
+    }
+  }
+
+  // Oscillator offsets make the coarse and fine CFO mixes rotate the
+  // capture for real (the fast chain mixes in place, the reference out
+  // of place), and every RxConfig toggle runs against them. Each
+  // toggled config collects the constellation, so the equalized points
+  // are compared too.
+  std::vector<std::pair<const char*, RxConfig>> configs(5);
+  configs[0].first = "default config";
+  configs[1] = {"soft+constellation", {}};
+  configs[1].second.soft_decision = true;
+  configs[2] = {"no cfo correction", {}};
+  configs[2].second.cfo_correction = false;
+  configs[3] = {"pilot phase correction", {}};
+  configs[3].second.pilot_phase_correction = true;
+  configs[4] = {"no decision-directed tracking", {}};
+  configs[4].second.decision_directed_tracking = false;
+  for (std::size_t i = 1; i < configs.size(); ++i) {
+    configs[i].second.collect_constellation = true;
+  }
+  dsp::Workspace ws;
+  for (double cfo : {0.0, 25e3, -25e3, 80e3, -80e3}) {
+    for (double dbm : {-60.0, -85.0}) {
+      for (std::uint64_t seed = 10; seed < 13; ++seed) {
+        const IqBuffer rx = NoisyCapture(seed, dbm, 100, 321, cfo);
+        for (const auto& [what, config] : configs) {
+          const RxResult ref = ReceiveFrameScalar(rx, config);
+          RxResult fast;
+          ReceiveFrame(rx, config, ws, fast);
+          SCOPED_TRACE(testing::Message()
+                       << "cfo=" << cfo << " dbm=" << dbm << " seed=" << seed);
+          ExpectSameResult(ref, fast, what);
+          if (dbm == -60.0 && config.cfo_correction) {
+            // The offset reached the estimator: a strong capture decodes
+            // and the estimate lands on the applied offset.
+            EXPECT_TRUE(ref.fcs_ok) << what;
+            EXPECT_NEAR(ref.cfo_hz, cfo, 1e3) << what;
+          }
+        }
+      }
     }
   }
 }

@@ -3,10 +3,6 @@
 // tag's phase translation, full TX/RX chains for all three radios.
 // These bound how fast the figure benches can sweep.
 //
-// FREERIDER_PHY_SCALAR=1 pins the dispatching entry points to the
-// legacy scalar paths, so the same binary measures before/after for the
-// fast-path comparison tables in docs/phy_fast_path.md.
-//
 // BM_WifiRx400B and BM_ZigbeeRx80B additionally report allocs_per_iter — heap allocations
 // per steady-state frame decode, counted by the operator new/delete
 // overrides below. The WiFi fast path's contract is 0.
@@ -103,7 +99,8 @@ void BM_DetectPreamble(benchmark::State& state) {
   padded.resize(4096, Cplx{0.0, 0.0});
   const IqBuffer rx = channel::ApplyLink(padded, -60.0, fe, rng);
   for (auto _ : state) {
-    phy80211::Detection det = phy80211::DetectPreamble(rx, 0.55);
+    phy80211::Detection det =
+        phy80211::DetectPreambleFast(rx, 0.55, dsp::ThreadLocalWorkspace());
     benchmark::DoNotOptimize(&det);
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
@@ -132,7 +129,8 @@ void BM_DetectPreamble22k(benchmark::State& state) {
   Rng rng(10);
   const IqBuffer rx = WifiCapture800B(rng);
   for (auto _ : state) {
-    phy80211::Detection det = phy80211::DetectPreamble(rx, 0.55);
+    phy80211::Detection det =
+        phy80211::DetectPreambleFast(rx, 0.55, dsp::ThreadLocalWorkspace());
     benchmark::DoNotOptimize(&det);
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
@@ -229,26 +227,17 @@ void BM_WifiRx400B(benchmark::State& state) {
   padded.insert(padded.end(), frame.waveform.begin(), frame.waveform.end());
   const IqBuffer rx = channel::ApplyLink(padded, -60.0, fe, rng);
 
-  const bool scalar = phy80211::UseScalarPhy();
   dsp::Workspace ws;
   phy80211::RxResult result;
   // Warm-up decode: after it, workspace and result capacities are at
   // steady state, so the timed loop measures (and counts allocations
   // for) the reuse path.
-  if (scalar) {
-    result = phy80211::ReceiveFrameScalar(rx);
-  } else {
-    phy80211::ReceiveFrame(rx, {}, ws, result);
-  }
+  phy80211::ReceiveFrame(rx, {}, ws, result);
 
   const std::int64_t allocs_before =
       g_alloc_count.load(std::memory_order_relaxed);
   for (auto _ : state) {
-    if (scalar) {
-      result = phy80211::ReceiveFrameScalar(rx);
-    } else {
-      phy80211::ReceiveFrame(rx, {}, ws, result);
-    }
+    phy80211::ReceiveFrame(rx, {}, ws, result);
     benchmark::DoNotOptimize(&result);
   }
   const std::int64_t allocs_after =
@@ -344,10 +333,9 @@ class CapturingReporter : public benchmark::ConsoleReporter {
     benchmark::ConsoleReporter::ReportRuns(runs);
   }
 
-  std::string Json(bool scalar_phy) const {
+  std::string Json() const {
     std::ostringstream out;
-    out << "{\n  \"bench\": \"micro_phy\",\n  \"phy_path\": \""
-        << (scalar_phy ? "scalar" : "fast") << "\",\n  \"benchmarks\": [\n";
+    out << "{\n  \"bench\": \"micro_phy\",\n  \"benchmarks\": [\n";
     for (std::size_t i = 0; i < entries_.size(); ++i) {
       out << entries_[i] << (i + 1 < entries_.size() ? ",\n" : "\n");
     }
@@ -377,8 +365,7 @@ int main(int argc, char** argv) {
   }
   CapturingReporter reporter;
   benchmark::RunSpecifiedBenchmarks(&reporter);
-  freerider::bench::EmitTiming(out_dir, "micro_phy",
-                               reporter.Json(freerider::phy80211::UseScalarPhy()));
+  freerider::bench::EmitTiming(out_dir, "micro_phy", reporter.Json());
   benchmark::Shutdown();
   return 0;
 }

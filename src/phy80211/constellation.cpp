@@ -152,12 +152,6 @@ void DemapSymbolsInto(std::span<const Cplx> symbols, Modulation mod,
   }
 }
 
-std::vector<double> DemapSoft(std::span<const Cplx> symbols, Modulation mod) {
-  std::vector<double> llrs;
-  DemapSoftInto(symbols, mod, llrs);
-  return llrs;
-}
-
 void DemapSoftInto(std::span<const Cplx> symbols, Modulation mod,
                    std::vector<double>& llrs) {
   llrs.clear();

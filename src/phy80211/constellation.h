@@ -24,16 +24,16 @@ IqBuffer MapBits(std::span<const Bit> bits, Modulation mod);
 /// Hard-decision demap: nearest constellation point per symbol.
 BitVector DemapSymbols(std::span<const Cplx> symbols, Modulation mod);
 
-/// Soft demap: one log-likelihood-ratio-style metric per coded bit
-/// (max-log approximation for the gray-coded QAMs). Positive values
-/// favour bit 1; magnitude is confidence. Feed to ViterbiDecodeSoft.
-std::vector<double> DemapSoft(std::span<const Cplx> symbols, Modulation mod);
-
 /// Allocation-free variants for the RX fast path; `out` is cleared and
 /// refilled, so a warm vector makes these allocation-free.
 void MapBitsInto(std::span<const Bit> bits, Modulation mod, IqBuffer& out);
 void DemapSymbolsInto(std::span<const Cplx> symbols, Modulation mod,
                       BitVector& out);
+
+/// Soft demap: one log-likelihood-ratio-style metric per coded bit
+/// (max-log approximation for the gray-coded QAMs). Positive values
+/// favour bit 1; magnitude is confidence. Feed to ViterbiDecodeSoft.
+/// `out` is cleared and refilled.
 void DemapSoftInto(std::span<const Cplx> symbols, Modulation mod,
                    std::vector<double>& out);
 

@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "dsp/workspace.h"
-#include "phy80211/sync.h"
 
 namespace freerider::phy80211 {
 namespace {
@@ -101,10 +100,10 @@ BuildPenaltyTables() {
 constexpr std::array<std::array<std::uint32_t, 2 * kNumStates>, 9> kPenalty =
     BuildPenaltyTables();
 
-// The integer kernel adds at most 2 per step on top of kInfU32; cap the
-// fast path well below the wrap-around point (the scalar fallback skips
-// saturated states and tolerates any length).
-constexpr std::size_t kMaxFastSteps = std::size_t{1} << 28;
+// The integer kernel adds at most 2 per step on top of kInf; cap the
+// length well below the wrap-around point. The cap is far above any
+// 802.11 frame (a 4095-byte PSDU is about 2^15 steps).
+constexpr std::size_t kMaxSteps = std::size_t{1} << 28;
 
 // Puncturing keep-masks over one period of the rate-1/2 stream.
 // Rate 2/3: period 4 mother bits (A1 B1 A2 B2), drop B2.
@@ -124,28 +123,12 @@ std::span<const bool> KeepMask(CodingRate rate) {
   return {};
 }
 
-/// Scalar-path traceback: decisions pack bits 6..1 = predecessor state,
-/// bit 0 = input, one byte per (step, state).
-template <typename Metric>
-void Traceback(const std::uint8_t* decisions, std::size_t steps,
-               const Metric* final_metric, BitVector& out) {
-  int state = static_cast<int>(
-      std::min_element(final_metric, final_metric + kNumStates) -
-      final_metric);
-  out.resize(steps);
-  for (std::size_t t = steps; t-- > 0;) {
-    const std::uint8_t d = decisions[t * kNumStates + state];
-    out[t] = static_cast<Bit>(d & 1u);
-    state = (d >> 1) & (kNumStates - 1);
-  }
-}
-
-/// Fast-path traceback over take-bit planes: per step, byte p holds
-/// take0 for even destination 2p and byte 32 + p holds take1 for odd
-/// destination 2p + 1 (take selects the upper predecessor p + 32). The
-/// input bit is the destination LSB, so the plane encodes exactly the
-/// information of the packed-byte format — the same predecessors walk
-/// back, the same bits come out.
+/// Traceback over take-bit planes: per step, byte p holds take0 for
+/// even destination 2p and byte 32 + p holds take1 for odd destination
+/// 2p + 1 (take selects the upper predecessor p + 32). The input bit is
+/// the destination LSB, so the plane encodes exactly the information of
+/// the scalar reference's packed predecessor bytes — the same
+/// predecessors walk back, the same bits come out.
 template <typename Metric>
 void TracebackPlanes(const std::uint8_t* decisions, std::size_t steps,
                      const Metric* final_metric, BitVector& out) {
@@ -257,122 +240,6 @@ void DepunctureSoftInto(std::span<const double> punctured, CodingRate rate,
   }
 }
 
-BitVector ViterbiDecodeSoftScalar(std::span<const double> llrs) {
-  if (llrs.size() % 2 != 0) {
-    throw std::invalid_argument("Viterbi soft input must be even length");
-  }
-  const std::size_t steps = llrs.size() / 2;
-  if (steps == 0) return {};
-
-  constexpr double kInf = 1e30;
-  std::vector<double> metric(kNumStates, kInf);
-  std::vector<double> next_metric(kNumStates, kInf);
-  metric[0] = 0.0;
-  std::vector<std::uint8_t> decisions(steps * kNumStates);
-
-  struct Branch {
-    Bit a, b;
-  };
-  static const auto branch_table = [] {
-    std::array<std::array<Branch, 2>, kNumStates> t{};
-    for (int s = 0; s < kNumStates; ++s) {
-      for (int in = 0; in < 2; ++in) {
-        BranchOutputs(s, static_cast<Bit>(in), t[s][in].a, t[s][in].b);
-      }
-    }
-    return t;
-  }();
-
-  for (std::size_t t = 0; t < steps; ++t) {
-    const double la = llrs[2 * t];
-    const double lb = llrs[2 * t + 1];
-    std::fill(next_metric.begin(), next_metric.end(), kInf);
-    std::uint8_t* dec = &decisions[t * kNumStates];
-    for (int s = 0; s < kNumStates; ++s) {
-      const double m = metric[s];
-      if (m >= kInf) continue;
-      for (int in = 0; in < 2; ++in) {
-        const Branch& br = branch_table[s][in];
-        // Penalize disagreement between the branch bit and the LLR sign
-        // by the LLR magnitude (max-log metric).
-        double cost = m;
-        if ((la > 0.0) != (br.a == 1)) cost += std::abs(la);
-        if ((lb > 0.0) != (br.b == 1)) cost += std::abs(lb);
-        const int ns = ((s << 1) | in) & (kNumStates - 1);
-        if (cost < next_metric[ns]) {
-          next_metric[ns] = cost;
-          dec[ns] = static_cast<std::uint8_t>((s << 1) | in);
-        }
-      }
-    }
-    metric.swap(next_metric);
-  }
-
-  BitVector info;
-  Traceback(decisions.data(), steps, metric.data(), info);
-  return info;
-}
-
-BitVector ViterbiDecodeScalar(std::span<const Bit> coded_with_erasures) {
-  if (coded_with_erasures.size() % 2 != 0) {
-    throw std::invalid_argument("Viterbi input must be even length");
-  }
-  const std::size_t steps = coded_with_erasures.size() / 2;
-  if (steps == 0) return {};
-
-  constexpr std::uint32_t kInf = std::numeric_limits<std::uint32_t>::max() / 2;
-  std::vector<std::uint32_t> metric(kNumStates, kInf);
-  std::vector<std::uint32_t> next_metric(kNumStates, kInf);
-  metric[0] = 0;
-
-  // decisions[t][state] = input bit that led to `state` on the survivor.
-  // Stored packed as one byte per state for simple traceback.
-  std::vector<std::uint8_t> decisions(steps * kNumStates);
-
-  // Precompute branch outputs once.
-  struct Branch {
-    Bit a, b;
-  };
-  static const auto branch_table = [] {
-    std::array<std::array<Branch, 2>, kNumStates> t{};
-    for (int s = 0; s < kNumStates; ++s) {
-      for (int in = 0; in < 2; ++in) {
-        BranchOutputs(s, static_cast<Bit>(in), t[s][in].a, t[s][in].b);
-      }
-    }
-    return t;
-  }();
-
-  for (std::size_t t = 0; t < steps; ++t) {
-    const Bit ra = coded_with_erasures[2 * t];
-    const Bit rb = coded_with_erasures[2 * t + 1];
-    std::fill(next_metric.begin(), next_metric.end(), kInf);
-    std::uint8_t* dec = &decisions[t * kNumStates];
-    for (int s = 0; s < kNumStates; ++s) {
-      const std::uint32_t m = metric[s];
-      if (m >= kInf) continue;
-      for (int in = 0; in < 2; ++in) {
-        const Branch& br = branch_table[s][in];
-        std::uint32_t cost = m;
-        if (ra != 2 && br.a != ra) ++cost;
-        if (rb != 2 && br.b != rb) ++cost;
-        const int ns = ((s << 1) | in) & (kNumStates - 1);
-        if (cost < next_metric[ns]) {
-          next_metric[ns] = cost;
-          dec[ns] = static_cast<std::uint8_t>((s << 1) | in);
-          // dec packs: bits 6..1 = predecessor state, bit 0 = input.
-        }
-      }
-    }
-    metric.swap(next_metric);
-  }
-
-  // Best final state (zero tail drives this to state 0 in practice).
-  BitVector info;
-  Traceback(decisions.data(), steps, metric.data(), info);
-  return info;
-}
-
 // ---------------------------------------------------------------------------
 // Branchless state-major ACS kernels.
 //
@@ -386,7 +253,8 @@ BitVector ViterbiDecodeScalar(std::span<const Bit> coded_with_erasures) {
 // branches, and survivor choices stored as contiguous take-bit planes
 // (see TracebackPlanes), a loop shape GCC auto-vectorizes.
 //
-// Bit-identity with the scalar reference is by construction:
+// Bit-identity with the scalar reference trellis (the oracle in
+// tests/phy_fastpath_test.cpp) is by construction:
 //  * hard decisions use exact integer path metrics;
 //  * the soft kernel evaluates cost = (m + pen_a) + pen_b in the exact
 //    add order of the scalar loop, and the multiply-selects are exact
@@ -411,9 +279,8 @@ void ViterbiDecodeInto(std::span<const Bit> coded_with_erasures,
     out.clear();
     return;
   }
-  if (steps > kMaxFastSteps) {
-    out = ViterbiDecodeScalar(coded_with_erasures);
-    return;
+  if (steps > kMaxSteps) {
+    throw std::length_error("Viterbi input exceeds 2^28 steps");
   }
 
   constexpr std::uint32_t kInf = std::numeric_limits<std::uint32_t>::max() / 2;
@@ -518,7 +385,6 @@ void ViterbiDecodeSoftInto(std::span<const double> llrs,
 }
 
 BitVector ViterbiDecode(std::span<const Bit> coded_with_erasures) {
-  if (UseScalarPhy()) return ViterbiDecodeScalar(coded_with_erasures);
   BitVector out;
   ViterbiDecodeInto(coded_with_erasures,
                     dsp::ThreadLocalWorkspace().vit_decisions, out);
@@ -526,7 +392,6 @@ BitVector ViterbiDecode(std::span<const Bit> coded_with_erasures) {
 }
 
 BitVector ViterbiDecodeSoft(std::span<const double> llrs) {
-  if (UseScalarPhy()) return ViterbiDecodeSoftScalar(llrs);
   BitVector out;
   ViterbiDecodeSoftInto(llrs, dsp::ThreadLocalWorkspace().vit_decisions, out);
   return out;

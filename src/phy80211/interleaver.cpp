@@ -61,13 +61,6 @@ void DeinterleaveSymbolInto(std::span<const Bit> bits, const RateParams& rate,
   for (std::size_t k = 0; k < bits.size(); ++k) out[k] = bits[perm[k]];
 }
 
-std::vector<double> DeinterleaveSymbolSoft(std::span<const double> values,
-                                           const RateParams& rate) {
-  std::vector<double> out;
-  DeinterleaveSymbolSoftInto(values, rate, out);
-  return out;
-}
-
 void DeinterleaveSymbolSoftInto(std::span<const double> values,
                                 const RateParams& rate,
                                 std::vector<double>& out) {

@@ -23,12 +23,9 @@ BitVector DeinterleaveSymbol(std::span<const Bit> bits, const RateParams& rate);
 BitVector InterleaveStream(std::span<const Bit> bits, const RateParams& rate);
 BitVector DeinterleaveStream(std::span<const Bit> bits, const RateParams& rate);
 
-/// Deinterleave one symbol of soft metrics (same permutation as bits).
-std::vector<double> DeinterleaveSymbolSoft(std::span<const double> values,
-                                           const RateParams& rate);
-
 /// Allocation-free variants for the RX fast path (`out` must not alias
-/// the input; it is resized to N_CBPS).
+/// the input; it is resized to N_CBPS). The soft form deinterleaves one
+/// symbol of soft metrics with the same permutation as the bits.
 void DeinterleaveSymbolInto(std::span<const Bit> bits, const RateParams& rate,
                             BitVector& out);
 void DeinterleaveSymbolSoftInto(std::span<const double> values,

@@ -25,13 +25,10 @@ constexpr std::size_t kTailBits = 6;
 /// from the mean rotation of equalized points against their nearest
 /// constellation points. Symmetric under the constellation's rotational
 /// symmetry group, hence transparent to the tag's codeword translation.
-///
-/// With a workspace the hard-decision round trip reuses ws scratch
-/// (same arithmetic either way — the fast chain's tracker state is
-/// bit-identical to the scalar chain's).
+/// The hard-decision round trip runs in ws scratch.
 class PhaseTracker {
  public:
-  PhaseTracker(bool enabled, Modulation mod, dsp::Workspace* ws = nullptr)
+  PhaseTracker(bool enabled, Modulation mod, dsp::Workspace& ws)
       : enabled_(enabled), mod_(mod), ws_(ws) {}
 
   void Apply(IqBuffer& points) {
@@ -40,18 +37,10 @@ class PhaseTracker {
     for (auto& p : points) p *= derot;
     // Residual rotation against hard decisions.
     Cplx acc{0.0, 0.0};
-    if (ws_ != nullptr) {
-      DemapSymbolsInto(points, mod_, ws_->sym_hard);
-      MapBitsInto(ws_->sym_hard, mod_, ws_->sym_ref);
-      for (std::size_t i = 0; i < points.size(); ++i) {
-        acc += points[i] * std::conj(ws_->sym_ref[i]);
-      }
-    } else {
-      const BitVector hard = DemapSymbols(points, mod_);
-      const IqBuffer ref = MapBits(hard, mod_);
-      for (std::size_t i = 0; i < points.size(); ++i) {
-        acc += points[i] * std::conj(ref[i]);
-      }
+    DemapSymbolsInto(points, mod_, ws_.sym_hard);
+    MapBitsInto(ws_.sym_hard, mod_, ws_.sym_ref);
+    for (std::size_t i = 0; i < points.size(); ++i) {
+      acc += points[i] * std::conj(ws_.sym_ref[i]);
     }
     if (std::norm(acc) < 1e-30) return;
     // Clamp the per-symbol step: residual CFO drifts a few tens of
@@ -64,30 +53,11 @@ class PhaseTracker {
  private:
   bool enabled_;
   Modulation mod_;
-  dsp::Workspace* ws_;
+  dsp::Workspace& ws_;
   double phase_ = 0.0;
 };
 
-/// Equalized data-subcarrier points of one symbol (allocating form).
-IqBuffer DemodSymbolPoints(std::span<const Cplx> symbol80,
-                           std::span<const Cplx> channel,
-                           std::size_t symbol_index, const RxConfig& config,
-                           IqBuffer* constellation_out, PhaseTracker* tracker) {
-  IqBuffer bins = DemodulateSymbol(symbol80);
-  IqBuffer data = ExtractDataSubcarriers(bins, channel);
-  if (config.pilot_phase_correction) {
-    const double cpe = PilotPhaseError(bins, channel, symbol_index);
-    const Cplx derot{std::cos(-cpe), std::sin(-cpe)};
-    for (auto& x : data) x *= derot;
-  }
-  if (tracker != nullptr) tracker->Apply(data);
-  if (constellation_out != nullptr) {
-    constellation_out->insert(constellation_out->end(), data.begin(), data.end());
-  }
-  return data;
-}
-
-/// Fast form: equalized points land in ws.sym_data (ws scratch only).
+/// Equalized data-subcarrier points of one symbol, left in ws.sym_data.
 void DemodSymbolPointsWs(std::span<const Cplx> symbol80,
                          std::span<const Cplx> channel,
                          std::size_t symbol_index, const RxConfig& config,
@@ -107,18 +77,8 @@ void DemodSymbolPointsWs(std::span<const Cplx> symbol80,
   }
 }
 
-/// Decode one symbol's worth of interleaved coded bits (hard decision).
-BitVector DemodSymbolBits(std::span<const Cplx> symbol80,
-                          std::span<const Cplx> channel, const RateParams& params,
-                          std::size_t symbol_index, const RxConfig& config,
-                          IqBuffer* constellation_out) {
-  const IqBuffer data = DemodSymbolPoints(symbol80, channel, symbol_index,
-                                          config, constellation_out, nullptr);
-  const BitVector hard = DemapSymbols(data, params.modulation);
-  return DeinterleaveSymbol(hard, params);
-}
-
-/// Fast form of DemodSymbolBits: deinterleaved bits land in `out`.
+/// Decode one symbol's worth of interleaved coded bits (hard decision)
+/// into `out`.
 void DemodSymbolBitsWs(std::span<const Cplx> symbol80,
                        std::span<const Cplx> channel, const RateParams& params,
                        std::size_t symbol_index, const RxConfig& config,
@@ -189,163 +149,15 @@ void ResetResult(RxResult& r) {
 
 }  // namespace
 
-RxResult ReceiveFrameScalar(const IqBuffer& raw_rx, const RxConfig& config) {
-  RxResult result;
-
-  Detection det = DetectPreambleScalar(raw_rx, config.detection_threshold);
-  if (!det.found) return result;
-  result.detected = true;
-  result.start_index = det.second_ltf_start - 64;
-
-  // CFO estimation and correction on the preamble, then re-detect for
-  // exact timing on the corrected buffer.
-  IqBuffer rx = raw_rx;
-  if (config.cfo_correction) {
-    double cfo = 0.0;
-    // Coarse: STF region (160 samples ending 160 before the LTF).
-    if (result.start_index >= 192) {
-      cfo += EstimateCfoHz(
-          std::span<const Cplx>(rx).subspan(result.start_index - 184, 144), 16);
-      rx = dsp::MixFrequency(rx, -cfo, kSampleRateHz);
-    }
-    // Fine: the two LTF symbols, period 64.
-    cfo += EstimateCfoHz(
-        std::span<const Cplx>(rx).subspan(result.start_index, 128), 64);
-    rx = dsp::MixFrequency(raw_rx, -cfo, kSampleRateHz);
-    result.cfo_hz = cfo;
-    det = DetectPreambleScalar(rx, config.detection_threshold);
-    if (!det.found) return result;
-    result.start_index = det.second_ltf_start - 64;
-  }
-
-  // Channel estimation over both long training symbols.
-  IqBuffer h(kFftSize, Cplx{0.0, 0.0});
-  {
-    IqBuffer y1(rx.begin() + static_cast<std::ptrdiff_t>(result.start_index),
-                rx.begin() + static_cast<std::ptrdiff_t>(result.start_index) + 64);
-    IqBuffer y2(rx.begin() + static_cast<std::ptrdiff_t>(det.second_ltf_start),
-                rx.begin() + static_cast<std::ptrdiff_t>(det.second_ltf_start) + 64);
-    dsp::Fft(y1);
-    dsp::Fft(y2);
-    for (int s = -26; s <= 26; ++s) {
-      const Cplx l = LtfSymbolAt(s);
-      if (std::norm(l) < 0.5) continue;
-      const std::size_t bin = BinIndex(s);
-      // H absorbs the TX time-domain scale and the channel gain, so
-      // equalized data points land on the unit constellation grid.
-      h[bin] = 0.5 * (y1[bin] + y2[bin]) / l;
-    }
-  }
-
-  // SIGNAL symbol.
-  const std::size_t signal_start = det.second_ltf_start + 64;
-  if (signal_start + kSymbolLen > rx.size()) return result;
-  const BitVector signal_coded = DemodSymbolBits(
-      std::span<const Cplx>(rx).subspan(signal_start, kSymbolLen), h,
-      ParamsFor(Rate::k6Mbps), 0, RxConfig{}, nullptr);
-  const BitVector signal_bits = ViterbiDecodeScalar(signal_coded);
-  const SignalInfo info = ParseSignal(signal_bits);
-  if (!info.ok) return result;
-  result.signal_ok = true;
-  result.rate = info.rate;
-  result.psdu_len = info.length;
-
-  const auto& params = ParamsFor(info.rate);
-  const std::size_t payload_bits = kServiceBits + info.length * 8 + kTailBits;
-  const std::size_t num_symbols =
-      (payload_bits + params.data_bits_per_symbol - 1) /
-      params.data_bits_per_symbol;
-  result.num_data_symbols = num_symbols;
-
-  const std::size_t data_start = signal_start + kSymbolLen;
-  if (data_start + num_symbols * kSymbolLen > rx.size()) {
-    result.signal_ok = false;  // truncated capture
-    return result;
-  }
-
-  // RSSI over the frame extent.
-  result.rssi_dbm = dsp::PowerDbm(std::span<const Cplx>(rx).subspan(
-      result.start_index, data_start + num_symbols * kSymbolLen - result.start_index));
-
-  // Demodulate all data symbols, then depuncture and Viterbi-decode
-  // (hard or soft per the configuration).
-  const std::size_t info_bits = num_symbols * params.data_bits_per_symbol;
-  IqBuffer* constellation =
-      config.collect_constellation ? &result.constellation : nullptr;
-  BitVector scrambled;
-  PhaseTracker tracker(config.decision_directed_tracking, params.modulation);
-  if (config.soft_decision) {
-    std::vector<double> coded;
-    coded.reserve(num_symbols * params.coded_bits_per_symbol);
-    for (std::size_t s = 0; s < num_symbols; ++s) {
-      const IqBuffer points = DemodSymbolPoints(
-          std::span<const Cplx>(rx).subspan(data_start + s * kSymbolLen,
-                                            kSymbolLen),
-          h, s + 1, config, constellation, &tracker);
-      const std::vector<double> llrs = DemapSoft(points, params.modulation);
-      const std::vector<double> deint = DeinterleaveSymbolSoft(llrs, params);
-      coded.insert(coded.end(), deint.begin(), deint.end());
-    }
-    const std::vector<double> mother =
-        DepunctureSoft(coded, params.coding, info_bits * 2);
-    scrambled = ViterbiDecodeSoftScalar(mother);
-  } else {
-    BitVector coded;
-    coded.reserve(num_symbols * params.coded_bits_per_symbol);
-    for (std::size_t s = 0; s < num_symbols; ++s) {
-      const IqBuffer points = DemodSymbolPoints(
-          std::span<const Cplx>(rx).subspan(data_start + s * kSymbolLen,
-                                            kSymbolLen),
-          h, s + 1, config, constellation, &tracker);
-      const BitVector hard = DemapSymbols(points, params.modulation);
-      const BitVector sym_bits = DeinterleaveSymbol(hard, params);
-      coded.insert(coded.end(), sym_bits.begin(), sym_bits.end());
-    }
-    const BitVector mother = Depuncture(coded, params.coding, info_bits * 2);
-    scrambled = ViterbiDecodeScalar(mother);
-  }
-
-  result.scrambler_seed =
-      RecoverScramblerSeed(std::span<const Bit>(scrambled).subspan(0, 7));
-  if (result.scrambler_seed == 0) {
-    // SERVICE corrupted beyond seed recovery; return raw bits unscrambled.
-    result.data_bits = scrambled;
-    return result;
-  }
-  Scrambler descrambler(result.scrambler_seed);
-  result.data_bits = descrambler.Process(scrambled);
-
-  // Zero the (known-zero) tail bits so streams compare cleanly.
-  const std::size_t tail_pos = kServiceBits + info.length * 8;
-  for (std::size_t i = 0; i < kTailBits && tail_pos + i < result.data_bits.size();
-       ++i) {
-    result.data_bits[tail_pos + i] = 0;
-  }
-
-  // Extract PSDU and check FCS.
-  result.psdu = BitsToBytes(
-      std::span<const Bit>(result.data_bits).subspan(kServiceBits, info.length * 8));
-  if (info.length >= 5) {
-    std::uint32_t fcs = 0;
-    for (int i = 0; i < 4; ++i) {
-      fcs |= static_cast<std::uint32_t>(result.psdu[info.length - 4 + i]) << (8 * i);
-    }
-    const std::uint32_t computed = Crc32(
-        std::span<const std::uint8_t>(result.psdu).subspan(0, info.length - 4));
-    result.fcs_ok = (fcs == computed);
-  }
-  return result;
-}
-
 // ---------------------------------------------------------------------------
-// Allocation-free fast chain. Stage-for-stage this mirrors the scalar
-// chain above with identical arithmetic in identical order — the only
-// intentional difference is the vectorized preamble scan (whose integer
-// Detection output the equivalence suite and the CI campaign byte-diffs
-// pin to the scalar scan) — so both chains produce identical RxResults.
-// Every temporary lives in `ws`; `result`'s vectors are cleared and
-// refilled, so a warm workspace + reused result decode a frame with
-// zero heap allocations (BM_WifiRx400B reports the counter).
+// Allocation-free receive chain. Stage for stage it performs the
+// arithmetic of the scalar reference chain (the oracle in
+// tests/phy_fastpath_test.cpp) in the same order; the only intentional
+// difference is the vectorized preamble scan, whose integer Detection
+// output the equivalence suite pins to the scalar scan. Every temporary
+// lives in `ws`; `result`'s vectors are cleared and refilled, so a warm
+// workspace + reused result decode a frame with zero heap allocations
+// (BM_WifiRx400B reports the counter).
 // ---------------------------------------------------------------------------
 
 void ReceiveFrame(const IqBuffer& raw_rx, const RxConfig& config,
@@ -437,7 +249,7 @@ void ReceiveFrame(const IqBuffer& raw_rx, const RxConfig& config,
   IqBuffer* constellation =
       config.collect_constellation ? &result.constellation : nullptr;
   PhaseTracker tracker(config.decision_directed_tracking, params.modulation,
-                       &ws);
+                       ws);
   if (config.soft_decision) {
     ws.soft_coded.clear();
     ws.soft_coded.reserve(num_symbols * params.coded_bits_per_symbol);
@@ -505,7 +317,6 @@ void ReceiveFrame(const IqBuffer& raw_rx, const RxConfig& config,
 }
 
 RxResult ReceiveFrame(const IqBuffer& rx, const RxConfig& config) {
-  if (UseScalarPhy()) return ReceiveFrameScalar(rx, config);
   RxResult result;
   ReceiveFrame(rx, config, dsp::ThreadLocalWorkspace(), result);
   return result;

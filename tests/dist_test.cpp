@@ -659,5 +659,53 @@ TEST(DistRunnerTest, CheckpointResumeRestoresEveryTask) {
   std::remove((path + ".tmp").c_str());
 }
 
+TEST(DistRunnerTest, PartialTornCheckpointResumesOnTheFleet) {
+  sim::RegisterDistBodies();
+  const std::string baseline = InProcessDigest();
+  const std::string path = "dist_test_partial.ckpt";
+  std::remove(path.c_str());
+  RobustSweepOptions robust;
+  robust.checkpoint_path = path;
+  // A complete in-process checkpoint, cut down to tasks 1, 2, 5 and 6
+  // with the last frame torn: the fleet must finish the other five.
+  sim::ChaosProbeDistributed(kProbeSeed, kProbeRounds, kProbeGrid, robust,
+                             FleetOptions(0));
+  std::string bytes;
+  ASSERT_TRUE(ReadFileBytes(path, &bytes));
+  const CheckpointDecodeResult full = DecodeCheckpoint(bytes);
+  ASSERT_TRUE(full.ok);
+  ASSERT_EQ(full.records.size(), kProbeGrid.tasks());
+  std::vector<TaskRecord> kept;
+  for (const TaskRecord& r : full.records) {
+    if (r.index == 1 || r.index == 2 || r.index == 5 || r.index == 6) {
+      kept.push_back(r);
+    }
+  }
+  std::string partial = EncodeCheckpoint(full.header, kept);
+  partial.resize(partial.size() - 3);
+  ASSERT_TRUE(WriteFileAtomic(path, partial));
+
+  ScopedEnv bin("FREERIDER_WORKER_BIN", DIST_SWEEP_WORKER);
+  robust.resume = true;
+  std::string digest;
+  const DistReport report = sim::ChaosProbeDistributed(
+      kProbeSeed, kProbeRounds, kProbeGrid, robust, FleetOptions(2), &digest);
+  ExpectAccountingInvariant(report);
+  EXPECT_TRUE(report.distributed);
+  EXPECT_TRUE(report.robust.resumed);
+  EXPECT_TRUE(report.robust.checkpoint_salvaged);
+  EXPECT_EQ(report.robust.tasks_restored, 3u);  // task 6's frame was torn
+  EXPECT_EQ(report.robust.tasks_ok, kProbeGrid.tasks() - 3);
+  EXPECT_EQ(digest, baseline);
+  // The final snapshot is whole again.
+  ASSERT_TRUE(ReadFileBytes(path, &bytes));
+  const CheckpointDecodeResult after = DecodeCheckpoint(bytes);
+  EXPECT_TRUE(after.ok);
+  EXPECT_FALSE(after.salvaged);
+  EXPECT_EQ(after.records.size(), kProbeGrid.tasks());
+  std::remove(path.c_str());
+  std::remove((path + ".tmp").c_str());
+}
+
 }  // namespace
 }  // namespace freerider::runtime::dist

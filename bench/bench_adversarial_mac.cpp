@@ -52,6 +52,7 @@
 #include "runtime/executor.h"
 #include "runtime/recovery.h"
 #include "sim/adversarial.h"
+#include "sim/stress.h"
 #include "sim/sweep.h"
 
 using namespace freerider;
@@ -68,15 +69,9 @@ sim::AdversarialConfig MakeConfig(std::size_t seed_index, bool defenses_on,
   config.drain_rounds = rounds / 4;
   config.offer_every = 2;
   config.defenses_on = defenses_on;
-
-  // Same transport posture as the stress bench: generous retries so
-  // the defended arm can absorb the few pre-quarantine collisions.
-  config.transport.max_transmissions = 16;
-  config.transport.expiry_rounds = 1000000;
-  config.transport.queue_capacity = 24;
-  config.transport.rto_rounds = 3;
-  config.transport.max_escalation_steps = 1;
-  config.transport.hole_skip_rounds = 96;
+  // The stress bench's transport posture: generous retries so the
+  // defended arm can absorb the few pre-quarantine collisions.
+  config.transport = sim::StressBenchTransport();
 
   config.rogue.seed = config.seed ^ 0x726F677565ull;
   config.rogue.tags.resize(config.num_tags);

@@ -37,7 +37,7 @@ struct SweepOutcome {
   std::uint64_t steals = 0;
 };
 
-/// The Fig. 10 workload run on a caller-owned executor (DistanceSweep
+/// The Fig. 10 workload run on a caller-owned executor (DistanceSweepRobust
 /// itself is pinned to the process-wide default executor, whose thread
 /// count is fixed — the scaling comparison needs one executor per
 /// count in a single process).

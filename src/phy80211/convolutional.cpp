@@ -38,14 +38,11 @@ constexpr void BranchOutputs(int state, Bit input, Bit& out_a, Bit& out_b) {
   out_b = Parity(window & kG1);
 }
 
-// Flattened branch-output tables for the branchless ACS kernels,
-// indexed [input * 64 + state]. The u32 copies feed the integer
-// (hard-decision) kernel, the double copies the soft kernel — both as
-// multiply-selects so the inner loops carry no data-dependent branches
-// and auto-vectorize.
+// Flattened branch-output tables for the soft ACS kernel, indexed
+// [input * 64 + state], used as multiply-selects so the inner loop
+// carries no data-dependent branches and auto-vectorizes. (The hard
+// kernel reads the penalty tables below.)
 struct BranchTables {
-  std::array<std::uint32_t, 2 * kNumStates> a{};
-  std::array<std::uint32_t, 2 * kNumStates> b{};
   std::array<double, 2 * kNumStates> ad{};
   std::array<double, 2 * kNumStates> bd{};
 };
@@ -57,8 +54,6 @@ constexpr BranchTables BuildBranchTables() {
       Bit a = 0;
       Bit b = 0;
       BranchOutputs(s, static_cast<Bit>(in), a, b);
-      t.a[static_cast<std::size_t>(in * kNumStates + s)] = a;
-      t.b[static_cast<std::size_t>(in * kNumStates + s)] = b;
       t.ad[static_cast<std::size_t>(in * kNumStates + s)] = a;
       t.bd[static_cast<std::size_t>(in * kNumStates + s)] = b;
     }

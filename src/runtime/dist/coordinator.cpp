@@ -19,7 +19,6 @@
 #include <vector>
 
 #include "obs/profile.h"
-#include "runtime/checkpoint.h"
 #include "runtime/dist/lease.h"
 #include "runtime/dist/wire.h"
 
@@ -172,43 +171,34 @@ std::string DistReport::SummaryJson(const std::string& name) const {
 DistRunner::DistRunner(DistOptions dist, RobustSweepOptions robust)
     : dist_(std::move(dist)), robust_(std::move(robust)) {}
 
-DistReport DistRunner::Run(
-    const SweepGrid& grid,
-    const std::function<RobustTaskResult(std::size_t, std::size_t)>& body,
-    const std::function<bool(std::size_t, std::size_t, const std::string&)>&
-        restore) {
+DistReport DistRunner::Run(const SweepGrid& grid, const TaskBody& body,
+                           const TaskRestore& restore) {
   DistReport report;
   report.workers_requested = dist_.workers;
-
-  // ---------------- in-process path (--workers 0) -------------------
-  // Identical to handing the sweep straight to RecoveryRunner — the
-  // regression anchor every --workers N run is byte-diffed against.
-  if (dist_.workers == 0 || dist_.body_name.empty()) {
+  if (dist_.workers == 0 || dist_.body_name.empty() ||
+      !RunFleet(grid, body, restore, &report)) {
+    // In-process: identical to handing the sweep straight to
+    // RecoveryRunner — the regression anchor every --workers N run is
+    // byte-diffed against, and the fallback when no fleet can start.
     RecoveryRunner runner(DefaultExecutor(), robust_);
     report.robust = runner.Run(grid, body, restore);
     report.distributed = false;
-    return report;
   }
+  return report;
+}
 
+bool DistRunner::RunFleet(const SweepGrid& grid, const TaskBody& body,
+                          const TaskRestore& restore, DistReport* out) {
+  DistReport& report = *out;
   obs::Profiler& profiler = obs::GlobalProfiler();
   obs::ScopedSpan run_span("dist_run", "dist");
 
   const std::size_t n = grid.tasks();
   RobustSweepReport& robust = report.robust;
-  robust.tasks_total = n;
-  robust.tasks.resize(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    robust.tasks[i].point = i / grid.trials;
-    robust.tasks[i].trial = i % grid.trials;
-  }
+  TaskLedger ledger(grid, robust_, robust);
   if (n == 0) {
     report.distributed = true;
-    return report;
-  }
-
-  std::size_t crash_after_tasks = 0;
-  if (const char* env = std::getenv("FREERIDER_CRASH_AFTER_N_TASKS")) {
-    crash_after_tasks = std::strtoull(env, nullptr, 10);
+    return true;
   }
 
   // A dead worker must surface as EPIPE on our next write, never as a
@@ -226,10 +216,7 @@ DistReport DistRunner::Run(
                  "[dist] worker binary %s not executable (%s); running "
                  "in-process\n",
                  bin.c_str(), std::strerror(errno));
-    RecoveryRunner runner(DefaultExecutor(), robust_);
-    report.robust = runner.Run(grid, body, restore);
-    report.distributed = false;
-    return report;
+    return false;
   }
 
   // ---------------- fleet spawn (before any thread exists) ----------
@@ -273,10 +260,7 @@ DistReport DistRunner::Run(
   if (alive == 0) {
     std::fprintf(stderr,
                  "[dist] could not spawn any worker; running in-process\n");
-    RecoveryRunner runner(DefaultExecutor(), robust_);
-    report.robust = runner.Run(grid, body, restore);
-    report.distributed = false;
-    return report;
+    return false;
   }
   report.distributed = true;
 
@@ -287,109 +271,14 @@ DistReport DistRunner::Run(
   lease_options.quarantine = robust_.quarantine;
   lease_options.speculate_after_s = dist_.speculate_after_s;
   LeaseTable lease(n, lease_options);
-  std::vector<RobustTaskState> states(n, RobustTaskState::kDrained);
-  std::vector<std::string> payloads(n);
-  std::size_t completions = 0;
-  bool cancelled = false;
-  std::size_t first_failure = n;
-
-  // ---------------- resume (mirrors RecoveryRunner) -----------------
-  const bool checkpointing = !robust_.checkpoint_path.empty();
-  if (robust_.resume && checkpointing) {
-    std::string bytes;
-    if (ReadFileBytes(robust_.checkpoint_path, &bytes)) {
-      const CheckpointDecodeResult decoded = DecodeCheckpoint(bytes);
-      if (!decoded.ok) {
-        robust.checkpoint_error = "checkpoint rejected: " + decoded.error;
-      } else if (decoded.header.campaign != robust_.campaign ||
-                 decoded.header.points != grid.points ||
-                 decoded.header.trials != grid.trials) {
-        robust.checkpoint_error =
-            "checkpoint belongs to a different campaign/grid; ignored";
-      } else {
-        robust.resumed = true;
-        robust.checkpoint_salvaged = decoded.salvaged;
-        robust.checkpoint_dropped_bytes = decoded.dropped_bytes;
-        for (const TaskRecord& r : decoded.records) {
-          const auto i = static_cast<std::size_t>(r.index);
-          if (i >= n) continue;
-          if (r.state == TaskState::kDone) {
-            payloads[i] = r.payload;
-            states[i] = RobustTaskState::kRestored;
-          } else {
-            states[i] = RobustTaskState::kQuarantined;
-            lease.MarkQuarantined(i);
-          }
-        }
-        // Replay restored payloads in grid-index order — the same
-        // order the single-process reduction sees them.
-        for (std::size_t i = 0; i < n; ++i) {
-          if (states[i] != RobustTaskState::kRestored) continue;
-          if (restore(i / grid.trials, i % grid.trials, payloads[i])) {
-            lease.MarkDone(i);
-          } else {
-            states[i] = RobustTaskState::kDrained;
-            payloads[i].clear();
-          }
-        }
-      }
-      if (!robust.checkpoint_error.empty()) {
-        std::fprintf(stderr, "[dist] %s\n", robust.checkpoint_error.c_str());
-      }
-      if (robust.checkpoint_salvaged) {
-        std::fprintf(stderr,
-                     "[dist] checkpoint salvaged: %zu trailing bytes "
-                     "dropped\n",
-                     robust.checkpoint_dropped_bytes);
-      }
+  ledger.Resume(restore);
+  for (std::size_t i = 0; i < n; ++i) {
+    if (robust.tasks[i].state == RobustTaskState::kRestored) {
+      lease.MarkDone(i);
+    } else if (robust.tasks[i].state == RobustTaskState::kQuarantined) {
+      lease.MarkQuarantined(i);
     }
   }
-
-  // ---------------- snapshots ---------------------------------------
-  std::string checkpoint_write_error;
-  const CheckpointHeader header{kCheckpointVersion, robust_.campaign,
-                                grid.points, grid.trials};
-  auto write_snapshot = [&] {
-    std::vector<TaskRecord> records;
-    for (std::size_t i = 0; i < n; ++i) {
-      TaskRecord record;
-      record.index = i;
-      if (states[i] == RobustTaskState::kOk ||
-          states[i] == RobustTaskState::kRestored) {
-        record.state = TaskState::kDone;
-        record.payload = payloads[i];
-      } else if (states[i] == RobustTaskState::kQuarantined) {
-        record.state = TaskState::kQuarantined;
-      } else {
-        continue;
-      }
-      records.push_back(std::move(record));
-    }
-    std::string error;
-    if (WriteFileAtomic(robust_.checkpoint_path,
-                        EncodeCheckpoint(header, records), &error)) {
-      ++robust.snapshots_written;
-      profiler.AddCount("dist.snapshots", 1);
-    } else if (checkpoint_write_error.empty()) {
-      checkpoint_write_error = error;
-      std::fprintf(stderr, "[dist] snapshot failed: %s\n", error.c_str());
-    }
-  };
-  auto on_completion = [&] {
-    ++completions;
-    if (checkpointing && robust_.checkpoint_every > 0 &&
-        completions % robust_.checkpoint_every == 0) {
-      write_snapshot();
-    }
-    if (crash_after_tasks != 0 && completions == crash_after_tasks) {
-      std::fprintf(stderr,
-                   "[dist] FREERIDER_CRASH_AFTER_N_TASKS=%zu hit — raising "
-                   "SIGKILL\n",
-                   crash_after_tasks);
-      std::fflush(stderr);
-      std::raise(SIGKILL);
-    }
-  };
 
   // ---------------- fleet plumbing ----------------------------------
   auto reap = [&](WorkerProc& w, bool send_kill) {
@@ -413,7 +302,7 @@ DistReport DistRunner::Run(
                  "re-dispatched\n",
                  w.index, static_cast<int>(w.pid), why, released);
     reap(w, true);
-    if (respawns_left > 0 && !lease.AllSettled() && !cancelled) {
+    if (respawns_left > 0 && !lease.AllSettled() && !ledger.cancelled()) {
       --respawns_left;
       if (spawn_into(w)) {
         ++report.respawns;
@@ -423,11 +312,9 @@ DistReport DistRunner::Run(
   auto handle_failure_verdict = [&](std::size_t index,
                                     LeaseTable::FailResult verdict) {
     if (verdict == LeaseTable::FailResult::kQuarantined) {
-      states[index] = RobustTaskState::kQuarantined;
-      on_completion();
+      ledger.Quarantine(index);
     } else if (verdict == LeaseTable::FailResult::kFatal) {
-      if (!cancelled || index < first_failure) first_failure = index;
-      cancelled = true;
+      ledger.Cancel(index);
     }
   };
 
@@ -437,49 +324,30 @@ DistReport DistRunner::Run(
   // semantics.
   auto degraded_drain = [&] {
     for (const std::size_t i : lease.Unsettled()) {
-      if (cancelled) break;
-      const std::size_t point = i / grid.trials;
-      const std::size_t trial = i % grid.trials;
-      RobustTaskResult result;
-      bool threw = false;
-      std::string what;
-      std::size_t attempts = 0;
-      do {
-        ++attempts;
-        threw = false;
-        try {
-          result = body(point, trial);
-        } catch (const std::exception& e) {
-          threw = true;
-          what = e.what();
-        } catch (...) {
-          threw = true;
-          what = "unknown exception";
-        }
-      } while (threw && attempts <= robust_.max_retries);
-      if (attempts > 1) robust.task_retries += attempts - 1;
-      if (threw || !result.ok) {
-        if (threw) {
+      if (ledger.cancelled()) break;
+      TaskCall call = CallTask(body, i / grid.trials, i % grid.trials,
+                               robust_.max_retries);
+      robust.task_retries += call.attempts - 1;
+      if (call.threw || !call.result.ok) {
+        if (call.threw) {
           std::fprintf(stderr,
                        "[dist] degraded task %zu failed after %zu "
                        "attempt(s): %s\n",
-                       i, attempts, what.c_str());
+                       i, call.attempts, call.error.c_str());
         }
         handle_failure_verdict(
             i, lease.Fail(i, now_s(), /*retryable=*/false));
         continue;
       }
-      payloads[i] = std::move(result.payload);
-      states[i] = RobustTaskState::kOk;
       lease.MarkDone(i);
       ++report.degraded_tasks;
-      on_completion();
+      ledger.Commit(i, std::move(call.result.payload));
     }
   };
 
   // ---------------- event loop --------------------------------------
   bool fleet_unusable = false;
-  while (!lease.AllSettled() && !cancelled && !fleet_unusable) {
+  while (!lease.AllSettled() && !ledger.cancelled() && !fleet_unusable) {
     const double now = now_s();
 
     // Silent workers: heartbeat deadline passed → dead (SIGSTOP,
@@ -508,7 +376,9 @@ DistReport DistRunner::Run(
 
     // Dispatch: one outstanding task per ready worker.
     for (WorkerProc& w : fleet) {
-      if (!w.alive || !w.ready || w.outstanding > 0 || cancelled) continue;
+      if (!w.alive || !w.ready || w.outstanding > 0 || ledger.cancelled()) {
+        continue;
+      }
       std::size_t task = 0;
       bool speculative = false;
       if (!lease.Acquire(w.index, now, &task, &speculative)) continue;
@@ -607,10 +477,8 @@ DistReport DistRunner::Run(
               const LeaseTable::CompleteResult cr =
                   lease.Complete(index, frame_now);
               if (cr == LeaseTable::CompleteResult::kAccepted) {
-                payloads[index] = std::move(msg.payload);
-                states[index] = RobustTaskState::kOk;
                 robust.tasks[index].worker = w.index;
-                on_completion();
+                ledger.Commit(index, std::move(msg.payload));
               } else if (cr == LeaseTable::CompleteResult::kInvalid) {
                 corrupt = true;  // hostile index: treat like a bad frame
               }
@@ -686,27 +554,15 @@ DistReport DistRunner::Run(
     }
   }
 
-  // ---------------- drain / cancel bookkeeping ----------------------
-  if (cancelled) {
-    robust.cancelled = true;
-    robust.first_failure_task = first_failure;
-  }
-
-  // ---------------- final snapshot ----------------------------------
-  if (checkpointing) write_snapshot();
-  if (!checkpoint_write_error.empty() && robust.checkpoint_error.empty()) {
-    robust.checkpoint_error = checkpoint_write_error;
-  }
-
   // ---------------- fold (grid-index order) -------------------------
   // Worker-computed and degraded results fold through the caller's
   // restore serially in index order: the reduction the single-process
   // path performs, regardless of arrival order.
   for (std::size_t i = 0; i < n; ++i) {
-    if (states[i] != RobustTaskState::kOk) continue;
+    if (robust.tasks[i].state != RobustTaskState::kOk) continue;
     const std::size_t point = i / grid.trials;
     const std::size_t trial = i % grid.trials;
-    if (restore(point, trial, payloads[i])) continue;
+    if (restore(point, trial, ledger.payload(i))) continue;
     // A payload the CRC accepted but the caller rejects can only be a
     // worker-side serialization bug; recompute in-process rather than
     // ship a silently wrong campaign.
@@ -714,31 +570,19 @@ DistReport DistRunner::Run(
                  "[dist] task %zu payload rejected by restore; "
                  "recomputing in-process\n",
                  i);
-    try {
-      const RobustTaskResult r = body(point, trial);
-      if (r.ok) {
-        payloads[i] = r.payload;
-        ++report.degraded_tasks;
-        continue;
-      }
-    } catch (...) {
+    TaskCall call = CallTask(body, point, trial, 0);
+    if (call.threw || !call.result.ok) {
+      ledger.Quarantine(i);
+      continue;
     }
-    states[i] = RobustTaskState::kQuarantined;
+    ++report.degraded_tasks;
+    ledger.Commit(i, std::move(call.result.payload));
   }
+  ledger.Finish();
 
   // ---------------- report ------------------------------------------
   for (std::size_t i = 0; i < n; ++i) {
-    robust.tasks[i].state = states[i];
     robust.tasks[i].attempts = lease.attempts(i);
-    switch (states[i]) {
-      case RobustTaskState::kOk: ++robust.tasks_ok; break;
-      case RobustTaskState::kRestored: ++robust.tasks_restored; break;
-      case RobustTaskState::kQuarantined:
-        ++robust.tasks_quarantined;
-        robust.quarantined.push_back(i);
-        break;
-      case RobustTaskState::kDrained: ++robust.tasks_drained; break;
-    }
   }
   robust.task_retries += lease.retries();
   report.lease_expiries += lease.expiries();
@@ -754,7 +598,7 @@ DistReport DistRunner::Run(
   profiler.AddCount("dist.corrupt_frames", report.corrupt_frames);
   profiler.AddCount("dist.duplicate_results", report.duplicate_results);
   profiler.AddCount("dist.degraded_tasks", report.degraded_tasks);
-  return report;
+  return true;
 }
 
 }  // namespace freerider::runtime::dist

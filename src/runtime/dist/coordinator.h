@@ -29,6 +29,12 @@
 // respawn budget — the runner degrades to in-process execution, so a
 // campaign always completes with the same bytes.
 //
+// Checkpointing is not the coordinator's: resume, the snapshot
+// cadence, the crash hook and the final accounting are the same
+// runtime::TaskLedger RecoveryRunner uses (runtime/recovery.h). The
+// coordinator owns dispatch (LeaseTable), the fleet and the late
+// grid-order fold of worker results.
+//
 // stdout belongs to the bench: the coordinator writes only to stderr.
 #pragma once
 
@@ -103,13 +109,15 @@ class DistRunner {
  public:
   DistRunner(DistOptions dist, RobustSweepOptions robust);
 
-  DistReport Run(
-      const SweepGrid& grid,
-      const std::function<RobustTaskResult(std::size_t, std::size_t)>& body,
-      const std::function<bool(std::size_t, std::size_t, const std::string&)>&
-          restore);
+  DistReport Run(const SweepGrid& grid, const TaskBody& body,
+                 const TaskRestore& restore);
 
  private:
+  /// The fleet path. False when no worker could start (nothing ran):
+  /// Run then falls back to RecoveryRunner in-process.
+  bool RunFleet(const SweepGrid& grid, const TaskBody& body,
+                const TaskRestore& restore, DistReport* report);
+
   DistOptions dist_;
   RobustSweepOptions robust_;
 };

@@ -29,7 +29,7 @@ namespace freerider::runtime::dist {
 /// One task body: (point, trial) → serialized result payload.
 /// Side-effect free — folding payloads into caller state is the
 /// restore callback's job, on the coordinator only.
-using DistBody = std::function<RobustTaskResult(std::size_t, std::size_t)>;
+using DistBody = TaskBody;
 
 /// Builds a body from the wire params. Returns an empty function when
 /// the params are malformed or the grid shape is not one this body

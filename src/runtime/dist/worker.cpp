@@ -191,17 +191,17 @@ int RunWorkerServe(int read_fd, int write_fd, int worker_index) {
       result.status = ResultStatus::kFailed;
       result.payload = "task index out of range";
     } else {
-      try {
-        const RobustTaskResult r =
-            body(index / grid.trials, index % grid.trials);
-        result.status = r.ok ? ResultStatus::kOk : ResultStatus::kFailed;
-        result.payload = r.payload;
-      } catch (const std::exception& e) {
+      // One attempt: retries are the coordinator's (LeaseTable), which
+      // re-dispatches a kThrew result.
+      TaskCall call =
+          CallTask(body, index / grid.trials, index % grid.trials, 0);
+      if (call.threw) {
         result.status = ResultStatus::kThrew;
-        result.payload = e.what();
-      } catch (...) {
-        result.status = ResultStatus::kThrew;
-        result.payload = "unknown exception";
+        result.payload = std::move(call.error);
+      } else {
+        result.status =
+            call.result.ok ? ResultStatus::kOk : ResultStatus::kFailed;
+        result.payload = std::move(call.result.payload);
       }
     }
 

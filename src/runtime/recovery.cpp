@@ -7,6 +7,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <exception>
 #include <mutex>
 #include <sstream>
 #include <thread>
@@ -80,140 +81,242 @@ RobustSweepOptions RobustOptionsFromArgs(int& argc, char** argv) {
   return options;
 }
 
-RecoveryRunner::RecoveryRunner(Executor& executor, RobustSweepOptions options)
-    : executor_(executor), options_(std::move(options)) {
+TaskCall CallTask(const TaskBody& body, std::size_t point, std::size_t trial,
+                  std::size_t max_retries) {
+  TaskCall call;
+  do {
+    ++call.attempts;
+    call.threw = false;
+    try {
+      call.result = body(point, trial);
+    } catch (const std::exception& e) {
+      call.threw = true;
+      call.error = e.what();
+    } catch (...) {
+      call.threw = true;
+      call.error = "unknown exception";
+    }
+  } while (call.threw && call.attempts <= max_retries);
+  return call;
+}
+
+TaskLedger::TaskLedger(const SweepGrid& grid,
+                       const RobustSweepOptions& options,
+                       RobustSweepReport& report)
+    : grid_(grid),
+      options_(options),
+      report_(report),
+      committed_(grid.tasks()),
+      payloads_(grid.tasks()),
+      first_failure_(grid.tasks()) {
+  const std::size_t n = grid.tasks();
+  report_.tasks_total = n;
+  report_.tasks.resize(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    report_.tasks[i].point = i / grid.trials;
+    report_.tasks[i].trial = i % grid.trials;
+  }
   if (const char* env = std::getenv("FREERIDER_CRASH_AFTER_N_TASKS")) {
-    crash_after_tasks_ = std::strtoull(env, nullptr, 10);
+    crash_after_ = std::strtoull(env, nullptr, 10);
   }
 }
 
-RobustSweepReport RecoveryRunner::Run(
-    const SweepGrid& grid,
-    const std::function<RobustTaskResult(std::size_t, std::size_t)>& body,
-    const std::function<bool(std::size_t, std::size_t, const std::string&)>&
-        restore) {
+void TaskLedger::Resume(const TaskRestore& restore) {
+  if (!options_.resume || options_.checkpoint_path.empty()) return;
+  std::string bytes;
+  if (!ReadFileBytes(options_.checkpoint_path, &bytes)) return;
+  const CheckpointDecodeResult decoded = DecodeCheckpoint(bytes);
+  if (!decoded.ok) {
+    report_.checkpoint_error = "checkpoint rejected: " + decoded.error;
+  } else if (decoded.header.campaign != options_.campaign ||
+             decoded.header.points != grid_.points ||
+             decoded.header.trials != grid_.trials) {
+    report_.checkpoint_error =
+        "checkpoint belongs to a different campaign/grid; ignored";
+  } else {
+    report_.resumed = true;
+    report_.checkpoint_salvaged = decoded.salvaged;
+    report_.checkpoint_dropped_bytes = decoded.dropped_bytes;
+    for (const TaskRecord& r : decoded.records) {
+      const auto i = static_cast<std::size_t>(r.index);
+      if (r.state == TaskState::kDone) {
+        payloads_[i] = r.payload;
+      } else {
+        // Deterministic poison: re-running would fail again.
+        report_.tasks[i].state = RobustTaskState::kQuarantined;
+      }
+      committed_[i].store(static_cast<std::uint8_t>(r.state),
+                          std::memory_order_relaxed);
+    }
+    // Replay restored results to the caller in grid-index order — the
+    // same order an uninterrupted run's reduction sees them.
+    for (std::size_t i = 0; i < payloads_.size(); ++i) {
+      if (committed_[i].load(std::memory_order_relaxed) !=
+          static_cast<std::uint8_t>(TaskState::kDone)) {
+        continue;
+      }
+      if (restore(i / grid_.trials, i % grid_.trials, payloads_[i])) {
+        report_.tasks[i].state = RobustTaskState::kRestored;
+      } else {
+        // Caller rejected the payload: forget it and re-run.
+        committed_[i].store(0, std::memory_order_relaxed);
+        payloads_[i].clear();
+      }
+    }
+  }
+  if (!report_.checkpoint_error.empty()) {
+    std::fprintf(stderr, "[recovery] %s\n", report_.checkpoint_error.c_str());
+  }
+  if (report_.checkpoint_salvaged) {
+    std::fprintf(stderr,
+                 "[recovery] checkpoint salvaged: %zu trailing bytes "
+                 "dropped, %zu records kept\n",
+                 report_.checkpoint_dropped_bytes, decoded.frames_kept);
+  }
+}
+
+std::vector<std::size_t> TaskLedger::Pending() const {
+  std::vector<std::size_t> pending;
+  for (std::size_t i = 0; i < committed_.size(); ++i) {
+    if (committed_[i].load(std::memory_order_relaxed) == 0) {
+      pending.push_back(i);
+    }
+  }
+  return pending;
+}
+
+void TaskLedger::Commit(std::size_t i, std::string payload) {
+  payloads_[i] = std::move(payload);
+  Settle(i, static_cast<std::uint8_t>(TaskState::kDone), RobustTaskState::kOk);
+}
+
+void TaskLedger::Quarantine(std::size_t i) {
+  obs::GlobalProfiler().AddCount("runner.tasks_quarantined", 1);
+  Settle(i, static_cast<std::uint8_t>(TaskState::kQuarantined),
+         RobustTaskState::kQuarantined);
+}
+
+void TaskLedger::Settle(std::size_t i, std::uint8_t state,
+                        RobustTaskState outcome) {
+  report_.tasks[i].state = outcome;
+  if (committed_[i].exchange(state, std::memory_order_acq_rel) != 0) return;
+  const std::size_t done =
+      completions_.fetch_add(1, std::memory_order_acq_rel) + 1;
+  if (!options_.checkpoint_path.empty() && options_.checkpoint_every > 0 &&
+      done % options_.checkpoint_every == 0) {
+    // try_lock: a snapshot already in flight covers this task's commit
+    // or the next cadence point will.
+    if (snapshot_mutex_.try_lock()) {
+      WriteSnapshot();
+      snapshot_mutex_.unlock();
+    }
+  }
+  // Crash-injection hook — *after* the settle is observable, so "crash
+  // after N tasks" kills a campaign with exactly N settled tasks
+  // (snapshotted or not).
+  if (crash_after_ != 0 && done == crash_after_) {
+    std::fprintf(stderr,
+                 "[recovery] FREERIDER_CRASH_AFTER_N_TASKS=%zu hit — "
+                 "raising SIGKILL\n",
+                 crash_after_);
+    std::fflush(stderr);
+    std::raise(SIGKILL);
+  }
+}
+
+void TaskLedger::Cancel(std::size_t i) {
+  std::size_t expected = first_failure_.load(std::memory_order_relaxed);
+  while (i < expected && !first_failure_.compare_exchange_weak(
+                             expected, i, std::memory_order_relaxed)) {
+  }
+}
+
+bool TaskLedger::cancelled() const {
+  return first_failure_.load(std::memory_order_relaxed) < payloads_.size();
+}
+
+void TaskLedger::WriteSnapshot() {
+  std::vector<TaskRecord> records;
+  for (std::size_t i = 0; i < committed_.size(); ++i) {
+    const std::uint8_t state = committed_[i].load(std::memory_order_acquire);
+    if (state == 0) continue;
+    TaskRecord record;
+    record.index = i;
+    record.state = static_cast<TaskState>(state);
+    if (record.state == TaskState::kDone) record.payload = payloads_[i];
+    records.push_back(std::move(record));
+  }
+  obs::Profiler& profiler = obs::GlobalProfiler();
+  std::string error;
+  const std::string encoded = EncodeCheckpoint(
+      {kCheckpointVersion, options_.campaign, grid_.points, grid_.trials},
+      records);
+  const double write_start_us = profiler.NowUs();
+  if (WriteFileAtomic(options_.checkpoint_path, encoded, &error)) {
+    ++snapshots_;
+    profiler.RecordSpan("checkpoint_write", "runner",
+                        std::max(Executor::current_worker(), 0),
+                        write_start_us, profiler.NowUs() - write_start_us);
+    profiler.AddCount("runner.snapshots", 1);
+    profiler.AddCount("runner.snapshot_bytes", encoded.size());
+  } else if (!write_failed_) {
+    write_failed_ = true;
+    write_error_ = error;
+    std::fprintf(stderr, "[recovery] snapshot failed: %s\n", error.c_str());
+  }
+}
+
+void TaskLedger::Finish() {
+  for (std::size_t i = 0; i < report_.tasks.size(); ++i) {
+    RobustTaskStat& stat = report_.tasks[i];
+    switch (stat.state) {
+      case RobustTaskState::kOk: ++report_.tasks_ok; break;
+      case RobustTaskState::kRestored: ++report_.tasks_restored; break;
+      case RobustTaskState::kQuarantined:
+        ++report_.tasks_quarantined;
+        report_.quarantined.push_back(i);
+        break;
+      case RobustTaskState::kDrained:
+        ++report_.tasks_drained;
+        stat.worker = -1;
+        break;
+    }
+  }
+  obs::GlobalProfiler().AddCount("runner.tasks_restored",
+                                 report_.tasks_restored);
+  if (cancelled()) {
+    report_.cancelled = true;
+    report_.first_failure_task = first_failure_.load();
+  }
+  // Final snapshot: always, so a completed (or cancelled, or
+  // quarantine-carrying) campaign leaves a full checkpoint behind.
+  if (!options_.checkpoint_path.empty()) {
+    std::lock_guard<std::mutex> lock(snapshot_mutex_);
+    WriteSnapshot();
+  }
+  report_.snapshots_written = snapshots_;
+  if (write_failed_ && report_.checkpoint_error.empty()) {
+    report_.checkpoint_error = write_error_;
+  }
+}
+
+RecoveryRunner::RecoveryRunner(Executor& executor, RobustSweepOptions options)
+    : executor_(executor), options_(std::move(options)) {}
+
+RobustSweepReport RecoveryRunner::Run(const SweepGrid& grid,
+                                      const TaskBody& body,
+                                      const TaskRestore& restore) {
   // TIMING channel: per-phase and per-task spans plus retry/quarantine
   // counts go to the wall-clock profiler, never into byte-diffed output.
   obs::Profiler& profiler = obs::GlobalProfiler();
-  obs::ScopedSpan run_span("recovery_run:" + options_.campaign, "runner");
+  obs::ScopedSpan run_span("recovery_run:" + std::to_string(options_.campaign),
+                           "runner");
 
   RobustSweepReport report;
-  const std::size_t n = grid.tasks();
-  report.tasks_total = n;
-  report.tasks.resize(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    report.tasks[i].point = i / grid.trials;
-    report.tasks[i].trial = i % grid.trials;
-  }
-  if (n == 0) return report;
-
-  // Committed task states, shared between workers and the snapshot
-  // writer: 0 = pending, else a TaskState. The payload slot is written
-  // *before* the release store, so a snapshot that observes the state
-  // may safely read the payload.
-  std::vector<std::atomic<std::uint8_t>> committed(n);
-  std::vector<std::string> payloads(n);
-
-  // ---------------------------------------------------------- resume
-  if (options_.resume && !options_.checkpoint_path.empty()) {
-    std::string bytes;
-    if (ReadFileBytes(options_.checkpoint_path, &bytes)) {
-      const CheckpointDecodeResult decoded = DecodeCheckpoint(bytes);
-      if (!decoded.ok) {
-        report.checkpoint_error =
-            "checkpoint rejected: " + decoded.error;
-      } else if (decoded.header.campaign != options_.campaign ||
-                 decoded.header.points != grid.points ||
-                 decoded.header.trials != grid.trials) {
-        report.checkpoint_error =
-            "checkpoint belongs to a different campaign/grid; ignored";
-      } else {
-        report.resumed = true;
-        report.checkpoint_salvaged = decoded.salvaged;
-        report.checkpoint_dropped_bytes = decoded.dropped_bytes;
-        for (const TaskRecord& r : decoded.records) {
-          const auto i = static_cast<std::size_t>(r.index);
-          if (r.state == TaskState::kDone) {
-            payloads[i] = r.payload;
-          }
-          committed[i].store(static_cast<std::uint8_t>(r.state),
-                             std::memory_order_relaxed);
-        }
-        // Replay restored results to the caller in grid-index order —
-        // the same order an uninterrupted run's reduction sees them.
-        for (std::size_t i = 0; i < n; ++i) {
-          if (committed[i].load(std::memory_order_relaxed) !=
-              static_cast<std::uint8_t>(TaskState::kDone)) {
-            continue;
-          }
-          if (restore(i / grid.trials, i % grid.trials, payloads[i])) {
-            report.tasks[i].state = RobustTaskState::kRestored;
-          } else {
-            // Caller rejected the payload: forget it and re-run.
-            committed[i].store(0, std::memory_order_relaxed);
-            payloads[i].clear();
-          }
-        }
-      }
-      if (!report.checkpoint_error.empty()) {
-        std::fprintf(stderr, "[recovery] %s\n",
-                     report.checkpoint_error.c_str());
-      }
-      if (report.checkpoint_salvaged) {
-        std::fprintf(stderr,
-                     "[recovery] checkpoint salvaged: %zu trailing bytes "
-                     "dropped, %zu records kept\n",
-                     report.checkpoint_dropped_bytes, decoded.frames_kept);
-      }
-    }
-  }
-
-  // Pending = everything the checkpoint did not already settle.
-  std::vector<std::size_t> pending;
-  pending.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::uint8_t state = committed[i].load(std::memory_order_relaxed);
-    if (state == 0) {
-      pending.push_back(i);
-    } else if (state == static_cast<std::uint8_t>(TaskState::kQuarantined)) {
-      // Deterministic poison: re-running would fail again.
-      report.tasks[i].state = RobustTaskState::kQuarantined;
-    }
-  }
-
-  // -------------------------------------------------------- snapshot
-  std::mutex snapshot_mutex;
-  std::atomic<std::size_t> snapshots{0};
-  std::atomic<bool> checkpoint_write_failed{false};
-  std::string checkpoint_write_error;
-  const CheckpointHeader header{kCheckpointVersion, options_.campaign,
-                                grid.points, grid.trials};
-  auto write_snapshot = [&]() {
-    std::vector<TaskRecord> records;
-    for (std::size_t i = 0; i < n; ++i) {
-      const std::uint8_t state = committed[i].load(std::memory_order_acquire);
-      if (state == 0) continue;
-      TaskRecord record;
-      record.index = i;
-      record.state = static_cast<TaskState>(state);
-      if (record.state == TaskState::kDone) record.payload = payloads[i];
-      records.push_back(std::move(record));
-    }
-    std::string error;
-    const std::string encoded = EncodeCheckpoint(header, records);
-    const double write_start_us = profiler.NowUs();
-    if (WriteFileAtomic(options_.checkpoint_path, encoded, &error)) {
-      snapshots.fetch_add(1, std::memory_order_relaxed);
-      profiler.RecordSpan("checkpoint_write", "runner",
-                          std::max(Executor::current_worker(), 0),
-                          write_start_us, profiler.NowUs() - write_start_us);
-      profiler.AddCount("runner.snapshots", 1);
-      profiler.AddCount("runner.snapshot_bytes", encoded.size());
-    } else if (!checkpoint_write_failed.exchange(true)) {
-      checkpoint_write_error = error;
-      std::fprintf(stderr, "[recovery] snapshot failed: %s\n", error.c_str());
-    }
-  };
+  TaskLedger ledger(grid, options_, report);
+  if (grid.tasks() == 0) return report;
+  ledger.Resume(restore);
+  const std::vector<std::size_t> pending = ledger.Pending();
 
   // -------------------------------------------------------- watchdog
   const std::size_t worker_count = executor_.thread_count();
@@ -254,10 +357,7 @@ RobustSweepReport RecoveryRunner::Run(
 
   // ------------------------------------------------------------- run
   CancelToken cancel;
-  std::atomic<std::size_t> first_failure{n};
-  std::atomic<std::size_t> completions{0};
   std::atomic<std::size_t> retries_total{0};
-  const bool checkpointing = !options_.checkpoint_path.empty();
 
   report.run = executor_.ParallelFor(
       pending.size(),
@@ -283,32 +383,17 @@ RobustSweepReport RecoveryRunner::Run(
         }
 
         const double task_start_us = profiler.NowUs();
-        RobustTaskResult result;
-        bool threw = false;
-        std::string what;
-        std::size_t attempts = 0;
-        do {
-          ++attempts;
-          threw = false;
-          try {
-            result = body(point, trial);
-          } catch (const std::exception& e) {
-            threw = true;
-            what = e.what();
-          } catch (...) {
-            threw = true;
-            what = "unknown exception";
-          }
-        } while (threw && attempts <= options_.max_retries);
-        if (attempts > 1) {
-          retries_total.fetch_add(attempts - 1, std::memory_order_relaxed);
+        TaskCall call = CallTask(body, point, trial, options_.max_retries);
+        if (call.attempts > 1) {
+          retries_total.fetch_add(call.attempts - 1,
+                                  std::memory_order_relaxed);
         }
 
         if (slot != nullptr) {
           slot->task_plus_one.store(0, std::memory_order_release);
         }
         stat.wall_s = SecondsSince(start);
-        stat.attempts = attempts;
+        stat.attempts = call.attempts;
         {
           char span_name[64];
           std::snprintf(span_name, sizeof span_name, "task p%zu.t%zu", point,
@@ -317,62 +402,26 @@ RobustSweepReport RecoveryRunner::Run(
                               task_start_us,
                               profiler.NowUs() - task_start_us);
           profiler.AddCount("runner.tasks_run", 1);
-          if (attempts > 1) {
-            profiler.AddCount("runner.task_retries", attempts - 1);
+          if (call.attempts > 1) {
+            profiler.AddCount("runner.task_retries", call.attempts - 1);
           }
         }
 
-        if (threw || !result.ok) {
-          if (threw) {
-            std::fprintf(stderr,
-                         "[recovery] task %zu (point %zu, trial %zu) failed "
-                         "after %zu attempt(s): %s\n",
-                         i, point, trial, attempts, what.c_str());
-          }
-          if (options_.quarantine) {
-            stat.state = RobustTaskState::kQuarantined;
-            profiler.AddCount("runner.tasks_quarantined", 1);
-            committed[i].store(
-                static_cast<std::uint8_t>(TaskState::kQuarantined),
-                std::memory_order_release);
-          } else {
-            std::size_t expected =
-                first_failure.load(std::memory_order_relaxed);
-            while (i < expected &&
-                   !first_failure.compare_exchange_weak(
-                       expected, i, std::memory_order_relaxed)) {
-            }
-            cancel.Cancel();
-            return;
-          }
-        } else {
-          stat.state = RobustTaskState::kOk;
-          payloads[i] = std::move(result.payload);
-          committed[i].store(static_cast<std::uint8_t>(TaskState::kDone),
-                             std::memory_order_release);
+        if (!call.threw && call.result.ok) {
+          ledger.Commit(i, std::move(call.result.payload));
+          return;
         }
-
-        const std::size_t done =
-            completions.fetch_add(1, std::memory_order_acq_rel) + 1;
-        if (checkpointing && options_.checkpoint_every > 0 &&
-            done % options_.checkpoint_every == 0) {
-          // try_lock: a snapshot already in flight covers this task's
-          // commit or the next cadence point will.
-          if (snapshot_mutex.try_lock()) {
-            write_snapshot();
-            snapshot_mutex.unlock();
-          }
-        }
-        // Crash-injection hook — *after* the completion is observable,
-        // so "crash after N tasks" kills a campaign with exactly N
-        // settled tasks (snapshotted or not).
-        if (crash_after_tasks_ != 0 && done == crash_after_tasks_) {
+        if (call.threw) {
           std::fprintf(stderr,
-                       "[recovery] FREERIDER_CRASH_AFTER_N_TASKS=%zu hit — "
-                       "raising SIGKILL\n",
-                       crash_after_tasks_);
-          std::fflush(stderr);
-          std::raise(SIGKILL);
+                       "[recovery] task %zu (point %zu, trial %zu) failed "
+                       "after %zu attempt(s): %s\n",
+                       i, point, trial, call.attempts, call.error.c_str());
+        }
+        if (options_.quarantine) {
+          ledger.Quarantine(i);
+        } else {
+          ledger.Cancel(i);
+          cancel.Cancel();
         }
       },
       &cancel);
@@ -382,44 +431,10 @@ RobustSweepReport RecoveryRunner::Run(
     watchdog.join();
   }
 
-  // ------------------------------------------------------ accounting
-  for (std::size_t j = 0; j < pending.size(); ++j) {
-    RobustTaskStat& stat = report.tasks[pending[j]];
-    if (stat.state == RobustTaskState::kDrained) stat.worker = -1;
-  }
-  for (const RobustTaskStat& stat : report.tasks) {
-    switch (stat.state) {
-      case RobustTaskState::kOk: ++report.tasks_ok; break;
-      case RobustTaskState::kRestored: ++report.tasks_restored; break;
-      case RobustTaskState::kQuarantined: ++report.tasks_quarantined; break;
-      case RobustTaskState::kDrained: ++report.tasks_drained; break;
-    }
-  }
-  for (std::size_t i = 0; i < n; ++i) {
-    if (report.tasks[i].state == RobustTaskState::kQuarantined) {
-      report.quarantined.push_back(i);
-    }
-  }
   report.task_retries = retries_total.load(std::memory_order_relaxed);
   report.watchdog_flags = watchdog_flags.load(std::memory_order_relaxed);
-  profiler.AddCount("runner.tasks_restored", report.tasks_restored);
   profiler.AddCount("runner.watchdog_flags", report.watchdog_flags);
-  const std::size_t failure = first_failure.load(std::memory_order_relaxed);
-  if (failure < n) {
-    report.cancelled = true;
-    report.first_failure_task = failure;
-  }
-
-  // Final snapshot: always, so a completed (or cancelled, or
-  // quarantine-carrying) campaign leaves a full checkpoint behind.
-  if (checkpointing) {
-    std::lock_guard<std::mutex> lock(snapshot_mutex);
-    write_snapshot();
-  }
-  report.snapshots_written = snapshots.load(std::memory_order_relaxed);
-  if (checkpoint_write_failed.load() && report.checkpoint_error.empty()) {
-    report.checkpoint_error = checkpoint_write_error;
-  }
+  ledger.Finish();
   return report;
 }
 

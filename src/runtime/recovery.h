@@ -24,15 +24,22 @@
 //     JSON; the campaign completes with the poison reported) or, in
 //     the strict default, cancels the sweep first-failure style.
 //
+// The checkpoint policy itself — resume, snapshot cadence, the crash
+// hook and the final accounting — is TaskLedger's, shared with the
+// distributed runner (runtime/dist/coordinator.h); CallTask is the one
+// guarded body call both runners and the dist worker use.
+//
 // Crash-injection hook: when FREERIDER_CRASH_AFTER_N_TASKS=N is set,
 // the process raises SIGKILL the moment the N-th task of this run
-// completes — tools/crash_campaign uses this to prove resume
+// settles — tools/crash_campaign uses this to prove resume
 // convergence under randomized kills.
 #pragma once
 
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -127,6 +134,93 @@ struct RobustTaskResult {
   std::string payload;
 };
 
+/// One task: body(point, trial).
+using TaskBody = std::function<RobustTaskResult(std::size_t, std::size_t)>;
+/// Folds a completed payload into caller state; false rejects it.
+using TaskRestore =
+    std::function<bool(std::size_t, std::size_t, const std::string&)>;
+
+/// What one guarded body call did.
+struct TaskCall {
+  RobustTaskResult result;   ///< The last attempt's result.
+  std::size_t attempts = 0;  ///< Body invocations, retries included.
+  bool threw = false;        ///< The last attempt threw.
+  std::string error;         ///< what() of the last throw.
+};
+
+/// Run body(point, trial), retrying a throwing body up to
+/// `max_retries` times. Never throws.
+TaskCall CallTask(const TaskBody& body, std::size_t point, std::size_t trial,
+                  std::size_t max_retries);
+
+/// The checkpoint ledger of one campaign run: which tasks are settled,
+/// with what payload, and when that is written down. RecoveryRunner
+/// and dist::DistRunner are its clients; it owns
+///
+///   * resume: load and validate the checkpoint (campaign id and grid
+///     shape must match; a torn tail is salvaged), replay restored
+///     payloads through `restore` in grid-index order, and leave any
+///     payload `restore` rejects pending so it re-runs;
+///   * the snapshot cadence: every `checkpoint_every` settled tasks,
+///     try_lock'ed so a snapshot in flight is never waited on;
+///   * the FREERIDER_CRASH_AFTER_N_TASKS kill, fired after the N-th
+///     settle is visible to snapshots;
+///   * the final snapshot and the ok + restored + quarantined +
+///     drained == total tally.
+///
+/// Commit, Quarantine and Cancel may be called from executor workers
+/// concurrently (one call per task index); a payload is written before
+/// the release store that publishes its state, so a concurrent
+/// snapshot reads only settled payloads.
+class TaskLedger {
+ public:
+  /// Sizes `report.tasks` for `grid`; the ledger writes task states
+  /// and the run's checkpoint fields into `report`.
+  TaskLedger(const SweepGrid& grid, const RobustSweepOptions& options,
+             RobustSweepReport& report);
+
+  /// Load the checkpoint when `options.resume` is set (see above).
+  void Resume(const TaskRestore& restore);
+
+  /// Tasks neither restored nor quarantined by Resume, ascending.
+  std::vector<std::size_t> Pending() const;
+
+  /// Settle task `i` as done (kOk) with `payload`, or as poison. A
+  /// task counts towards the cadence and the crash hook once: settling
+  /// it again (single-threaded callers only) rewrites its record.
+  void Commit(std::size_t i, std::string payload);
+  void Quarantine(std::size_t i);
+
+  /// Strict-mode failure of task `i`: the run is cancelled and the
+  /// lowest failing index is reported. Task `i` stays drained.
+  void Cancel(std::size_t i);
+  bool cancelled() const;
+
+  const std::string& payload(std::size_t i) const { return payloads_[i]; }
+
+  /// Final snapshot, checkpoint_error, cancellation and the per-state
+  /// tallies.
+  void Finish();
+
+ private:
+  void Settle(std::size_t i, std::uint8_t state, RobustTaskState outcome);
+  void WriteSnapshot();
+
+  const SweepGrid grid_;
+  const RobustSweepOptions& options_;
+  RobustSweepReport& report_;
+  std::size_t crash_after_ = 0;  ///< FREERIDER_CRASH_AFTER_N_TASKS.
+  /// 0 = pending, else a checkpoint TaskState.
+  std::vector<std::atomic<std::uint8_t>> committed_;
+  std::vector<std::string> payloads_;
+  std::atomic<std::size_t> completions_{0};
+  std::atomic<std::size_t> first_failure_;
+  std::mutex snapshot_mutex_;  ///< Held by WriteSnapshot's callers.
+  std::size_t snapshots_ = 0;
+  bool write_failed_ = false;
+  std::string write_error_;
+};
+
 class RecoveryRunner {
  public:
   RecoveryRunner(Executor& executor, RobustSweepOptions options);
@@ -136,16 +230,12 @@ class RecoveryRunner {
   /// invoked serially, in grid-index order, before any task runs, for
   /// each completed payload recovered from the checkpoint; returning
   /// false rejects the record (the task re-runs).
-  RobustSweepReport Run(
-      const SweepGrid& grid,
-      const std::function<RobustTaskResult(std::size_t, std::size_t)>& body,
-      const std::function<bool(std::size_t, std::size_t, const std::string&)>&
-          restore);
+  RobustSweepReport Run(const SweepGrid& grid, const TaskBody& body,
+                        const TaskRestore& restore);
 
  private:
   Executor& executor_;
   RobustSweepOptions options_;
-  std::size_t crash_after_tasks_ = 0;  ///< FREERIDER_CRASH_AFTER_N_TASKS.
 };
 
 }  // namespace freerider::runtime

@@ -44,34 +44,19 @@
 
 namespace freerider::sim {
 
-struct AdversarialConfig {
-  std::uint64_t seed = 1;
-  std::size_t num_tags = 6;
-  /// Rounds with offered load.
-  std::size_t rounds = 600;
-  /// Extra rounds with no new offers so in-flight frames can finish.
-  std::size_t drain_rounds = 150;
-  /// Enqueue one frame per tag every this many rounds (1 = every round).
-  std::size_t offer_every = 2;
+/// RunAdversarial forces `transport.enabled` and `supervisor.enabled`
+/// on; `transport.replay_guard` and `supervisor.policing_enabled`
+/// follow defenses_on. `dynamics` is an optional honest-channel
+/// impairment running underneath the attack.
+struct AdversarialConfig : CampaignConfig {
   /// The paired A/B knob: defenses on wires the police, the misbehavior
   /// evidence channel and the transport replay guard; defenses off
   /// leaves only the plain supervisor (both arms see the same rogues).
   bool defenses_on = true;
-  /// Transport knobs; `enabled` is forced on, `replay_guard` follows
-  /// defenses_on.
-  transport::TransportConfig transport;
-  /// Supervisor knobs; `enabled` is forced on, `policing_enabled`
-  /// follows defenses_on.
-  health::SupervisorConfig supervisor;
   /// Police knobs; `enabled` follows defenses_on.
   mac::PolicingConfig policing;
   /// The adversaries under test.
   impair::RogueConfig rogue;
-  /// Optional honest-channel impairment running underneath the attack.
-  impair::DynamicsConfig dynamics;
-  /// Flight-recorder ring capacity (0 disables tracing; the sim takes
-  /// the legacy no-trace path). Same semantics as StressConfig.
-  std::size_t trace_capacity = obs::TraceRing::kDefaultCapacity;
 };
 
 /// One audited (rogue, identity) pair and its detection verdict.

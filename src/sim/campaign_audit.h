@@ -11,6 +11,8 @@
 //     payloads.
 //   * CampaignTrace is the flight recorder a stress or adversarial
 //     campaign carries.
+//   * CampaignConfig holds the knobs the stress and adversarial
+//     configs share.
 //
 // Each driver keeps its own round loop and its own end-of-run audits;
 // this module holds only what all of them share.
@@ -26,6 +28,30 @@
 #include "sim/multitag.h"
 
 namespace freerider::sim {
+
+/// The schedule, transport, supervisor, dynamics and recorder knobs of a
+/// stress (sim/stress) or adversarial (sim/adversarial) campaign. Each
+/// driver's config adds its own A/B knob; the drivers force
+/// `transport.enabled` and `supervisor.enabled`.
+struct CampaignConfig {
+  std::uint64_t seed = 1;
+  std::size_t num_tags = 6;
+  /// Rounds with offered load.
+  std::size_t rounds = 600;
+  /// Extra rounds with no new offers so in-flight frames can finish.
+  std::size_t drain_rounds = 150;
+  /// Enqueue one frame per tag every this many rounds (1 = every round).
+  std::size_t offer_every = 2;
+  transport::TransportConfig transport;
+  health::SupervisorConfig supervisor;
+  /// The time-varying honest channel.
+  impair::DynamicsConfig dynamics;
+  /// Flight-recorder ring capacity for the campaign (0 disables
+  /// tracing entirely; the sim then takes the legacy no-trace path).
+  /// The recorder keeps the newest `trace_capacity` events in virtual
+  /// (round, slot) time — bounded memory however long the campaign.
+  std::size_t trace_capacity = obs::TraceRing::kDefaultCapacity;
+};
 
 /// printf into a std::string.
 std::string Fmt(const char* format, ...)

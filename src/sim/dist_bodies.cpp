@@ -12,7 +12,7 @@ namespace freerider::sim {
 
 namespace {
 
-/// The per-point seeds RangeSweepRobust draws for Fig. 14: serially,
+/// The per-point seeds of Fig. 14, as RangeSweep draws them: serially,
 /// up front, in point order off the master stream.
 std::vector<std::uint64_t> Fig14PointSeeds() {
   Rng master(kFig14Seed);

@@ -53,10 +53,10 @@ inline constexpr double kFig14PrrFloor = 0.5;
 /// (params: "seed:rounds") — in the runtime/dist registry. Idempotent.
 void RegisterDistBodies();
 
-/// Distributed sibling of RangeSweepRobust for one Fig. 14 preset:
-/// campaign "fig14_range_<slug>" seeded with kFig14Seed, sharded
-/// across dist.workers subprocesses (0 = in-process). Output is
-/// byte-identical across worker counts and to the RecoveryRunner path.
+/// The checkpointed Fig. 14 sweep for one preset: campaign
+/// "fig14_range_<slug>" seeded with kFig14Seed, sharded across
+/// dist.workers subprocesses (0 = in-process through RecoveryRunner).
+/// Output is byte-identical across worker counts.
 std::vector<RangePoint> RangeSweepDistributed(
     const Fig14Radio& preset, runtime::RobustSweepOptions robust,
     runtime::dist::DistOptions dist,

@@ -169,19 +169,6 @@ std::string ImpairmentsJson(const impair::ImpairmentConfig& c) {
 
 }  // namespace
 
-std::vector<SoakResult> RunSoakBatch(const std::vector<SoakConfig>& configs,
-                                     runtime::SweepReport* report) {
-  std::vector<SoakResult> results(configs.size());
-  runtime::SweepEngine engine(runtime::DefaultExecutor());
-  runtime::SweepReport local_report =
-      engine.Run({configs.size(), 1}, [&](std::size_t p, std::size_t) {
-        results[p] = RunSoak(configs[p]);
-        return true;
-      });
-  if (report != nullptr) *report = std::move(local_report);
-  return results;
-}
-
 std::string SoakReplayJson(const SoakConfig& config,
                            const SoakResult& result) {
   std::string out = "{\n";

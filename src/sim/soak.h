@@ -82,14 +82,6 @@ struct SoakResult {
 /// Run one soak campaign. Deterministic in `config`.
 SoakResult RunSoak(const SoakConfig& config);
 
-/// Run independent soak campaigns as parallel tasks on the default
-/// executor. Results (and digests) land in config order, each bit-
-/// identical to a serial RunSoak of the same config at every
-/// --threads value. `report` (optional) receives scheduling
-/// telemetry.
-std::vector<SoakResult> RunSoakBatch(const std::vector<SoakConfig>& configs,
-                                     runtime::SweepReport* report = nullptr);
-
 /// Serialize a soak finding as a self-contained JSON replay record
 /// (config + schedule + the digest the original run produced).
 std::string SoakReplayJson(const SoakConfig& config, const SoakResult& result);

@@ -211,6 +211,22 @@ bool DeserializeStressResult(const std::string& payload,
   return true;
 }
 
+transport::TransportConfig StressBenchTransport() {
+  // Generous per-frame retry budget, tight queue: the contrast the
+  // stress bench measures is *where the budget goes*. Bare ARQ burns
+  // all 16 tries into a fade, gives up, and the queue backs up into
+  // rejections; the supervisor's closed loop (boost + admission +
+  // probes) spends the same budget after the channel recovers.
+  transport::TransportConfig t;
+  t.max_transmissions = 16;
+  t.expiry_rounds = 1000000;  // give-up is attempt-based
+  t.queue_capacity = 24;
+  t.rto_rounds = 3;
+  t.max_escalation_steps = 1;
+  t.hole_skip_rounds = 96;
+  return t;
+}
+
 StressConfig MakeStressBenchConfig(std::uint64_t seed, bool supervisor_on,
                                    std::size_t rounds) {
   StressConfig config;
@@ -220,18 +236,7 @@ StressConfig MakeStressBenchConfig(std::uint64_t seed, bool supervisor_on,
   config.drain_rounds = rounds / 4 + 80;
   config.offer_every = 4;
   config.supervisor_on = supervisor_on;
-
-  // Generous per-frame retry budget, tight queue: the contrast the
-  // bench measures is *where the budget goes*. Bare ARQ burns all 16
-  // tries into a fade, gives up, and the queue backs up into
-  // rejections; the supervisor's closed loop (boost + admission +
-  // probes) spends the same budget after the channel recovers.
-  config.transport.max_transmissions = 16;
-  config.transport.expiry_rounds = 1000000;  // give-up is attempt-based
-  config.transport.queue_capacity = 24;
-  config.transport.rto_rounds = 3;
-  config.transport.max_escalation_steps = 1;
-  config.transport.hole_skip_rounds = 96;
+  config.transport = StressBenchTransport();
 
   // Burst fades: long deep fades (~23% of rounds bad, 96% per-frame
   // loss while bad, mean bad burst rounds/12) — long enough that the

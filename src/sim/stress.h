@@ -35,33 +35,16 @@
 
 namespace freerider::sim {
 
-struct StressConfig {
-  std::uint64_t seed = 1;
-  std::size_t num_tags = 6;
-  /// Rounds with offered load.
-  std::size_t rounds = 1200;
-  /// Extra rounds with no new offers so in-flight frames can finish.
-  std::size_t drain_rounds = 200;
-  /// Enqueue one frame per tag every this many rounds (1 = every round).
-  std::size_t offer_every = 2;
+/// RunStress forces `transport.enabled` on and `supervisor.enabled` to
+/// supervisor_on.
+struct StressConfig : CampaignConfig {
   /// The paired A/B knob: same schedule, supervisor on or off.
   bool supervisor_on = true;
-  /// Transport knobs; `enabled` is forced on by RunStress.
-  transport::TransportConfig transport;
-  /// Supervisor knobs; `enabled` is forced to supervisor_on.
-  health::SupervisorConfig supervisor;
-  /// The time-varying channel under test.
-  impair::DynamicsConfig dynamics;
   /// Optional dead tag: 0-based index blacked out from `dead_round` to
   /// the end of the campaign (num_tags or larger = no dead tag). The
   /// quarantine-bound audit keys off this.
   std::size_t dead_tag = static_cast<std::size_t>(-1);
   std::size_t dead_round = 0;
-  /// Flight-recorder ring capacity for the campaign (0 disables
-  /// tracing entirely; the sim then takes the legacy no-trace path).
-  /// The recorder keeps the newest `trace_capacity` events in virtual
-  /// (round, slot) time — bounded memory however long the campaign.
-  std::size_t trace_capacity = obs::TraceRing::kDefaultCapacity;
 
   bool HasDeadTag() const { return dead_tag < num_tags; }
 };
@@ -116,6 +99,10 @@ StressResult RunStress(const StressConfig& config);
 /// campaign on both sides of the worker pipe.
 StressConfig MakeStressBenchConfig(std::uint64_t seed, bool supervisor_on,
                                    std::size_t rounds);
+
+/// The stress bench's transport posture: a generous per-frame retry
+/// budget over a tight queue. bench_adversarial_mac runs the same one.
+transport::TransportConfig StressBenchTransport();
 
 /// The bench's three campaign seeds — the points axis of its
 /// seed×{on,off} grid.

@@ -68,45 +68,16 @@ bool DeserializeLinkStats(const std::string& payload, LinkStats* stats) {
   return true;
 }
 
-std::vector<DistancePoint> DistanceSweep(core::RadioType radio,
-                                         const channel::Deployment& deployment,
-                                         const std::vector<double>& distances,
-                                         std::size_t packets,
-                                         std::uint64_t seed,
-                                         runtime::SweepReport* report) {
-  std::vector<DistancePoint> points(distances.size());
-  // Per-point seeds drawn serially in point order: the exact values the
-  // historical `Rng point_rng = rng.Split()` loop handed each point, so
-  // the parallel sweep reproduces the serial results bit for bit.
-  Rng master(seed);
-  std::vector<std::uint64_t> point_seeds(distances.size());
-  for (auto& s : point_seeds) s = master.NextU64();
-
-  runtime::SweepEngine engine(runtime::DefaultExecutor());
-  runtime::SweepReport local_report = engine.Run(
-      {distances.size(), 1}, [&](std::size_t p, std::size_t) {
-        LinkConfig config;
-        config.radio = radio;
-        config.deployment = deployment;
-        config.tag_to_rx_m = distances[p];
-        config.num_packets = packets;
-        config.profile = DefaultProfile(radio);
-        Rng point_rng(point_seeds[p]);
-        points[p] = {distances[p], SimulateTagLinkAdaptive(config, point_rng)};
-        return true;
-      });
-  if (report != nullptr) *report = std::move(local_report);
-  return points;
-}
-
 std::vector<DistancePoint> DistanceSweepRobust(
     core::RadioType radio, const channel::Deployment& deployment,
     const std::vector<double>& distances, std::size_t packets,
     std::uint64_t seed, const std::string& slug,
     runtime::RobustSweepOptions robust, runtime::RobustSweepReport* report) {
   std::vector<DistancePoint> points(distances.size());
-  // Same serial pre-draw as DistanceSweep: restored and recomputed runs
-  // consume identical per-point seeds.
+  // Per-point seeds drawn serially in point order: the exact values the
+  // historical `Rng point_rng = rng.Split()` loop handed each point, so
+  // restored and recomputed points — at any --threads value — consume
+  // identical per-point seeds.
   Rng master(seed);
   std::vector<std::uint64_t> point_seeds(distances.size());
   for (auto& s : point_seeds) s = master.NextU64();
@@ -195,41 +166,6 @@ std::vector<RangePoint> RangeSweep(core::RadioType radio,
         const double d1 = tx_tag_distances[p];
         points[p] = {d1, RangeSearchPoint(radio, d1, point_seeds[p],
                                           max_search_m, packets, prr_floor)};
-        return true;
-      });
-  if (report != nullptr) *report = std::move(local_report);
-  return points;
-}
-
-std::vector<RangePoint> RangeSweepRobust(
-    core::RadioType radio, const std::vector<double>& tx_tag_distances,
-    double max_search_m, std::size_t packets, std::uint64_t seed,
-    double prr_floor, const std::string& slug,
-    runtime::RobustSweepOptions robust, runtime::RobustSweepReport* report) {
-  std::vector<RangePoint> points(tx_tag_distances.size());
-  Rng master(seed);
-  std::vector<std::uint64_t> point_seeds(tx_tag_distances.size());
-  for (auto& s : point_seeds) s = master.NextU64();
-
-  robust.campaign = runtime::CampaignId(slug, seed);
-  runtime::RecoveryRunner runner(runtime::DefaultExecutor(), robust);
-  runtime::RobustSweepReport local_report = runner.Run(
-      {tx_tag_distances.size(), 1},
-      [&](std::size_t p, std::size_t) {
-        const double d1 = tx_tag_distances[p];
-        points[p] = {d1, RangeSearchPoint(radio, d1, point_seeds[p],
-                                          max_search_m, packets, prr_floor)};
-        runtime::PayloadWriter w;
-        w.F64(points[p].max_tag_to_rx_m);
-        runtime::RobustTaskResult out;
-        out.payload = w.Take();
-        return out;
-      },
-      [&](std::size_t p, std::size_t, const std::string& payload) {
-        runtime::PayloadReader r(payload);
-        double max_m = 0.0;
-        if (!r.F64(&max_m) || !r.AtEnd()) return false;
-        points[p] = {tx_tag_distances[p], max_m};
         return true;
       });
   if (report != nullptr) *report = std::move(local_report);

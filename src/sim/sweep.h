@@ -30,18 +30,9 @@ struct DistancePoint {
 };
 
 /// Sweep the tag→receiver distance with adaptive redundancy (rate
-/// adaptation on), `packets` excitation frames per point. Points run
-/// in parallel on the default executor; `report` (optional) receives
-/// the run's scheduling telemetry.
-std::vector<DistancePoint> DistanceSweep(core::RadioType radio,
-                                         const channel::Deployment& deployment,
-                                         const std::vector<double>& distances,
-                                         std::size_t packets,
-                                         std::uint64_t seed,
-                                         runtime::SweepReport* report = nullptr);
-
-/// Preemption-safe distance sweep: the same grid run through
-/// runtime::RecoveryRunner, persisting each completed point to
+/// adaptation on), `packets` excitation frames per point, through
+/// runtime::RecoveryRunner on the default executor, persisting each
+/// completed point to
 /// `robust.checkpoint_path` and (with `robust.resume`) restoring
 /// completed points instead of recomputing them. Restored LinkStats
 /// are bit-identical to recomputed ones (hex-float serialization), so
@@ -81,19 +72,11 @@ std::vector<RangePoint> RangeSweep(core::RadioType radio,
 /// PRR >= `prr_floor` at TX→tag distance `d1`, via the exponential
 /// bracket + bisection. A pure function of its arguments (every probe
 /// stream Split()s off a point-local Rng seeded with `point_seed`) —
-/// the shared kernel of RangeSweep, RangeSweepRobust, and the
-/// distributed "fig14_range" body, so all three compute bit-identical
-/// points by construction.
+/// the shared kernel of RangeSweep and the distributed "fig14_range"
+/// body (sim/dist_bodies.h), so both compute bit-identical points by
+/// construction.
 double RangeSearchPoint(core::RadioType radio, double d1,
                         std::uint64_t point_seed, double max_search_m,
                         std::size_t packets, double prr_floor);
-
-/// Preemption-safe Fig. 14 sweep (see DistanceSweepRobust).
-std::vector<RangePoint> RangeSweepRobust(
-    core::RadioType radio, const std::vector<double>& tx_tag_distances,
-    double max_search_m, std::size_t packets, std::uint64_t seed,
-    double prr_floor, const std::string& slug,
-    runtime::RobustSweepOptions robust,
-    runtime::RobustSweepReport* report = nullptr);
 
 }  // namespace freerider::sim

@@ -88,8 +88,9 @@ TEST(Link, AdaptiveRaisesRedundancyAtRange) {
 
 TEST(Sweep, ThroughputDecaysWithDistance) {
   const std::vector<double> distances = {2.0, 20.0, 44.0};
-  const auto points = DistanceSweep(core::RadioType::kWifi,
-                                    channel::LosDeployment(), distances, 8, 42);
+  const auto points =
+      DistanceSweepRobust(core::RadioType::kWifi, channel::LosDeployment(),
+                          distances, 8, 42, "sweep_test", {});
   ASSERT_EQ(points.size(), 3u);
   EXPECT_GT(points[0].stats.tag_throughput_bps,
             points[2].stats.tag_throughput_bps);

@@ -65,8 +65,9 @@ bool ViolationLog::Read(runtime::PayloadReader& r) {
     v.round = static_cast<std::size_t>(round);
     records.push_back(std::move(v));
   }
+  // A capped log's running total counts every record it kept.
   std::uint64_t total = count;
-  if (cap_ != kUncapped && !r.U64(&total)) return false;
+  if (cap_ != kUncapped && (!r.U64(&total) || total < count)) return false;
   records_ = std::move(records);
   total_ = static_cast<std::size_t>(total);
   return true;

@@ -209,6 +209,37 @@ TEST(ViolationLogTest, CapKeepsTheFirstRecordsAndCountsThemAll) {
   EXPECT_FALSE(tight.Read(again));
 }
 
+// A capped log's total counts its records too, so a payload whose total
+// is below its record count is corrupt: loading it would leave a log
+// that holds violations yet reports empty().
+TEST(ViolationLogTest, CappedTotalBelowRecordCountNeverLoads) {
+  // Two records, then the capped log's total.
+  const auto payload = [](std::uint64_t total) {
+    runtime::PayloadWriter w;
+    w.U64(2);
+    for (const std::uint64_t round : {4u, 9u}) {
+      w.U64(round);
+      w.Str("duplicate");
+      w.Str("tag=1");
+    }
+    w.U64(total);
+    return w.Take();
+  };
+  ViolationLog log(3);
+  for (const std::uint64_t total : {0u, 1u}) {
+    const std::string bytes = payload(total);
+    runtime::PayloadReader r(bytes);
+    EXPECT_FALSE(log.Read(r)) << "total " << total;
+    EXPECT_TRUE(log.records().empty());
+  }
+  // The record count itself is the smallest total that loads.
+  const std::string bytes = payload(2);
+  runtime::PayloadReader exact(bytes);
+  ASSERT_TRUE(log.Read(exact));
+  EXPECT_EQ(log.total(), 2u);
+  EXPECT_FALSE(log.empty());
+}
+
 TEST(ViolationLogTest, UncappedLogWritesNoSeparateTotal) {
   ViolationLog log;
   log.Add(7, "lost", "tag=2");

@@ -4,16 +4,7 @@
 #include <cmath>
 #include <utility>
 
-#include "runtime/checkpoint.h"
-
 namespace freerider::health {
-namespace {
-
-/// Version 2: misbehavior policing state (score, strikes, ban) and the
-/// misbehavior flag on logged transitions.
-constexpr std::uint64_t kSupervisorStateVersion = 2;
-
-}  // namespace
 
 const char* TagHealthName(TagHealth state) {
   switch (state) {
@@ -414,136 +405,6 @@ std::vector<std::size_t> LinkSupervisor::TakeFreshQuarantines() {
 
 std::vector<std::size_t> LinkSupervisor::TakeFreshReadmissions() {
   return std::exchange(fresh_readmissions_, {});
-}
-
-std::string LinkSupervisor::Serialize() const {
-  runtime::PayloadWriter w;
-  w.U64(kSupervisorStateVersion);
-  w.U64(tags_.size());
-  for (const TagState& t : tags_) {
-    w.U64(static_cast<std::uint64_t>(t.state));
-    w.F64(t.loss);
-    w.F64(t.retx);
-    w.U64(t.loss_primed ? 1 : 0);
-    w.U64(t.retx_primed ? 1 : 0);
-    w.U64(t.silent_rounds);
-    w.U64(t.clean_rounds);
-    w.U64(t.probe_failures);
-    w.U64(t.probe_outstanding ? 1 : 0);
-    w.U64(t.probe_sent_round);
-    w.U64(t.last_probe_round);
-    w.U64(t.command_dirty ? 1 : 0);
-    w.U64(t.cmd.tag_id);
-    w.U64(t.cmd.admit ? 1 : 0);
-    w.U64(t.cmd.probe ? 1 : 0);
-    w.U64(t.cmd.boost_steps);
-    w.F64(t.misbehavior_score);
-    w.U64(t.misbehaving ? 1 : 0);
-    w.U64(t.strikes);
-    w.U64(t.banned ? 1 : 0);
-    w.U64(t.relapse_armed ? 1 : 0);
-  }
-  w.F64(crc_fail_);
-  w.U64(crc_primed_ ? 1 : 0);
-  w.U64(round_);
-  w.U64(rotation_);
-  w.U64(stats_.degradations);
-  w.U64(stats_.probations);
-  w.U64(stats_.quarantines);
-  w.U64(stats_.recoveries);
-  w.U64(stats_.readmissions);
-  w.U64(stats_.probes_sent);
-  w.U64(stats_.probe_failures);
-  w.U64(stats_.boost_commands);
-  w.U64(stats_.evidence_rounds);
-  w.U64(stats_.misbehavior_quarantines);
-  w.U64(stats_.misbehavior_relapses);
-  w.U64(stats_.bans);
-  w.U64(transitions_.size());
-  for (const HealthTransition& tr : transitions_) {
-    w.U64(tr.round);
-    w.U64(tr.tag_id);
-    w.U64(static_cast<std::uint64_t>(tr.from));
-    w.U64(static_cast<std::uint64_t>(tr.to));
-    w.U64(tr.misbehavior ? 1 : 0);
-  }
-  return w.Take();
-}
-
-bool LinkSupervisor::Deserialize(const std::string& payload) {
-  runtime::PayloadReader r(payload);
-  std::uint64_t version = 0;
-  if (!r.U64(&version) || version != kSupervisorStateVersion) return false;
-  std::uint64_t num_tags = 0;
-  if (!r.U64(&num_tags) || num_tags != tags_.size()) return false;
-  std::vector<TagState> tags(tags_.size());
-  for (TagState& t : tags) {
-    std::uint64_t state = 0;
-    if (!r.U64(&state) || state > 4) return false;
-    t.state = static_cast<TagHealth>(state);
-    std::uint64_t tag_id = 0;
-    std::uint64_t boost = 0;
-    if (!r.F64(&t.loss) || !r.F64(&t.retx) || !r.Bool(&t.loss_primed) ||
-        !r.Bool(&t.retx_primed) || !r.Size(&t.silent_rounds) ||
-        !r.Size(&t.clean_rounds) || !r.Size(&t.probe_failures) ||
-        !r.Bool(&t.probe_outstanding) || !r.Size(&t.probe_sent_round) ||
-        !r.Size(&t.last_probe_round) || !r.Bool(&t.command_dirty) ||
-        !r.U64(&tag_id) || tag_id > 255 || !r.Bool(&t.cmd.admit) ||
-        !r.Bool(&t.cmd.probe) || !r.U64(&boost) || boost > kMaxBoostSteps) {
-      return false;
-    }
-    t.cmd.tag_id = static_cast<std::uint8_t>(tag_id);
-    t.cmd.boost_steps = static_cast<std::uint8_t>(boost);
-    if (!r.F64(&t.misbehavior_score) || !r.Bool(&t.misbehaving) ||
-        !r.Size(&t.strikes) || !r.Bool(&t.banned) ||
-        !r.Bool(&t.relapse_armed)) {
-      return false;
-    }
-  }
-  double crc_fail = 0.0;
-  bool crc_primed = false;
-  std::size_t round = 0;
-  std::size_t rotation = 0;
-  SupervisorStats stats;
-  if (!r.F64(&crc_fail) || !r.Bool(&crc_primed) || !r.Size(&round) ||
-      !r.Size(&rotation) || !r.Size(&stats.degradations) ||
-      !r.Size(&stats.probations) || !r.Size(&stats.quarantines) ||
-      !r.Size(&stats.recoveries) || !r.Size(&stats.readmissions) ||
-      !r.Size(&stats.probes_sent) || !r.Size(&stats.probe_failures) ||
-      !r.Size(&stats.boost_commands) || !r.Size(&stats.evidence_rounds) ||
-      !r.Size(&stats.misbehavior_quarantines) ||
-      !r.Size(&stats.misbehavior_relapses) || !r.Size(&stats.bans)) {
-    return false;
-  }
-  std::size_t num_transitions = 0;
-  if (!r.Size(&num_transitions) || num_transitions > kMaxTransitionLog) {
-    return false;
-  }
-  std::vector<HealthTransition> transitions(num_transitions);
-  for (HealthTransition& tr : transitions) {
-    std::uint64_t tag_id = 0;
-    std::uint64_t from = 0;
-    std::uint64_t to = 0;
-    if (!r.Size(&tr.round) || !r.U64(&tag_id) || tag_id > 255 ||
-        !r.U64(&from) || from > 4 || !r.U64(&to) || to > 4 ||
-        !r.Bool(&tr.misbehavior)) {
-      return false;
-    }
-    tr.tag_id = static_cast<std::uint8_t>(tag_id);
-    tr.from = static_cast<TagHealth>(from);
-    tr.to = static_cast<TagHealth>(to);
-  }
-  if (!r.AtEnd()) return false;
-  tags_ = std::move(tags);
-  crc_fail_ = crc_fail;
-  crc_primed_ = crc_primed;
-  round_ = round;
-  rotation_ = rotation;
-  stats_ = stats;
-  transitions_ = std::move(transitions);
-  fresh_quarantines_.clear();
-  fresh_readmissions_.clear();
-  return true;
 }
 
 }  // namespace freerider::health

@@ -21,8 +21,7 @@
 // slots), and probe frames (bounded-cost liveness checks). All
 // decisions are pure functions of the observation stream, so a
 // campaign replayed from the same seed reproduces every transition
-// bit-for-bit, and the whole supervisor state serializes byte-exactly
-// for checkpoint/resume.
+// bit-for-bit.
 //
 // The quarantine detection bound (asserted by sim/stress and
 // bench_stress_supervisor): a tag that goes permanently silent is
@@ -36,7 +35,6 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "health/wire.h"
@@ -238,14 +236,8 @@ class LinkSupervisor {
   /// Flight-recorder sink (optional, non-owning). FSM transitions and
   /// probe sends are recorded in virtual round time; a null ring
   /// disables recording with zero behavior change. The sink is runtime
-  /// wiring, not supervisor state: it does not survive Serialize().
+  /// wiring, not supervisor state.
   void set_trace(obs::TraceRing* trace) { trace_ = trace; }
-
-  /// Byte-exact state snapshot (checkpoint payload material): every
-  /// estimator, counter and state machine. A deserialized supervisor
-  /// continues with bit-identical decisions.
-  std::string Serialize() const;
-  bool Deserialize(const std::string& payload);
 
   static constexpr std::size_t kMaxTransitionLog = 4096;
 

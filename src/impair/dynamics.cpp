@@ -3,12 +3,9 @@
 #include <algorithm>
 #include <cmath>
 
-#include "runtime/checkpoint.h"
-
 namespace freerider::impair {
 namespace {
 
-constexpr std::uint64_t kDynamicsStateVersion = 1;
 // Distinct salts keep the chain-step draws and the per-slot fade draws
 // on unrelated counter streams even for the same (tag, round).
 constexpr std::uint64_t kChainSalt = 0x47454348u;  // 'GECH'
@@ -125,39 +122,6 @@ std::size_t ChannelDynamics::BlackoutRounds(std::size_t tag,
     if (InBlackout(tag, r)) ++n;
   }
   return n;
-}
-
-std::string ChannelDynamics::Serialize() const {
-  runtime::PayloadWriter w;
-  w.U64(kDynamicsStateVersion);
-  w.U64(bad_.size());
-  for (std::size_t t = 0; t < bad_.size(); ++t) w.U64(bad_[t] ? 1 : 0);
-  w.U64(round_);
-  w.U64(stepped_ ? 1 : 0);
-  return w.Take();
-}
-
-bool ChannelDynamics::Deserialize(const std::string& payload) {
-  runtime::PayloadReader r(payload);
-  std::uint64_t v = 0;
-  if (!r.U64(&v) || v != kDynamicsStateVersion) return false;
-  if (!r.U64(&v) || v != bad_.size()) return false;
-  std::vector<bool> bad(bad_.size());
-  for (std::size_t t = 0; t < bad.size(); ++t) {
-    bool b = false;
-    if (!r.Bool(&b)) return false;
-    bad[t] = b;
-  }
-  std::uint64_t round = 0;
-  bool stepped = false;
-  if (!r.U64(&round) || !r.Bool(&stepped) || !r.AtEnd()) return false;
-  bad_ = std::move(bad);
-  round_ = static_cast<std::size_t>(round);
-  stepped_ = stepped;
-  for (std::size_t t = 0; t < links_.size(); ++t) {
-    links_[t].bad_state = bad_[t];
-  }
-  return true;
 }
 
 }  // namespace freerider::impair

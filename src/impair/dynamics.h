@@ -27,7 +27,6 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "common/rng.h"
@@ -128,9 +127,6 @@ class ChannelDynamics {
   /// Rounds in blackout for the given tag over [0, horizon) — the
   /// stress harness uses this to normalize delivery by offered load.
   std::size_t BlackoutRounds(std::size_t tag, std::size_t horizon) const;
-
-  std::string Serialize() const;
-  bool Deserialize(const std::string& payload);
 
  private:
   double MobilityFactor(std::size_t tag, std::size_t round) const;

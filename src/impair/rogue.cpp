@@ -4,13 +4,10 @@
 
 #include "health/wire.h"
 #include "mac/plm.h"
-#include "runtime/checkpoint.h"
 #include "transport/ack.h"
 
 namespace freerider::impair {
 namespace {
-
-constexpr std::uint64_t kRogueStateVersion = 1;
 
 /// Stream-id salts: slot actions, per-round draws and forged-payload
 /// material come from disjoint counter-based streams so adding a draw
@@ -217,28 +214,6 @@ BitVector RogueEngine::ForgedExtension(std::size_t tag) const {
   // genuine announcement. Sticky commands plus the coordinator's
   // round-robin re-announce bound the damage to a round or two.
   return payload;
-}
-
-std::string RogueEngine::Serialize() const {
-  runtime::PayloadWriter w;
-  w.U64(kRogueStateVersion);
-  w.U64(num_tags_);
-  w.U64(round_);
-  return w.Take();
-}
-
-bool RogueEngine::Deserialize(const std::string& payload) {
-  runtime::PayloadReader r(payload);
-  std::uint64_t version = 0;
-  std::uint64_t num_tags = 0;
-  std::uint64_t round = 0;
-  if (!r.U64(&version) || version != kRogueStateVersion ||
-      !r.U64(&num_tags) || num_tags != num_tags_ || !r.U64(&round) ||
-      !r.AtEnd()) {
-    return false;
-  }
-  round_ = static_cast<std::size_t>(round);
-  return true;
 }
 
 }  // namespace freerider::impair

@@ -28,12 +28,10 @@
 // stream in the simulation. The rogue seed is its own config field,
 // never drawn from the simulation master, so an all-kNone config
 // perturbs nothing and draws nothing. The engine's only mutable state
-// is the round cursor, which makes snapshots trivial and
-// crash/resume byte-identical.
+// is the round cursor.
 #pragma once
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "common/rng.h"
@@ -167,11 +165,6 @@ class RogueEngine {
   /// bit-flipped. Pure in (seed, tag, round).
   bool ForgesThisRound(std::size_t tag) const;
   BitVector ForgedExtension(std::size_t tag) const;
-
-  /// Byte-exact snapshot (the round cursor): a restored engine makes
-  /// bit-identical decisions from the next BeginRound on.
-  std::string Serialize() const;
-  bool Deserialize(const std::string& payload);
 
  private:
   Rng SlotRng(std::size_t tag, std::size_t slot) const;

@@ -2,12 +2,8 @@
 
 #include <algorithm>
 
-#include "runtime/checkpoint.h"
-
 namespace freerider::mac {
 namespace {
-
-constexpr std::uint64_t kPolicingStateVersion = 1;
 
 /// Serial (mod-256) distance in the shorter direction.
 std::size_t SerialGap(std::uint8_t from, std::uint8_t to) {
@@ -106,61 +102,6 @@ void SlotPolice::ResetIdentity(std::size_t tag) {
   t.arrivals = 0;
   t.collision_latched = false;
   t.collision_this_round = false;
-}
-
-std::string SlotPolice::Serialize() const {
-  runtime::PayloadWriter w;
-  w.U64(kPolicingStateVersion);
-  w.U64(tags_.size());
-  for (const TagState& t : tags_) {
-    w.U64(t.frames_this_round);
-    w.U64(t.has_last_seq ? 1 : 0);
-    w.U64(t.last_seq);
-    w.U64(t.jump_bits);
-    w.U64(t.arrivals);
-    w.U64(t.collision_latched ? 1 : 0);
-    w.U64(t.collision_this_round ? 1 : 0);
-    w.U64(t.stats.extra_frames);
-    w.U64(t.stats.multi_fire_rounds);
-    w.U64(t.stats.seq_jumps);
-    w.U64(t.stats.collision_suspicions);
-  }
-  w.U64(stats_.unattributed_frames);
-  w.U64(stats_.evidence_total);
-  return w.Take();
-}
-
-bool SlotPolice::Deserialize(const std::string& payload) {
-  runtime::PayloadReader r(payload);
-  std::uint64_t version = 0;
-  std::uint64_t num_tags = 0;
-  if (!r.U64(&version) || version != kPolicingStateVersion ||
-      !r.U64(&num_tags) || num_tags != tags_.size()) {
-    return false;
-  }
-  std::vector<TagState> tags(tags_.size());
-  for (TagState& t : tags) {
-    std::uint64_t last_seq = 0;
-    std::uint64_t jump_bits = 0;
-    if (!r.Size(&t.frames_this_round) || !r.Bool(&t.has_last_seq) ||
-        !r.U64(&last_seq) || last_seq > 255 || !r.U64(&jump_bits) ||
-        jump_bits > 0xFFFFFFFFull || !r.Size(&t.arrivals) ||
-        !r.Bool(&t.collision_latched) || !r.Bool(&t.collision_this_round) ||
-        !r.Size(&t.stats.extra_frames) || !r.Size(&t.stats.multi_fire_rounds) ||
-        !r.Size(&t.stats.seq_jumps) || !r.Size(&t.stats.collision_suspicions)) {
-      return false;
-    }
-    t.last_seq = static_cast<std::uint8_t>(last_seq);
-    t.jump_bits = static_cast<std::uint32_t>(jump_bits);
-  }
-  PolicingStats stats;
-  if (!r.Size(&stats.unattributed_frames) || !r.Size(&stats.evidence_total) ||
-      !r.AtEnd()) {
-    return false;
-  }
-  tags_ = std::move(tags);
-  stats_ = stats;
-  return true;
 }
 
 }  // namespace freerider::mac

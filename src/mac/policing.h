@@ -21,12 +21,10 @@
 // (ResetIdentity, wired to the supervisor's readmission resync).
 //
 // Everything here is a pure fold over the decoded frame stream — no
-// rng, no clock — so campaigns stay deterministic and the whole state
-// serializes for crash/resume.
+// rng, no clock — so campaigns stay deterministic.
 #pragma once
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "obs/trace.h"
@@ -104,13 +102,9 @@ class SlotPolice {
   const PolicingStats& stats() const { return stats_; }
   std::size_t num_tags() const { return tags_.size(); }
 
-  /// Byte-exact snapshot for checkpoint/resume.
-  std::string Serialize() const;
-  bool Deserialize(const std::string& payload);
-
   /// Flight-recorder sink (optional, non-owning). Nonzero per-tag
   /// evidence is recorded at EndRound in virtual round time. Runtime
-  /// wiring, not police state: not part of Serialize().
+  /// wiring, not police state.
   void set_trace(obs::TraceRing* trace) { trace_ = trace; }
 
  private:

@@ -378,48 +378,6 @@ TEST(HealthFsmTest, RepeatOffenderIsBannedForGood) {
   EXPECT_EQ(sup.admitted_tags(), 0u);
 }
 
-// Misbehavior state (scores, strikes, bans, hold) is part of the
-// snapshot contract: a restored supervisor continues bit-identically
-// through an offense cycle in progress.
-TEST(SupervisorSerializeTest, MisbehaviorStateSurvivesSnapshot) {
-  const std::size_t num_tags = 2;
-  SupervisorConfig config = Enabled();
-  config.policing_enabled = true;
-  LinkSupervisor original(num_tags, config);
-  std::size_t round = 0;
-  const auto drive = [&round, num_tags](LinkSupervisor& sup,
-                                        std::size_t at) {
-    std::vector<std::size_t> heard(num_tags, 0);
-    for (std::size_t t = 0; t < num_tags; ++t) {
-      const health::TagCommand cmd = sup.command(t);
-      heard[t] = (cmd.admit || cmd.probe) ? 1u : 0u;
-    }
-    // Tag 1 offends in a 30-round cycle: quarantine, decay, relapse.
-    std::vector<std::size_t> evidence(num_tags, 0);
-    if (at % 30 < 6) evidence[1] = 1;
-    sup.ObserveRound(MakeObsEv(at, heard, evidence));
-    sup.BuildExtension();
-  };
-  // Stop mid-cycle with a live score and at least one strike on tag 1.
-  for (; round < 40; ++round) drive(original, round);
-  EXPECT_GE(original.misbehavior_strikes(1), 1u);
-  EXPECT_GT(original.misbehavior_score(1), 0.0);
-  const std::string snapshot = original.Serialize();
-
-  LinkSupervisor restored(num_tags, config);
-  ASSERT_TRUE(restored.Deserialize(snapshot));
-  EXPECT_EQ(restored.Serialize(), snapshot);
-  for (std::size_t r2 = round; r2 < round + 120; ++r2) {
-    drive(original, r2);
-    drive(restored, r2);
-    ASSERT_EQ(original.Serialize(), restored.Serialize())
-        << "diverged at round " << r2;
-    ASSERT_EQ(original.misbehavior_score(1), restored.misbehavior_score(1));
-  }
-  EXPECT_EQ(original.banned(1), restored.banned(1));
-  EXPECT_EQ(original.misbehavior_strikes(1), restored.misbehavior_strikes(1));
-}
-
 TEST(HealthFsmTest, DeadTagQuarantinedWithinBound) {
   SupervisorConfig config = Enabled();
   LinkSupervisor sup(2, config);
@@ -487,67 +445,6 @@ TEST(HealthFsmTest, QuarantinedTagRecoversAndIsReadmittedOnce) {
   }
   EXPECT_EQ(sup.health(0), TagHealth::kHealthy);
   EXPECT_GE(sup.stats().readmissions, 1u);
-}
-
-// --------------------------------------------------- state snapshots
-
-TEST(SupervisorSerializeTest, SnapshotContinuesBitIdentically) {
-  const std::size_t num_tags = 3;
-  SupervisorConfig config = Enabled();
-  LinkSupervisor original(num_tags, config);
-  Rng rng(777);
-
-  auto step = [&](LinkSupervisor& sup, Rng& r, std::size_t round) {
-    std::vector<std::size_t> heard(num_tags, 0);
-    for (std::size_t t = 0; t < num_tags; ++t) {
-      const bool bad = ((round / 40) + t) % 2 == 0;
-      if (r.NextBelow(100) < (bad ? 15u : 85u)) heard[t] = 1;
-    }
-    sup.ObserveRound(MakeObs(round, heard));
-    return sup.BuildExtension();
-  };
-
-  std::size_t round = 0;
-  for (; round < 120; ++round) step(original, rng, round);
-  const std::string snapshot = original.Serialize();
-  const std::uint64_t rng_fork_seed = 31337;
-
-  LinkSupervisor restored(num_tags, config);
-  ASSERT_TRUE(restored.Deserialize(snapshot));
-  EXPECT_EQ(restored.Serialize(), snapshot);
-
-  Rng rng_a(rng_fork_seed);
-  Rng rng_b(rng_fork_seed);
-  for (std::size_t r2 = round; r2 < round + 120; ++r2) {
-    const health::HealthExtension ext_a = step(original, rng_a, r2);
-    const health::HealthExtension ext_b = step(restored, rng_b, r2);
-    ASSERT_EQ(ext_a, ext_b) << "diverged at round " << r2;
-  }
-  EXPECT_EQ(original.Serialize(), restored.Serialize());
-}
-
-TEST(SupervisorSerializeTest, RejectsCorruptPayloads) {
-  SupervisorConfig config = Enabled();
-  LinkSupervisor sup(2, config);
-  for (std::size_t round = 0; round < 40; ++round) {
-    sup.ObserveRound(MakeObs(round, {round % 3 == 0 ? 0u : 1u, 1u}));
-    sup.BuildExtension();
-  }
-  const std::string good = sup.Serialize();
-
-  LinkSupervisor victim(2, config);
-  // Truncations at every prefix length must be rejected, never crash.
-  for (std::size_t cut = 0; cut < good.size(); ++cut) {
-    EXPECT_FALSE(victim.Deserialize(good.substr(0, cut))) << "cut " << cut;
-  }
-  // Trailing garbage is rejected too.
-  EXPECT_FALSE(victim.Deserialize(good + std::string(1, '\0')));
-  // A snapshot for a different fleet size never loads.
-  LinkSupervisor wrong_size(3, config);
-  EXPECT_FALSE(wrong_size.Deserialize(good));
-  // And a rejected load leaves the victim fully functional.
-  ASSERT_TRUE(victim.Deserialize(good));
-  EXPECT_EQ(victim.Serialize(), good);
 }
 
 // -------------------------------------------------------- wire format

@@ -129,41 +129,6 @@ TEST(SlotPoliceTest, UnattributedFramesCountedNeverDropped) {
   EXPECT_EQ(police.stats().unattributed_frames, 2u);
 }
 
-TEST(SlotPoliceTest, SnapshotRoundTripPreservesDetectorState) {
-  SlotPolice live(Enabled(), 2);
-  // Park the detector two jumps shy of suspicion, mid-window.
-  for (std::size_t round = 0; round < 4; ++round) {
-    live.BeginRound(round);
-    live.OnFrame(0, static_cast<std::uint8_t>(round * 100));
-    live.OnFrame(0, static_cast<std::uint8_t>(round * 100 + 1));
-    live.EndRound();
-  }
-  const std::string snapshot = live.Serialize();
-  SlotPolice restored(Enabled(), 2);
-  ASSERT_TRUE(restored.Deserialize(snapshot));
-
-  auto drive = [](SlotPolice& p) {
-    std::vector<std::size_t> evidence;
-    for (std::size_t round = 4; round < 10; ++round) {
-      p.BeginRound(round);
-      p.OnFrame(0, static_cast<std::uint8_t>(round));
-      p.OnFrame(0, static_cast<std::uint8_t>(round + 128));
-      const std::vector<std::size_t> e = p.EndRound();
-      evidence.insert(evidence.end(), e.begin(), e.end());
-    }
-    return evidence;
-  };
-  EXPECT_EQ(drive(live), drive(restored));
-  EXPECT_EQ(live.collision_suspected(0), restored.collision_suspected(0));
-  EXPECT_EQ(live.tag_stats(0).seq_jumps, restored.tag_stats(0).seq_jumps);
-  EXPECT_EQ(live.Serialize(), restored.Serialize());
-
-  SlotPolice fresh(Enabled(), 2);
-  EXPECT_FALSE(fresh.Deserialize("not a snapshot"));
-  SlotPolice wrong_size(Enabled(), 3);
-  EXPECT_FALSE(wrong_size.Deserialize(snapshot));
-}
-
 TEST(SlotPoliceTest, DisabledPoliceObservesNothing) {
   PolicingConfig config;  // enabled = false
   SlotPolice police(config, 2);

@@ -75,36 +75,6 @@ TEST(RogueEngineTest, ActionsArePureInRoundAndSlot) {
   }
 }
 
-TEST(RogueEngineTest, SnapshotResumeIsByteIdentical) {
-  const RogueConfig config = CastOf(
-      5, {{0, RogueModel::kBabbler}, {2, RogueModel::kForger},
-          {4, RogueModel::kFlapper}});
-  RogueEngine live(config, 5);
-  for (std::size_t round = 0; round < 17; ++round) live.BeginRound(round);
-  const std::string snapshot = live.Serialize();
-
-  RogueEngine restored(config, 5);
-  ASSERT_TRUE(restored.Deserialize(snapshot));
-  for (std::size_t round = 17; round < 40; ++round) {
-    live.BeginRound(round);
-    restored.BeginRound(round);
-    for (std::size_t t = 0; t < 5; ++t) {
-      EXPECT_EQ(live.Joined(t), restored.Joined(t));
-      EXPECT_EQ(live.ForgesThisRound(t), restored.ForgesThisRound(t));
-      for (std::size_t slot = 0; slot < 10; ++slot) {
-        const RogueSlotAction x = live.SlotAction(t, slot);
-        const RogueSlotAction y = restored.SlotAction(t, slot);
-        EXPECT_EQ(x.extra_fire, y.extra_fire);
-        EXPECT_EQ(x.seq, y.seq);
-      }
-    }
-    if (live.ForgesThisRound(2)) {
-      EXPECT_EQ(live.ForgedExtension(2), restored.ForgedExtension(2));
-    }
-  }
-  EXPECT_FALSE(restored.Deserialize("garbage"));
-}
-
 TEST(RogueEngineTest, BabblerFiresEverySlotThiefMostButNotAll) {
   const RogueConfig config =
       CastOf(4, {{0, RogueModel::kBabbler}, {1, RogueModel::kSlotThief}});

@@ -147,28 +147,6 @@ TEST(ChannelDynamicsTest, MobilityInterpolatesBetweenWaypoints) {
   EXPECT_DOUBLE_EQ(dyn.link(0).distance_factor, 1.0);
 }
 
-TEST(ChannelDynamicsTest, SnapshotContinuesBitIdentically) {
-  ChannelDynamics original(BusyDynamics(), 4);
-  DynamicsTrace(original, 0, 60);
-  const std::string snapshot = original.Serialize();
-  // Captured once — BeginRound only ever steps forward, so the
-  // original cannot be replayed.
-  const std::string tail = DynamicsTrace(original, 60, 60);
-
-  ChannelDynamics restored(BusyDynamics(), 4);
-  ASSERT_TRUE(restored.Deserialize(snapshot));
-  EXPECT_EQ(DynamicsTrace(restored, 60, 60), tail);
-
-  // Corrupt payloads are rejected and leave the target usable.
-  ChannelDynamics victim(BusyDynamics(), 4);
-  for (std::size_t cut = 0; cut < snapshot.size(); cut += 3) {
-    EXPECT_FALSE(victim.Deserialize(snapshot.substr(0, cut)));
-  }
-  EXPECT_FALSE(victim.Deserialize(snapshot + std::string(1, 'x')));
-  ASSERT_TRUE(victim.Deserialize(snapshot));
-  EXPECT_EQ(DynamicsTrace(victim, 60, 60), tail);
-}
-
 // ------------------------------------------------------ stress harness
 
 TEST(StressCampaignTest, RerunIsDigestIdenticalAndPassesItsAudits) {

@@ -30,41 +30,23 @@ namespace {
 
 constexpr std::uint64_t kFig17PayloadVersion = 2;
 
-std::string SerializeCampaignStats(const mac::CampaignStats& s,
-                                   const std::string& trace) {
-  runtime::PayloadWriter w;
-  w.U64(kFig17PayloadVersion);
-  w.F64(s.aggregate_throughput_bps);
-  w.F64(s.jain_fairness);
-  w.U64(s.per_tag_throughput_bps.size());
-  for (double v : s.per_tag_throughput_bps) w.F64(v);
-  w.F64(s.mean_slots);
-  w.F64(s.total_time_s);
-  w.Str(trace);
-  return w.Take();
-}
+/// One fig 17a point: its campaign and the campaign's serialized
+/// flight-recorder ring.
+struct Fig17aPoint {
+  mac::CampaignStats stats;
+  std::string trace;
+};
 
-bool DeserializeCampaignStats(const std::string& payload,
-                              mac::CampaignStats* stats, std::string* trace) {
-  runtime::PayloadReader r(payload);
-  mac::CampaignStats s;
-  std::uint64_t version = 0;
-  std::uint64_t tags = 0;
-  if (!r.U64(&version) || version != kFig17PayloadVersion ||
-      !r.F64(&s.aggregate_throughput_bps) || !r.F64(&s.jain_fairness) ||
-      !r.U64(&tags) || tags > (1u << 16)) {
-    return false;
-  }
-  s.per_tag_throughput_bps.resize(tags);
-  for (double& v : s.per_tag_throughput_bps) {
-    if (!r.F64(&v)) return false;
-  }
-  if (!r.F64(&s.mean_slots) || !r.F64(&s.total_time_s) || !r.Str(trace) ||
-      !r.AtEnd()) {
-    return false;
-  }
-  *stats = std::move(s);
-  return true;
+/// The point's checkpoint field list. T is const when writing.
+template <class Io, class T>
+bool Fig17aPointFields(Io& io, T& point) {
+  auto& s = point.stats;
+  return io.Version(kFig17PayloadVersion) &&
+         io.F64(s.aggregate_throughput_bps) && io.F64(s.jain_fairness) &&
+         io.Seq(s.per_tag_throughput_bps, std::size_t{1} << 16,
+                [&io](auto& v) { return io.F64(v); }) &&
+         io.F64(s.mean_slots) && io.F64(s.total_time_s) &&
+         io.Str(point.trace);
 }
 
 }  // namespace
@@ -106,8 +88,7 @@ int main(int argc, char** argv) {
   const std::size_t points_a = std::size(tag_counts_a);
   std::vector<std::uint64_t> seeds_a(points_a);
   for (auto& s : seeds_a) s = rng.NextU64();
-  std::vector<mac::CampaignStats> stats_a(points_a);
-  std::vector<std::string> traces_a(points_a);
+  std::vector<Fig17aPoint> results_a(points_a);
   runtime::RecoveryRunner runner_a(runtime::DefaultExecutor(), robust_a);
   const runtime::RobustSweepReport report_a = runner_a.Run(
       {points_a, 1},
@@ -115,16 +96,20 @@ int main(int argc, char** argv) {
         mac::FramedSlottedAlohaSimulator sim(config);
         Rng campaign_rng(seeds_a[p]);
         obs::TraceRing ring;
-        stats_a[p] =
+        results_a[p].stats =
             sim.RunCampaign(tag_counts_a[p], rounds, campaign_rng, &ring);
-        traces_a[p] = obs::SerializeTrace(
+        results_a[p].trace = obs::SerializeTrace(
             "tags" + std::to_string(tag_counts_a[p]), ring);
+        runtime::PayloadWriter w;
+        Fig17aPointFields(w, results_a[p]);
         runtime::RobustTaskResult out;
-        out.payload = SerializeCampaignStats(stats_a[p], traces_a[p]);
+        out.payload = w.Take();
         return out;
       },
       [&](std::size_t p, std::size_t, const std::string& payload) {
-        return DeserializeCampaignStats(payload, &stats_a[p], &traces_a[p]);
+        return runtime::ReadPayload(
+            payload, &results_a[p],
+            [](auto& r, auto& point) { return Fig17aPointFields(r, point); });
       });
 
   sim::TablePrinter table({"tags", "measured (kbps)", "simulated (kbps)",
@@ -133,12 +118,12 @@ int main(int argc, char** argv) {
     const std::size_t tags = tag_counts_a[p];
     table.AddRow(
         {std::to_string(tags),
-         sim::TablePrinter::Num(stats_a[p].aggregate_throughput_bps / 1e3, 1),
+         sim::TablePrinter::Num(results_a[p].stats.aggregate_throughput_bps / 1e3, 1),
          sim::TablePrinter::Num(
              mac::ExpectedAlohaThroughputBps(tags, config.timing) / 1e3, 1),
          sim::TablePrinter::Num(
              mac::TdmThroughputBps(tags, config.timing) / 1e3, 1),
-         sim::TablePrinter::Num(stats_a[p].mean_slots, 1)});
+         sim::TablePrinter::Num(results_a[p].stats.mean_slots, 1)});
   }
   std::printf("%s\n", table.ToString().c_str());
 
@@ -170,7 +155,7 @@ int main(int argc, char** argv) {
       [&](std::size_t p, std::size_t rep, const std::string& payload) {
         runtime::PayloadReader r(payload);
         double v = 0.0;
-        if (!r.F64(&v) || !r.AtEnd()) return false;
+        if (!r.F64(v) || !r.AtEnd()) return false;
         fairness_samples[p * reps + rep] = v;
         return true;
       });
@@ -209,11 +194,11 @@ int main(int argc, char** argv) {
   for (std::size_t p = 0; p < points_a; ++p) {
     metrics.Observe("fig17a.throughput_kbps",
                     static_cast<std::uint64_t>(
-                        stats_a[p].aggregate_throughput_bps / 1e3));
+                        results_a[p].stats.aggregate_throughput_bps / 1e3));
     metrics.Observe(
         "fig17a.fairness_permille",
-        static_cast<std::uint64_t>(stats_a[p].jain_fairness * 1000.0));
-    const obs::TraceDecodeResult decoded = obs::DecodeTraces(traces_a[p]);
+        static_cast<std::uint64_t>(results_a[p].stats.jain_fairness * 1000.0));
+    const obs::TraceDecodeResult decoded = obs::DecodeTraces(results_a[p].trace);
     for (const obs::NamedTrace& nt : decoded.traces) {
       for (const obs::TraceEvent& e : nt.ring.Events()) {
         metrics.Count("fig17a.singles", e.a >> 16);

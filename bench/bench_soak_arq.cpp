@@ -211,7 +211,7 @@ int main(int argc, char** argv) {
         runtime::PayloadReader r(payload);
         std::uint64_t fired = 0;
         std::uint64_t received = 0;
-        if (!r.U64(&fired) || !r.U64(&received) || !r.AtEnd()) return false;
+        if (!r.U64(fired) || !r.U64(received) || !r.AtEnd()) return false;
         legacy_outcomes[p].fired = static_cast<std::size_t>(fired);
         legacy_outcomes[p].received = static_cast<std::size_t>(received);
         return true;

@@ -167,25 +167,28 @@ bool ReadFileBytes(const std::string& path, std::string* out) {
 
 // -------------------------------------------------- payload helpers
 
-void PayloadWriter::U64(std::uint64_t v) {
+bool PayloadWriter::U64(std::uint64_t v) {
   out_ += std::to_string(v);
   out_ += ' ';
+  return true;
 }
 
-void PayloadWriter::F64(double v) {
+bool PayloadWriter::F64(double v) {
   char buf[48];
   std::snprintf(buf, sizeof(buf), "%a ", v);
   out_ += buf;
+  return true;
 }
 
-void PayloadWriter::Str(std::string_view s) {
+bool PayloadWriter::Str(std::string_view s) {
   out_ += std::to_string(s.size());
   out_ += ':';
   out_.append(s.data(), s.size());
   out_ += ' ';
+  return true;
 }
 
-bool PayloadReader::U64(std::uint64_t* v) {
+bool PayloadReader::U64(std::uint64_t& v) {
   const std::size_t space = data_.find(' ', pos_);
   if (space == std::string_view::npos || space == pos_) return false;
   const std::string token(data_.substr(pos_, space - pos_));
@@ -193,38 +196,50 @@ bool PayloadReader::U64(std::uint64_t* v) {
   errno = 0;
   const unsigned long long parsed = std::strtoull(token.c_str(), &end, 10);
   if (errno != 0 || end != token.c_str() + token.size()) return false;
-  *v = parsed;
+  v = parsed;
   pos_ = space + 1;
   return true;
 }
 
-bool PayloadReader::Size(std::size_t* v) {
+bool PayloadReader::Size(std::size_t& v) {
   std::uint64_t u = 0;
-  if (!U64(&u)) return false;
-  *v = static_cast<std::size_t>(u);
+  if (!U64(u)) return false;
+  v = static_cast<std::size_t>(u);
   return true;
 }
 
-bool PayloadReader::Bool(bool* v) {
+bool PayloadReader::Bool(bool& v) {
   std::uint64_t u = 0;
-  if (!U64(&u) || u > 1) return false;
-  *v = u == 1;
+  if (!U64(u) || u > 1) return false;
+  v = u == 1;
   return true;
 }
 
-bool PayloadReader::F64(double* v) {
+bool PayloadReader::U8(std::uint8_t& v) {
+  std::uint64_t u = 0;
+  if (!U64(u) || u > 255) return false;
+  v = static_cast<std::uint8_t>(u);
+  return true;
+}
+
+bool PayloadReader::Version(std::uint64_t version) {
+  std::uint64_t u = 0;
+  return U64(u) && u == version;
+}
+
+bool PayloadReader::F64(double& v) {
   const std::size_t space = data_.find(' ', pos_);
   if (space == std::string_view::npos || space == pos_) return false;
   const std::string token(data_.substr(pos_, space - pos_));
   char* end = nullptr;
   const double parsed = std::strtod(token.c_str(), &end);
   if (end != token.c_str() + token.size()) return false;
-  *v = parsed;
+  v = parsed;
   pos_ = space + 1;
   return true;
 }
 
-bool PayloadReader::Str(std::string* s) {
+bool PayloadReader::Str(std::string& s) {
   const std::size_t colon = data_.find(':', pos_);
   if (colon == std::string_view::npos || colon == pos_) return false;
   const std::string len_token(data_.substr(pos_, colon - pos_));
@@ -235,8 +250,8 @@ bool PayloadReader::Str(std::string* s) {
   // len + 1 (the bytes and the trailing space) must fit; comparing
   // without adding keeps a length token near 2^64 from wrapping.
   if (len >= data_.size() - colon - 1) return false;
-  s->assign(data_.data() + colon + 1, len);
   if (data_[colon + 1 + len] != ' ') return false;
+  s.assign(data_.data() + colon + 1, len);
   pos_ = colon + 1 + static_cast<std::size_t>(len) + 1;
   return true;
 }

@@ -106,12 +106,41 @@ bool ReadFileBytes(const std::string& path, std::string* out);
 // finite double bit for bit), strings length-prefixed so they may
 // contain any byte. Restored results must be *bit-identical* to
 // recomputed ones — this is the resume-determinism currency.
+//
+// PayloadWriter and PayloadReader share one method set, so each
+// payload is a single field list that both directions run:
+//
+//   template <class Io, class T>  // T is const when writing
+//   bool PointFields(Io& io, T& p) {
+//     return io.Version(kPointVersion) && io.F64(p.rate) &&
+//            io.Seq(p.counts, kMaxTags,
+//                   [&io](auto& c) { return io.Size(c); });
+//   }
+//
+// Every writer method appends its field and returns true. Every reader
+// method returns false on a malformed or out-of-bounds field.
 
 class PayloadWriter {
  public:
-  void U64(std::uint64_t v);
-  void F64(double v);
-  void Str(std::string_view s);
+  bool U64(std::uint64_t v);
+  bool Size(std::size_t v) { return U64(v); }
+  bool Bool(bool v) { return U64(v ? 1 : 0); }
+  bool U8(std::uint8_t v) { return U64(v); }
+  bool F64(double v);
+  bool Str(std::string_view s);
+  bool Version(std::uint64_t version) { return U64(version); }
+  template <class E>
+  bool Enum(E v, E /*max*/) {
+    return U64(static_cast<std::uint64_t>(v));
+  }
+  /// The element count, then each element through `field`.
+  template <class Vec, class Field>
+  bool Seq(const Vec& seq, std::size_t /*cap*/, Field field) {
+    U64(seq.size());
+    for (const auto& element : seq) field(element);
+    return true;
+  }
+
   const std::string& str() const { return out_; }
   std::string Take() { return std::move(out_); }
 
@@ -123,12 +152,37 @@ class PayloadReader {
  public:
   explicit PayloadReader(std::string_view data) : data_(data) {}
 
-  bool U64(std::uint64_t* v);
-  bool Size(std::size_t* v);
+  bool U64(std::uint64_t& v);
+  bool Size(std::size_t& v);
   /// A U64 field that must be 0 or 1.
-  bool Bool(bool* v);
-  bool F64(double* v);
-  bool Str(std::string* s);
+  bool Bool(bool& v);
+  /// A U64 field that must be at most 255.
+  bool U8(std::uint8_t& v);
+  bool F64(double& v);
+  bool Str(std::string& s);
+  /// A U64 field that must equal `version`.
+  bool Version(std::uint64_t version);
+  /// A U64 field that must be at most `max`.
+  template <class E>
+  bool Enum(E& v, E max) {
+    std::uint64_t u = 0;
+    if (!U64(u) || u > static_cast<std::uint64_t>(max)) return false;
+    v = static_cast<E>(u);
+    return true;
+  }
+  /// An element count of at most `cap`, then each element through
+  /// `field`. Elements are appended one at a time, so a hostile count
+  /// allocates nothing its bytes do not back.
+  template <class Vec, class Field>
+  bool Seq(Vec& seq, std::size_t cap, Field field) {
+    std::size_t n = 0;
+    if (!Size(n) || n > cap) return false;
+    seq.clear();
+    for (std::size_t i = 0; i < n; ++i) {
+      if (!field(seq.emplace_back())) return false;
+    }
+    return true;
+  }
   /// True when every field has been consumed (trailing garbage is a
   /// deserialization failure, not silence).
   bool AtEnd() const { return pos_ == data_.size(); }
@@ -137,5 +191,17 @@ class PayloadReader {
   std::string_view data_;
   std::size_t pos_ = 0;
 };
+
+/// Reads a whole payload into a fresh T through `fields(reader, value)`.
+/// `*out` changes only when the field list succeeds and consumes every
+/// byte, so a failed decode leaves the target untouched.
+template <class T, class Fields>
+bool ReadPayload(std::string_view payload, T* out, Fields fields) {
+  PayloadReader r(payload);
+  T value;
+  if (!fields(r, value) || !r.AtEnd()) return false;
+  *out = std::move(value);
+  return true;
+}
 
 }  // namespace freerider::runtime

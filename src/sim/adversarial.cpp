@@ -207,75 +207,45 @@ AdversarialResult RunAdversarial(const AdversarialConfig& config) {
   return result;
 }
 
+namespace {
+
+template <class Io, class T>
+bool RogueAuditFields(Io& io, T& a) {
+  return io.Size(a.tag) && io.U8(a.wire_id) && io.Str(a.model) &&
+         io.Bool(a.via_misbehavior) && io.Bool(a.quarantined) &&
+         io.Bool(a.bound_met) && io.Bool(a.parked_at_end) &&
+         io.Size(a.quarantine_round) && io.Size(a.bound);
+}
+
+template <class Io, class T>
+bool AdversarialResultFields(Io& io, T& r) {
+  return io.Bool(r.passed) && io.F64(r.victim_delivery) &&
+         io.Size(r.victim_offered) && io.Size(r.victim_delivered) &&
+         io.Size(r.rogue_extra_frames) && io.Size(r.rx_invalid_id) &&
+         io.Size(r.replay_rejected) && io.Size(r.stale_rejected) &&
+         io.Size(r.police_evidence) && io.Size(r.collision_suspicions) &&
+         io.Size(r.misbehavior_quarantines) && io.Size(r.bans) &&
+         io.Size(r.forged_heard) && io.Size(r.forged_rejected) &&
+         io.Size(r.forged_accepted) &&
+         io.Seq(r.audits, 1024,
+                [&io](auto& a) { return RogueAuditFields(io, a); }) &&
+         ViolationLogFields(io, r.violations) && io.Str(r.digest) &&
+         io.Str(r.trace);
+}
+
+}  // namespace
+
 std::string SerializeAdversarialResult(const AdversarialResult& result) {
   runtime::PayloadWriter w;
-  w.U64(result.passed ? 1 : 0);
-  w.F64(result.victim_delivery);
-  w.U64(result.victim_offered);
-  w.U64(result.victim_delivered);
-  w.U64(result.rogue_extra_frames);
-  w.U64(result.rx_invalid_id);
-  w.U64(result.replay_rejected);
-  w.U64(result.stale_rejected);
-  w.U64(result.police_evidence);
-  w.U64(result.collision_suspicions);
-  w.U64(result.misbehavior_quarantines);
-  w.U64(result.bans);
-  w.U64(result.forged_heard);
-  w.U64(result.forged_rejected);
-  w.U64(result.forged_accepted);
-  w.U64(result.audits.size());
-  for (const RogueAudit& a : result.audits) {
-    w.U64(a.tag);
-    w.U64(a.wire_id);
-    w.Str(a.model);
-    w.U64(a.via_misbehavior ? 1 : 0);
-    w.U64(a.quarantined ? 1 : 0);
-    w.U64(a.bound_met ? 1 : 0);
-    w.U64(a.parked_at_end ? 1 : 0);
-    w.U64(a.quarantine_round);
-    w.U64(a.bound);
-  }
-  result.violations.Write(w);
-  w.Str(result.digest);
-  w.Str(result.trace);
+  AdversarialResultFields(w, result);
   return w.Take();
 }
 
 bool DeserializeAdversarialResult(const std::string& payload,
                                   AdversarialResult* result) {
-  runtime::PayloadReader r(payload);
-  AdversarialResult out;
-  std::size_t num_audits = 0;
-  if (!r.Bool(&out.passed) || !r.F64(&out.victim_delivery) ||
-      !r.Size(&out.victim_offered) || !r.Size(&out.victim_delivered) ||
-      !r.Size(&out.rogue_extra_frames) || !r.Size(&out.rx_invalid_id) ||
-      !r.Size(&out.replay_rejected) || !r.Size(&out.stale_rejected) ||
-      !r.Size(&out.police_evidence) || !r.Size(&out.collision_suspicions) ||
-      !r.Size(&out.misbehavior_quarantines) || !r.Size(&out.bans) ||
-      !r.Size(&out.forged_heard) || !r.Size(&out.forged_rejected) ||
-      !r.Size(&out.forged_accepted) || !r.Size(&num_audits) ||
-      num_audits > 1024) {
-    return false;
-  }
-  out.audits.resize(num_audits);
-  for (RogueAudit& a : out.audits) {
-    std::uint64_t wire_id = 0;
-    if (!r.Size(&a.tag) || !r.U64(&wire_id) || wire_id > 255 ||
-        !r.Str(&a.model) || !r.Bool(&a.via_misbehavior) ||
-        !r.Bool(&a.quarantined) || !r.Bool(&a.bound_met) ||
-        !r.Bool(&a.parked_at_end) || !r.Size(&a.quarantine_round) ||
-        !r.Size(&a.bound)) {
-      return false;
-    }
-    a.wire_id = static_cast<std::uint8_t>(wire_id);
-  }
-  if (!out.violations.Read(r) || !r.Str(&out.digest) || !r.Str(&out.trace) ||
-      !r.AtEnd()) {
-    return false;
-  }
-  *result = std::move(out);
-  return true;
+  return runtime::ReadPayload(payload, result, [](auto& r, auto& s) {
+    return AdversarialResultFields(r, s);
+  });
 }
 
 }  // namespace freerider::sim

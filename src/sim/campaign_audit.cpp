@@ -43,33 +43,13 @@ std::string ViolationLog::Digest() const {
 }
 
 void ViolationLog::Write(runtime::PayloadWriter& w) const {
-  w.U64(records_.size());
-  for (const CampaignViolation& v : records_) {
-    w.U64(v.round);
-    w.Str(v.kind);
-    w.Str(v.detail);
-  }
-  if (cap_ != kUncapped) w.U64(total_);
+  ViolationLogFields(w, *this);
 }
 
 bool ViolationLog::Read(runtime::PayloadReader& r) {
-  std::uint64_t count = 0;
-  if (!r.U64(&count) || count > (cap_ != kUncapped ? cap_ : 1u << 24)) {
-    return false;
-  }
-  std::vector<CampaignViolation> records;
-  for (std::uint64_t i = 0; i < count; ++i) {
-    std::uint64_t round = 0;
-    CampaignViolation v;
-    if (!r.U64(&round) || !r.Str(&v.kind) || !r.Str(&v.detail)) return false;
-    v.round = static_cast<std::size_t>(round);
-    records.push_back(std::move(v));
-  }
-  // A capped log's running total counts every record it kept.
-  std::uint64_t total = count;
-  if (cap_ != kUncapped && (!r.U64(&total) || total < count)) return false;
-  records_ = std::move(records);
-  total_ = static_cast<std::size_t>(total);
+  ViolationLog log(cap_);
+  if (!ViolationLogFields(r, log)) return false;
+  *this = std::move(log);
   return true;
 }
 

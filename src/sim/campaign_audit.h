@@ -7,8 +7,8 @@
 //     out-of-order skip. It is the single implementation of that rule.
 //   * ViolationLog is the one violation record: the drivers' own
 //     arm-specific audits log into it too. It renders the digest's
-//     "violation ..." lines and round-trips through checkpoint
-//     payloads.
+//     "violation ..." lines, and ViolationLogFields is its field list
+//     inside every campaign result's checkpoint payload.
 //   * CampaignTrace is the flight recorder a stress or adversarial
 //     campaign carries.
 //   * CampaignConfig holds the knobs the stress and adversarial
@@ -75,24 +75,46 @@ class ViolationLog {
   void Add(std::size_t round, std::string kind, std::string detail);
 
   const std::vector<CampaignViolation>& records() const { return records_; }
-  /// Every violation logged, recorded or not.
-  std::size_t total() const { return total_; }
-  bool empty() const { return total_ == 0; }
+  /// Every violation logged, recorded or not. An uncapped log records
+  /// them all.
+  std::size_t total() const {
+    return cap_ == kUncapped ? records_.size() : total_;
+  }
+  bool empty() const { return total() == 0; }
 
   /// One "violation round=R kind=K DETAIL" line per record: the prefix
   /// of every campaign digest.
   std::string Digest() const;
 
-  /// Checkpoint codec: the record count and records, then the running
-  /// total for a capped log (an uncapped log's total is its count).
+  /// ViolationLogFields on its own. A failed Read leaves the log as it
+  /// was.
   void Write(runtime::PayloadWriter& w) const;
   bool Read(runtime::PayloadReader& r);
 
  private:
+  template <class Io, class Log>
+  friend bool ViolationLogFields(Io& io, Log& log);
+
   std::size_t cap_ = kUncapped;
   std::vector<CampaignViolation> records_;
-  std::size_t total_ = 0;
+  std::size_t total_ = 0;  ///< Used only by a capped log.
 };
+
+/// The log's checkpoint field list (runtime/checkpoint.h): the record
+/// count and records, then the running total for a capped log, which
+/// counts every record it kept. Log is const when writing.
+template <class Io, class Log>
+bool ViolationLogFields(Io& io, Log& log) {
+  const bool capped = log.cap_ != ViolationLog::kUncapped;
+  const std::size_t max_records = capped ? log.cap_ : std::size_t{1} << 24;
+  return io.Seq(log.records_, max_records,
+                [&io](auto& v) {
+                  return io.Size(v.round) && io.Str(v.kind) &&
+                         io.Str(v.detail);
+                }) &&
+         (!capped ||
+          (io.Size(log.total_) && log.total_ >= log.records_.size()));
+}
 
 /// Per-tag sequence-space auditor. Positions are 64-bit, so a tracker
 /// never aliases across 8-bit wraps; the low 8 bits of a position are

@@ -148,7 +148,7 @@ std::vector<RangePoint> RangeSweepDistributed(
   auto restore = [&](std::size_t p, std::size_t, const std::string& payload) {
     runtime::PayloadReader r(payload);
     double max_m = 0.0;
-    if (!r.F64(&max_m) || !r.AtEnd()) return false;
+    if (!r.F64(max_m) || !r.AtEnd()) return false;
     points[p] = {distances[p], max_m};
     return true;
   };
@@ -217,7 +217,7 @@ runtime::dist::DistReport ChaosProbeDistributed(
     double a = 0.0;
     double b = 0.0;
     double c = 0.0;
-    if (!r.F64(&a) || !r.F64(&b) || !r.F64(&c) || !r.AtEnd()) return false;
+    if (!r.F64(a) || !r.F64(b) || !r.F64(c) || !r.AtEnd()) return false;
     const std::size_t i = p * grid.trials + t;
     throughput[i] = a;
     fairness[i] = b;

@@ -87,6 +87,16 @@ struct LinkStats {
   impair::FaultCounters fault_counters;
 };
 
+/// FaultCounters' checkpoint field list (runtime/checkpoint.h), part of
+/// the LinkStats and SoakResult payloads. T is const when writing.
+template <class Io, class T>
+bool FaultCountersFields(Io& io, T& fc) {
+  return io.Size(fc.cfo_rotations) && io.Size(fc.window_slips) &&
+         io.Size(fc.interferer_bursts) && io.Size(fc.excitation_dropouts) &&
+         io.Size(fc.pulses_dropped) && io.Size(fc.pulses_spurious) &&
+         io.Size(fc.pulses_jittered);
+}
+
 /// Run one link at a fixed redundancy.
 LinkStats SimulateTagLink(const LinkConfig& config, Rng& rng);
 

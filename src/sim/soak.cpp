@@ -9,6 +9,7 @@
 
 #include "runtime/checkpoint.h"
 #include "sim/campaign_audit.h"
+#include "sim/link.h"
 
 namespace freerider::sim {
 
@@ -622,91 +623,47 @@ namespace {
 
 constexpr std::uint64_t kSoakResultVersion = 1;
 
+/// The FullStackStats fields a soak result carries.
+template <class Io, class T>
+bool SoakStatsFields(Io& io, T& s) {
+  return io.Size(s.rounds) && io.Size(s.slots_total) &&
+         io.Size(s.deliveries) && io.Size(s.observed_collisions) &&
+         io.Size(s.observed_empties) &&
+         io.Seq(s.per_tag_deliveries, std::size_t{1} << 16,
+                [&io](auto& d) { return io.Size(d); }) &&
+         io.F64(s.airtime_s) && io.F64(s.goodput_bps) &&
+         io.F64(s.jain_fairness) && io.Size(s.faults_injected) &&
+         io.Size(s.desync_events) && io.Size(s.sequence_gaps) &&
+         io.Size(s.reannouncements) && io.Size(s.rounds_recovered) &&
+         io.F64(s.backoff_airtime_s) &&
+         FaultCountersFields(io, s.fault_counters) &&
+         io.Size(s.transport_offered) && io.Size(s.transport_delivered) &&
+         io.Size(s.transport_duplicates) &&
+         io.Size(s.transport_retransmissions) &&
+         io.Size(s.transport_expired) && io.Size(s.transport_holes_skipped) &&
+         io.Size(s.transport_acked) && io.Size(s.transport_escalations) &&
+         io.Size(s.transport_ext_rejected) &&
+         io.Size(s.transport_rejected_full);
+}
+
+template <class Io, class T>
+bool SoakResultFields(Io& io, T& r) {
+  return io.Version(kSoakResultVersion) && io.Bool(r.passed) &&
+         ViolationLogFields(io, r.violations) &&
+         SoakStatsFields(io, r.stats) && io.Str(r.digest);
+}
+
 }  // namespace
 
 std::string SerializeSoakResult(const SoakResult& result) {
   runtime::PayloadWriter w;
-  w.U64(kSoakResultVersion);
-  w.U64(result.passed ? 1 : 0);
-  result.violations.Write(w);
-  const FullStackStats& s = result.stats;
-  w.U64(s.rounds);
-  w.U64(s.slots_total);
-  w.U64(s.deliveries);
-  w.U64(s.observed_collisions);
-  w.U64(s.observed_empties);
-  w.U64(s.per_tag_deliveries.size());
-  for (std::size_t d : s.per_tag_deliveries) w.U64(d);
-  w.F64(s.airtime_s);
-  w.F64(s.goodput_bps);
-  w.F64(s.jain_fairness);
-  w.U64(s.faults_injected);
-  w.U64(s.desync_events);
-  w.U64(s.sequence_gaps);
-  w.U64(s.reannouncements);
-  w.U64(s.rounds_recovered);
-  w.F64(s.backoff_airtime_s);
-  w.U64(s.fault_counters.cfo_rotations);
-  w.U64(s.fault_counters.window_slips);
-  w.U64(s.fault_counters.interferer_bursts);
-  w.U64(s.fault_counters.excitation_dropouts);
-  w.U64(s.fault_counters.pulses_dropped);
-  w.U64(s.fault_counters.pulses_spurious);
-  w.U64(s.fault_counters.pulses_jittered);
-  w.U64(s.transport_offered);
-  w.U64(s.transport_delivered);
-  w.U64(s.transport_duplicates);
-  w.U64(s.transport_retransmissions);
-  w.U64(s.transport_expired);
-  w.U64(s.transport_holes_skipped);
-  w.U64(s.transport_acked);
-  w.U64(s.transport_escalations);
-  w.U64(s.transport_ext_rejected);
-  w.U64(s.transport_rejected_full);
-  w.Str(result.digest);
+  SoakResultFields(w, result);
   return w.Take();
 }
 
 bool DeserializeSoakResult(const std::string& payload, SoakResult* result) {
-  runtime::PayloadReader r(payload);
-  std::uint64_t version = 0;
-  if (!r.U64(&version) || version != kSoakResultVersion) return false;
-  SoakResult out;
-  if (!r.Bool(&out.passed) || !out.violations.Read(r)) return false;
-  FullStackStats& s = out.stats;
-  std::size_t tags = 0;
-  if (!r.Size(&s.rounds) || !r.Size(&s.slots_total) || !r.Size(&s.deliveries) ||
-      !r.Size(&s.observed_collisions) || !r.Size(&s.observed_empties) ||
-      !r.Size(&tags) || tags > (1u << 16)) {
-    return false;
-  }
-  s.per_tag_deliveries.resize(tags);
-  for (std::size_t& d : s.per_tag_deliveries) {
-    if (!r.Size(&d)) return false;
-  }
-  if (!r.F64(&s.airtime_s) || !r.F64(&s.goodput_bps) ||
-      !r.F64(&s.jain_fairness) || !r.Size(&s.faults_injected) ||
-      !r.Size(&s.desync_events) || !r.Size(&s.sequence_gaps) ||
-      !r.Size(&s.reannouncements) || !r.Size(&s.rounds_recovered) ||
-      !r.F64(&s.backoff_airtime_s) ||
-      !r.Size(&s.fault_counters.cfo_rotations) ||
-      !r.Size(&s.fault_counters.window_slips) ||
-      !r.Size(&s.fault_counters.interferer_bursts) ||
-      !r.Size(&s.fault_counters.excitation_dropouts) ||
-      !r.Size(&s.fault_counters.pulses_dropped) ||
-      !r.Size(&s.fault_counters.pulses_spurious) ||
-      !r.Size(&s.fault_counters.pulses_jittered) ||
-      !r.Size(&s.transport_offered) || !r.Size(&s.transport_delivered) ||
-      !r.Size(&s.transport_duplicates) ||
-      !r.Size(&s.transport_retransmissions) || !r.Size(&s.transport_expired) ||
-      !r.Size(&s.transport_holes_skipped) || !r.Size(&s.transport_acked) ||
-      !r.Size(&s.transport_escalations) || !r.Size(&s.transport_ext_rejected) ||
-      !r.Size(&s.transport_rejected_full) || !r.Str(&out.digest) ||
-      !r.AtEnd()) {
-    return false;
-  }
-  *result = std::move(out);
-  return true;
+  return runtime::ReadPayload(
+      payload, result, [](auto& r, auto& s) { return SoakResultFields(r, s); });
 }
 
 }  // namespace freerider::sim

@@ -102,8 +102,9 @@ std::optional<SoakReplay> ParseSoakReplay(const std::string& json,
                                           std::string* error);
 
 /// Bit-exact SoakResult (de)serialization for checkpoint payloads:
-/// verdict, every violation, the full FullStackStats, and the digest
-/// round-trip byte-identically (doubles in hex-float).
+/// verdict, every violation, the FullStackStats counters a soak
+/// reports, and the digest round-trip byte-identically (doubles in
+/// hex-float).
 std::string SerializeSoakResult(const SoakResult& result);
 bool DeserializeSoakResult(const std::string& payload, SoakResult* result);
 

@@ -160,55 +160,37 @@ StressResult RunStress(const StressConfig& config) {
   return result;
 }
 
+namespace {
+
+template <class Io, class T>
+bool StressResultFields(Io& io, T& r) {
+  return io.Bool(r.passed) && io.F64(r.delivery_ratio) &&
+         io.Size(r.offered) && io.Size(r.delivered) && io.Size(r.expired) &&
+         io.Size(r.rejected_full) && io.Size(r.duplicates) &&
+         io.Size(r.skipped) && io.Size(r.faded_frames) &&
+         io.Size(r.blackout_tag_rounds) && io.Size(r.quarantines) &&
+         io.Size(r.recoveries) && io.Size(r.probes_sent) &&
+         io.Size(r.boost_commands) && io.Size(r.resyncs) &&
+         io.Size(r.ooo_evicted) && io.Bool(r.dead_tag_audited) &&
+         io.Bool(r.quarantine_bound_met) && io.Size(r.quarantine_round) &&
+         io.Size(r.detection_rounds) && io.Size(r.detection_bound) &&
+         ViolationLogFields(io, r.violations) && io.Str(r.digest) &&
+         io.Str(r.trace);
+}
+
+}  // namespace
+
 std::string SerializeStressResult(const StressResult& result) {
   runtime::PayloadWriter w;
-  w.U64(result.passed ? 1 : 0);
-  w.F64(result.delivery_ratio);
-  w.U64(result.offered);
-  w.U64(result.delivered);
-  w.U64(result.expired);
-  w.U64(result.rejected_full);
-  w.U64(result.duplicates);
-  w.U64(result.skipped);
-  w.U64(result.faded_frames);
-  w.U64(result.blackout_tag_rounds);
-  w.U64(result.quarantines);
-  w.U64(result.recoveries);
-  w.U64(result.probes_sent);
-  w.U64(result.boost_commands);
-  w.U64(result.resyncs);
-  w.U64(result.ooo_evicted);
-  w.U64(result.dead_tag_audited ? 1 : 0);
-  w.U64(result.quarantine_bound_met ? 1 : 0);
-  w.U64(result.quarantine_round);
-  w.U64(result.detection_rounds);
-  w.U64(result.detection_bound);
-  result.violations.Write(w);
-  w.Str(result.digest);
-  w.Str(result.trace);
+  StressResultFields(w, result);
   return w.Take();
 }
 
 bool DeserializeStressResult(const std::string& payload,
                              StressResult* result) {
-  runtime::PayloadReader r(payload);
-  StressResult out;
-  if (!r.Bool(&out.passed) || !r.F64(&out.delivery_ratio) ||
-      !r.Size(&out.offered) || !r.Size(&out.delivered) ||
-      !r.Size(&out.expired) || !r.Size(&out.rejected_full) ||
-      !r.Size(&out.duplicates) || !r.Size(&out.skipped) ||
-      !r.Size(&out.faded_frames) || !r.Size(&out.blackout_tag_rounds) ||
-      !r.Size(&out.quarantines) || !r.Size(&out.recoveries) ||
-      !r.Size(&out.probes_sent) || !r.Size(&out.boost_commands) ||
-      !r.Size(&out.resyncs) || !r.Size(&out.ooo_evicted) ||
-      !r.Bool(&out.dead_tag_audited) || !r.Bool(&out.quarantine_bound_met) ||
-      !r.Size(&out.quarantine_round) || !r.Size(&out.detection_rounds) ||
-      !r.Size(&out.detection_bound) || !out.violations.Read(r) ||
-      !r.Str(&out.digest) || !r.Str(&out.trace) || !r.AtEnd()) {
-    return false;
-  }
-  *result = std::move(out);
-  return true;
+  return runtime::ReadPayload(payload, result, [](auto& r, auto& s) {
+    return StressResultFields(r, s);
+  });
 }
 
 transport::TransportConfig StressBenchTransport() {

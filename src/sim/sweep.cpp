@@ -12,60 +12,28 @@ namespace {
 
 constexpr std::uint64_t kLinkStatsVersion = 1;
 
-void WriteFaultCounters(runtime::PayloadWriter& w,
-                        const impair::FaultCounters& fc) {
-  w.U64(fc.cfo_rotations);
-  w.U64(fc.window_slips);
-  w.U64(fc.interferer_bursts);
-  w.U64(fc.excitation_dropouts);
-  w.U64(fc.pulses_dropped);
-  w.U64(fc.pulses_spurious);
-  w.U64(fc.pulses_jittered);
-}
-
-bool ReadFaultCounters(runtime::PayloadReader& r, impair::FaultCounters* fc) {
-  return r.Size(&fc->cfo_rotations) && r.Size(&fc->window_slips) &&
-         r.Size(&fc->interferer_bursts) && r.Size(&fc->excitation_dropouts) &&
-         r.Size(&fc->pulses_dropped) && r.Size(&fc->pulses_spurious) &&
-         r.Size(&fc->pulses_jittered);
+template <class Io, class T>
+bool LinkStatsFields(Io& io, T& s) {
+  return io.Version(kLinkStatsVersion) && io.Size(s.packets_attempted) &&
+         io.Size(s.packets_decoded) && io.F64(s.packet_reception_rate) &&
+         io.F64(s.tag_ber) && io.F64(s.tag_throughput_bps) &&
+         io.F64(s.rssi_dbm) && io.F64(s.snr_db) &&
+         io.Size(s.redundancy_used) && io.Size(s.faults_injected) &&
+         io.Size(s.desync_events) && io.Size(s.rounds_recovered) &&
+         FaultCountersFields(io, s.fault_counters);
 }
 
 }  // namespace
 
 std::string SerializeLinkStats(const LinkStats& stats) {
   runtime::PayloadWriter w;
-  w.U64(kLinkStatsVersion);
-  w.U64(stats.packets_attempted);
-  w.U64(stats.packets_decoded);
-  w.F64(stats.packet_reception_rate);
-  w.F64(stats.tag_ber);
-  w.F64(stats.tag_throughput_bps);
-  w.F64(stats.rssi_dbm);
-  w.F64(stats.snr_db);
-  w.U64(stats.redundancy_used);
-  w.U64(stats.faults_injected);
-  w.U64(stats.desync_events);
-  w.U64(stats.rounds_recovered);
-  WriteFaultCounters(w, stats.fault_counters);
+  LinkStatsFields(w, stats);
   return w.Take();
 }
 
 bool DeserializeLinkStats(const std::string& payload, LinkStats* stats) {
-  runtime::PayloadReader r(payload);
-  std::uint64_t version = 0;
-  if (!r.U64(&version) || version != kLinkStatsVersion) return false;
-  LinkStats s;
-  if (!r.Size(&s.packets_attempted) || !r.Size(&s.packets_decoded) ||
-      !r.F64(&s.packet_reception_rate) || !r.F64(&s.tag_ber) ||
-      !r.F64(&s.tag_throughput_bps) || !r.F64(&s.rssi_dbm) ||
-      !r.F64(&s.snr_db) || !r.Size(&s.redundancy_used) ||
-      !r.Size(&s.faults_injected) || !r.Size(&s.desync_events) ||
-      !r.Size(&s.rounds_recovered) ||
-      !ReadFaultCounters(r, &s.fault_counters) || !r.AtEnd()) {
-    return false;
-  }
-  *stats = s;
-  return true;
+  return runtime::ReadPayload(
+      payload, stats, [](auto& r, auto& s) { return LinkStatsFields(r, s); });
 }
 
 std::vector<DistancePoint> DistanceSweepRobust(

@@ -186,28 +186,28 @@ TEST(PayloadCodec, RoundTripsIntegersDoublesAndStrings) {
 
   PayloadReader r(payload);
   std::uint64_t u = 1;
-  EXPECT_TRUE(r.U64(&u));
+  EXPECT_TRUE(r.U64(u));
   EXPECT_EQ(u, 0u);
-  EXPECT_TRUE(r.U64(&u));
+  EXPECT_TRUE(r.U64(u));
   EXPECT_EQ(u, ~0ull);
   double d = 0.0;
-  EXPECT_TRUE(r.F64(&d));
+  EXPECT_TRUE(r.F64(d));
   EXPECT_EQ(d, 0.0);
   EXPECT_FALSE(std::signbit(d));
-  EXPECT_TRUE(r.F64(&d));
+  EXPECT_TRUE(r.F64(d));
   EXPECT_TRUE(std::signbit(d));
-  EXPECT_TRUE(r.F64(&d));
+  EXPECT_TRUE(r.F64(d));
   EXPECT_EQ(d, 1.0 / 3.0);  // bit-exact via %a
-  EXPECT_TRUE(r.F64(&d));
+  EXPECT_TRUE(r.F64(d));
   EXPECT_EQ(d, -1.7976931348623157e308);
-  EXPECT_TRUE(r.F64(&d));
+  EXPECT_TRUE(r.F64(d));
   EXPECT_EQ(d, 5e-324);
   std::string s;
-  EXPECT_TRUE(r.Str(&s));
+  EXPECT_TRUE(r.Str(s));
   EXPECT_EQ(s, "");
-  EXPECT_TRUE(r.Str(&s));
+  EXPECT_TRUE(r.Str(s));
   EXPECT_EQ(s, "with spaces and 7:colons");
-  EXPECT_TRUE(r.Str(&s));
+  EXPECT_TRUE(r.Str(s));
   EXPECT_EQ(s, std::string("\x00\xff\n", 3));
   EXPECT_TRUE(r.AtEnd());
 }
@@ -216,16 +216,16 @@ TEST(PayloadCodec, RejectsMalformedFields) {
   std::uint64_t u = 0;
   double d = 0.0;
   std::string s;
-  EXPECT_FALSE(PayloadReader("").U64(&u));
-  EXPECT_FALSE(PayloadReader("12").U64(&u));        // no terminator
-  EXPECT_FALSE(PayloadReader("12x ").U64(&u));      // trailing junk
-  EXPECT_FALSE(PayloadReader("nope ").F64(&d));
-  EXPECT_FALSE(PayloadReader("5:ab ").Str(&s));     // length beyond data
-  EXPECT_FALSE(PayloadReader("2:abX").Str(&s));     // missing terminator
+  EXPECT_FALSE(PayloadReader("").U64(u));
+  EXPECT_FALSE(PayloadReader("12").U64(u));        // no terminator
+  EXPECT_FALSE(PayloadReader("12x ").U64(u));      // trailing junk
+  EXPECT_FALSE(PayloadReader("nope ").F64(d));
+  EXPECT_FALSE(PayloadReader("5:ab ").Str(s));     // length beyond data
+  EXPECT_FALSE(PayloadReader("2:abX").Str(s));     // missing terminator
   PayloadReader r("3 ");
-  EXPECT_TRUE(r.U64(&u));
+  EXPECT_TRUE(r.U64(u));
   EXPECT_TRUE(r.AtEnd());
-  EXPECT_FALSE(r.U64(&u));  // past the end
+  EXPECT_FALSE(r.U64(u));  // past the end
 }
 
 // A length token near 2^64 must not wrap the bounds check: the reader
@@ -236,23 +236,23 @@ TEST(PayloadCodec, HugeStringLengthIsRejectedWithoutThrowing) {
        {"18446744073709551615:x ", "18446744073709551614:x ",
         "18446744073709551615: ", "18446744073709551615:"}) {
     bool ok = true;
-    EXPECT_NO_THROW(ok = PayloadReader(payload).Str(&s)) << payload;
+    EXPECT_NO_THROW(ok = PayloadReader(payload).Str(s)) << payload;
     EXPECT_FALSE(ok) << payload;
   }
   // The largest length that fits still reads.
-  EXPECT_TRUE(PayloadReader("1:x ").Str(&s));
+  EXPECT_TRUE(PayloadReader("1:x ").Str(s));
   EXPECT_EQ(s, "x");
 }
 
 TEST(PayloadCodec, BoolAcceptsOnlyZeroAndOne) {
   bool b = true;
-  EXPECT_TRUE(PayloadReader("0 ").Bool(&b));
+  EXPECT_TRUE(PayloadReader("0 ").Bool(b));
   EXPECT_FALSE(b);
-  EXPECT_TRUE(PayloadReader("1 ").Bool(&b));
+  EXPECT_TRUE(PayloadReader("1 ").Bool(b));
   EXPECT_TRUE(b);
-  EXPECT_FALSE(PayloadReader("2 ").Bool(&b));
-  EXPECT_FALSE(PayloadReader("18446744073709551615 ").Bool(&b));
-  EXPECT_FALSE(PayloadReader("").Bool(&b));
+  EXPECT_FALSE(PayloadReader("2 ").Bool(b));
+  EXPECT_FALSE(PayloadReader("18446744073709551615 ").Bool(b));
+  EXPECT_FALSE(PayloadReader("").Bool(b));
   EXPECT_TRUE(b);  // untouched by the failed reads
 }
 
@@ -351,7 +351,7 @@ TEST(RecoveryRunner, ResumeSkipsCompletedTasksAndReplaysInGridOrder) {
       [&](std::size_t p, std::size_t t, const std::string& payload) {
         PayloadReader r(payload);
         std::uint64_t v = 0;
-        if (!r.U64(&v)) return false;
+        if (!r.U64(v)) return false;
         restored_order.push_back(p * 2 + t);
         values[p * 2 + t] = v;
         return true;
@@ -412,7 +412,7 @@ TEST(RecoveryRunner, RejectedRestorePayloadReruns) {
       [](std::size_t, std::size_t, const std::string& payload) {
         PayloadReader r(payload);
         std::uint64_t v = 0;
-        return r.U64(&v);
+        return r.U64(v);
       });
   EXPECT_EQ(report.tasks_restored, 1u);  // task 1 restored
   EXPECT_EQ(body_runs.load(), 1u);       // task 0 re-ran

@@ -38,6 +38,7 @@
 #include <cstring>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/cli.h"
@@ -155,7 +156,7 @@ CampaignResult RunMultitagCampaign(const runtime::RobustSweepOptions& robust) {
       [&](std::size_t p, std::size_t rep, const std::string& payload) {
         runtime::PayloadReader r(payload);
         double v = 0.0;
-        if (!r.F64(&v) || !r.AtEnd()) return false;
+        if (!r.F64(v) || !r.AtEnd()) return false;
         fairness[p * reps + rep] = v;
         return true;
       });
@@ -249,8 +250,8 @@ void TruncateCheckpoint(const std::string& path, Rng& rng) {
   if (!runtime::ReadFileBytes(path, &bytes) || bytes.size() < 2) return;
   const std::size_t max_cut = bytes.size() < 65 ? bytes.size() - 1 : 64;
   const std::size_t cut = 1 + rng.NextBelow(max_cut);
-  bytes.resize(bytes.size() - cut);
-  runtime::WriteFileAtomic(path, bytes);
+  runtime::WriteFileAtomic(
+      path, std::string_view(bytes).substr(0, bytes.size() - cut));
 }
 
 // ------------------------------------------- quarantine self-check

@@ -116,14 +116,15 @@ int main(int argc, char** argv) {
                            "TDM bound (kbps)", "mean slots"});
   for (std::size_t p = 0; p < points_a; ++p) {
     const std::size_t tags = tag_counts_a[p];
+    const mac::CampaignStats& stats = results_a[p].stats;
     table.AddRow(
         {std::to_string(tags),
-         sim::TablePrinter::Num(results_a[p].stats.aggregate_throughput_bps / 1e3, 1),
+         sim::TablePrinter::Num(stats.aggregate_throughput_bps / 1e3, 1),
          sim::TablePrinter::Num(
              mac::ExpectedAlohaThroughputBps(tags, config.timing) / 1e3, 1),
          sim::TablePrinter::Num(
              mac::TdmThroughputBps(tags, config.timing) / 1e3, 1),
-         sim::TablePrinter::Num(results_a[p].stats.mean_slots, 1)});
+         sim::TablePrinter::Num(stats.mean_slots, 1)});
   }
   std::printf("%s\n", table.ToString().c_str());
 
@@ -191,14 +192,14 @@ int main(int argc, char** argv) {
   // values and kill/resume alongside BENCH.
   obs::MetricsRegistry metrics(1);
   std::vector<obs::NamedTrace> traces;
-  for (std::size_t p = 0; p < points_a; ++p) {
+  for (const Fig17aPoint& point : results_a) {
     metrics.Observe("fig17a.throughput_kbps",
                     static_cast<std::uint64_t>(
-                        results_a[p].stats.aggregate_throughput_bps / 1e3));
+                        point.stats.aggregate_throughput_bps / 1e3));
     metrics.Observe(
         "fig17a.fairness_permille",
-        static_cast<std::uint64_t>(results_a[p].stats.jain_fairness * 1000.0));
-    const obs::TraceDecodeResult decoded = obs::DecodeTraces(results_a[p].trace);
+        static_cast<std::uint64_t>(point.stats.jain_fairness * 1000.0));
+    const obs::TraceDecodeResult decoded = obs::DecodeTraces(point.trace);
     for (const obs::NamedTrace& nt : decoded.traces) {
       for (const obs::TraceEvent& e : nt.ring.Events()) {
         metrics.Count("fig17a.singles", e.a >> 16);

@@ -3,7 +3,8 @@
 // tag's phase translation, full TX/RX chains for all three radios.
 // These bound how fast the figure benches can sweep.
 //
-// BM_WifiRx400B and BM_ZigbeeRx80B additionally report allocs_per_iter — heap allocations
+// BM_WifiRx400B, BM_WifiRx800B and BM_ZigbeeRx80B additionally report
+// allocs_per_iter — heap allocations
 // per steady-state frame decode, counted by the operator new/delete
 // overrides below. The WiFi fast path's contract is 0.
 #include <benchmark/benchmark.h>
@@ -110,21 +111,23 @@ BENCHMARK(BM_DetectPreamble);
 
 // The 800-byte WiFi frame of the wifi_link perfbench workload (and of
 // figs 10, 11 and 14), padded with 150 samples on each side as
-// sim::SimulateTagLink pads it: ~22k samples.
-IqBuffer WifiCapture800B(Rng& rng) {
+// sim::SimulateTagLink pads it: ~22k samples. `cfo_hz` offsets the
+// receiver's oscillator.
+IqBuffer WifiCapture800B(Rng& rng, double cfo_hz = 0.0) {
   const phy80211::TxFrame frame =
       phy80211::BuildFrame(RandomBytes(rng, 800), {});
   channel::ReceiverFrontEnd fe;
   fe.sample_rate_hz = phy80211::kSampleRateHz;
   fe.noise_figure_db = 5.0;
+  fe.cfo_hz = cfo_hz;
   IqBuffer padded(150, Cplx{0.0, 0.0});
   padded.insert(padded.end(), frame.waveform.begin(), frame.waveform.end());
   padded.insert(padded.end(), 150, Cplx{0.0, 0.0});
   return channel::ApplyLink(padded, -80.0, fe, rng);
 }
 
-// Preamble scan over the 800-byte capture; ReceiveFrame runs it twice
-// per frame (before and after CFO correction).
+// Preamble scan over the 800-byte capture: ReceiveFrame's first scan.
+// Its second, after CFO correction, is DetectPreambleAfterMix.
 void BM_DetectPreamble22k(benchmark::State& state) {
   Rng rng(10);
   const IqBuffer rx = WifiCapture800B(rng);
@@ -251,6 +254,37 @@ void BM_WifiRx400B(benchmark::State& state) {
   state.SetBytesProcessed(iters * 400);
 }
 BENCHMARK(BM_WifiRx400B);
+
+// ReceiveFrame on the 800-byte capture (the wifi_link shape), with the
+// receiver's oscillator off by state.range(0) Hz. At 0 Hz the second
+// preamble scan refines a handful of pairs; at 80 kHz its rotation
+// bound keeps nearly every pair, the worst case of the certified scan.
+void BM_WifiRx800B(benchmark::State& state) {
+  Rng rng(12);
+  const IqBuffer rx =
+      WifiCapture800B(rng, static_cast<double>(state.range(0)));
+  dsp::Workspace ws;
+  phy80211::RxResult result;
+  phy80211::ReceiveFrame(rx, {}, ws, result);  // warm-up
+  if (!result.fcs_ok) state.SkipWithError("capture did not decode");
+
+  const std::int64_t allocs_before =
+      g_alloc_count.load(std::memory_order_relaxed);
+  for (auto _ : state) {
+    phy80211::ReceiveFrame(rx, {}, ws, result);
+    benchmark::DoNotOptimize(&result);
+  }
+  const std::int64_t allocs_after =
+      g_alloc_count.load(std::memory_order_relaxed);
+
+  const auto iters = static_cast<std::int64_t>(state.iterations());
+  state.counters["allocs_per_iter"] = benchmark::Counter(
+      static_cast<double>(allocs_after - allocs_before) /
+      static_cast<double>(iters > 0 ? iters : 1));
+  state.SetItemsProcessed(iters);
+  state.SetBytesProcessed(iters * 800);
+}
+BENCHMARK(BM_WifiRx800B)->Arg(0)->Arg(80000);
 
 void BM_ZigbeeTxRx60B(benchmark::State& state) {
   Rng rng(5);

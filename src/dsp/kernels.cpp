@@ -146,21 +146,13 @@ void NormalizedCorrelationX8(const double* x_re, const double* x_im,
 void SlidingWindowEnergy64(const double* x_re, const double* x_im,
                            std::size_t positions, std::vector<double>& out) {
   out.resize(positions);
-  if (positions == 0) return;
-  // Same recurrence (and therefore the same doubles) as the legacy
-  // scalar scan: seed with the first window, then slide by adding the
-  // entering sample and subtracting the leaving one.
-  double acc = 0.0;
-  for (std::size_t n = 0; n < 64; ++n) {
-    acc += x_re[n] * x_re[n] + x_im[n] * x_im[n];
-  }
-  out[0] = acc;
-  for (std::size_t n = 1; n < positions; ++n) {
-    const std::size_t tail = n + 63;
-    acc += (x_re[tail] * x_re[tail] + x_im[tail] * x_im[tail]) -
-           (x_re[n - 1] * x_re[n - 1] + x_im[n - 1] * x_im[n - 1]);
-    out[n] = acc;
-  }
+  double* o = out.data();
+  ForEachWindowEnergy64(
+      positions,
+      [x_re, x_im](std::size_t i) {
+        return x_re[i] * x_re[i] + x_im[i] * x_im[i];
+      },
+      [o](std::size_t n, double energy, double) { o[n] = energy; });
 }
 
 std::uint32_t PackBits32(std::span<const Bit> bits) {

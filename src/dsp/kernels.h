@@ -74,6 +74,29 @@ bool CpuHasAvx2();
 void SlidingWindowEnergy64(const double* x_re, const double* x_im,
                            std::size_t positions, std::vector<double>& out);
 
+/// The recurrence behind SlidingWindowEnergy64, for callers that fuse
+/// work into it. norm(i) must return |x[i]|^2 as re * re + im * im.
+/// Calls visit(n, energy, added) for n = 0 .. positions-1 in order,
+/// where `energy` is SlidingWindowEnergy64's out[n] bit for bit and
+/// `added` the energy step n brought in (the first window's sum at
+/// n = 0, norm(n + 63) after), so the `added` of steps 0..n sum to the
+/// energy of x[0, n + 64).
+template <class Norm, class Visit>
+void ForEachWindowEnergy64(std::size_t positions, Norm&& norm, Visit&& visit) {
+  if (positions == 0) return;
+  // Same recurrence (and therefore the same doubles) as the legacy
+  // scalar scan: seed with the first window, then slide by adding the
+  // entering sample and subtracting the leaving one.
+  double acc = 0.0;
+  for (std::size_t n = 0; n < 64; ++n) acc += norm(n);
+  visit(std::size_t{0}, acc, acc);
+  for (std::size_t n = 1; n < positions; ++n) {
+    const double added = norm(n + 63);
+    acc += added - norm(n - 1);
+    visit(n, acc, added);
+  }
+}
+
 /// Pack up to 32 unpacked bits (LSB = bits[0]) into a word — the entry
 /// point of the bit-parallel despreaders (phy802154 chips). Bits must
 /// be 0/1.

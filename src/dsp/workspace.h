@@ -29,6 +29,7 @@ struct Workspace {
   std::vector<double> scan_im;      ///< Im of the rx buffer, SoA.
   std::vector<double> win_energy;   ///< Sliding 64-sample window energy.
   std::vector<double> ncorr;        ///< Normalized correlation per position.
+  std::vector<std::uint8_t> scan_keep;  ///< Second scan's surviving pairs.
 
   // --- Whole-buffer working copies (CFO mix output) ---
   IqBuffer rx_work;                 ///< CFO-corrected receive buffer.

@@ -153,11 +153,12 @@ void ResetResult(RxResult& r) {
 // Allocation-free receive chain. Stage for stage it performs the
 // arithmetic of the scalar reference chain (the oracle in
 // tests/phy_fastpath_test.cpp) in the same order; the only intentional
-// difference is the vectorized preamble scan, whose integer Detection
-// output the equivalence suite pins to the scalar scan. Every temporary
-// lives in `ws`; `result`'s vectors are cleared and refilled, so a warm
-// workspace + reused result decode a frame with zero heap allocations
-// (BM_WifiRx400B reports the counter).
+// differences are the vectorized preamble scan and, after CFO
+// correction, its certified filter-and-refine form, whose integer
+// Detection outputs the equivalence suite pins to the scalar scan.
+// Every temporary lives in `ws`; `result`'s vectors are cleared and
+// refilled, so a warm workspace + reused result decode a frame with zero
+// heap allocations (BM_WifiRx400B and BM_WifiRx800B report the counter).
 // ---------------------------------------------------------------------------
 
 void ReceiveFrame(const IqBuffer& raw_rx, const RxConfig& config,
@@ -171,24 +172,32 @@ void ReceiveFrame(const IqBuffer& raw_rx, const RxConfig& config,
 
   // CFO estimation and correction on the preamble, then re-detect for
   // exact timing on the corrected buffer.
-  IqBuffer& rx = ws.rx_work;
-  rx.assign(raw_rx.begin(), raw_rx.end());
+  std::span<const Cplx> rx = raw_rx;
   if (config.cfo_correction) {
+    IqBuffer& mixed = ws.rx_work;
     double cfo = 0.0;
-    // Coarse: STF region (160 samples ending 160 before the LTF).
+    std::span<const Cplx> ltf_region =
+        rx.subspan(result.start_index, 2 * kFftSize);
+    // Coarse: STF region (160 samples ending 160 before the LTF). Only
+    // the LTF region is read before the fine mix rewrites the buffer, so
+    // only the prefix up to it is mixed; the oscillator runs from
+    // sample 0 either way, so those samples are the whole mix's.
     if (result.start_index >= 192) {
-      cfo += EstimateCfoHz(
-          std::span<const Cplx>(rx).subspan(result.start_index - 184, 144), 16);
-      dsp::MixFrequencyInto(rx, -cfo, kSampleRateHz, 0.0, rx);
+      cfo += EstimateCfoHz(rx.subspan(result.start_index - 184, 144), 16);
+      dsp::MixFrequencyInto(rx.first(result.start_index + 2 * kFftSize), -cfo,
+                            kSampleRateHz, 0.0, mixed);
+      ltf_region =
+          std::span<const Cplx>(mixed).subspan(result.start_index, 2 * kFftSize);
     }
     // Fine: the two LTF symbols, period 64.
-    cfo += EstimateCfoHz(
-        std::span<const Cplx>(rx).subspan(result.start_index, 128), 64);
-    dsp::MixFrequencyInto(raw_rx, -cfo, kSampleRateHz, 0.0, rx);
+    cfo += EstimateCfoHz(ltf_region, 64);
+    dsp::MixFrequencyInto(raw_rx, -cfo, kSampleRateHz, 0.0, mixed);
     result.cfo_hz = cfo;
-    det = DetectPreambleFast(rx, config.detection_threshold, ws);
+    det = DetectPreambleAfterMix(mixed, cfo, det, config.detection_threshold,
+                                 ws);
     if (!det.found) return;
     result.start_index = det.second_ltf_start - 64;
+    rx = mixed;
   }
 
   // Channel estimation over both long training symbols.

@@ -11,11 +11,13 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
+#include <complex>
 #include <cstdint>
 #include <cstring>
 #include <limits>
 #include <span>
 #include <stdexcept>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -1029,6 +1031,346 @@ TEST(FastDetectTest, ZeroPaddedTailDoesNotShiftDetection) {
   const Detection scalar_tail = DetectPreambleScalar(padded, 0.55);
   EXPECT_EQ(scalar_tail.found, tail.found);
   EXPECT_EQ(scalar_tail.second_ltf_start, tail.second_ltf_start);
+}
+
+
+// ------------------------------------------------ certified second scan
+//
+// DetectPreambleAfterMix must return exactly DetectPreambleFast's
+// Detection of the mixed capture, run in full, whatever the first scan
+// found: SNR and CFO sweeps, zero pads, ties, all-zero and non-finite
+// captures, and a frame flush against the SIGNAL-fit limit.
+
+// Runs the receiver's two scans on `raw` mixed by -cfo_hz and checks
+// the certified second scan against the full scan on a fresh
+// workspace. Returns the full scan's Detection. Also checks the bound
+// position by position, not only where it decides the result: every
+// window the full scan does not gate, yet the screen ruled out (a zero
+// byte in scan_keep), must correlate below the cutoff — the threshold
+// raised to the exact pair at the first scan's pick.
+Detection ExpectRescanMatchesFullScan(const IqBuffer& raw, double cfo_hz,
+                                      double threshold,
+                                      const std::string& what) {
+  dsp::Workspace ws;
+  const Detection first = DetectPreambleFast(raw, threshold, ws);
+  IqBuffer mixed;
+  dsp::MixFrequencyInto(raw, -cfo_hz, kSampleRateHz, 0.0, mixed);
+  const Detection got =
+      DetectPreambleAfterMix(mixed, cfo_hz, first, threshold, ws);
+  dsp::Workspace fresh;
+  const Detection want = DetectPreambleFast(mixed, threshold, fresh);
+  EXPECT_EQ(got.found, want.found) << what;
+  EXPECT_EQ(got.second_ltf_start, want.second_ltf_start) << what;
+  if (mixed.size() < 2 * kFftSize) return want;
+
+  const std::size_t positions = mixed.size() - kFftSize + 1;
+  const std::vector<double>& ncorr = fresh.ncorr;
+  const std::vector<double>& energy = fresh.win_energy;
+  double cutoff = threshold;
+  if (first.found) {
+    const std::size_t n = first.second_ltf_start - 64;
+    if (energy[n] > 0.0 && energy[n + 64] > 0.0) {
+      const double pair = std::min(ncorr[n], ncorr[n + 64]);
+      if (pair > cutoff) cutoff = pair;
+    }
+  }
+  std::size_t violations = 0;
+  for (std::size_t n = 0; n < positions; ++n) {
+    if (ws.scan_keep[n] != 0 || energy[n] <= 0.0) continue;
+    if (!(ncorr[n] < cutoff)) ++violations;
+  }
+  EXPECT_EQ(violations, std::size_t{0}) << what;
+  return want;
+}
+
+// A frame between `pad` zeros on each side, through a front end whose
+// oscillator is off by `cfo_hz`, at `snr_db` over its noise floor.
+IqBuffer RescanCapture(Rng& rng, std::size_t payload_len, double snr_db,
+                       double cfo_hz, std::size_t pad) {
+  const TxFrame frame = BuildFrame(RandomBytes(rng, payload_len), {});
+  channel::ReceiverFrontEnd fe;
+  fe.sample_rate_hz = kSampleRateHz;
+  fe.noise_figure_db = 5.0;
+  fe.cfo_hz = cfo_hz;
+  IqBuffer padded(pad, Cplx{0.0, 0.0});
+  padded.insert(padded.end(), frame.waveform.begin(), frame.waveform.end());
+  padded.insert(padded.end(), pad, Cplx{0.0, 0.0});
+  return channel::ApplyLink(padded, fe.NoiseFloorDbm() + snr_db, fe, rng);
+}
+
+TEST(CertifiedRescan, MatchesFullScanAcrossSnrCfoAndPads) {
+  int found = 0;
+  int missed = 0;
+  int i = 0;
+  for (double snr_db = -10.0; snr_db <= 30.0; snr_db += 5.0) {
+    for (const double cfo : {0.0, 5e3, -5e3, 25e3, -25e3, 80e3, -80e3, 200e3,
+                             -200e3}) {
+      for (const std::size_t pad : {0, 150, 2000}) {
+        Rng rng(Rng::ForTrial(1919, static_cast<std::uint64_t>(i), 0));
+        const IqBuffer raw = RescanCapture(rng, 20 + rng.NextBelow(80), snr_db,
+                                           cfo, pad);
+        // The receiver's estimate is off by up to a few hundred Hz.
+        const double mix_hz = cfo + 300.0 * ((i % 3) - 1);
+        const double threshold = (i % 4 == 3) ? 0.3 : 0.55;
+        const Detection want = ExpectRescanMatchesFullScan(
+            raw, mix_hz, threshold,
+            "snr " + std::to_string(snr_db) + " cfo " + std::to_string(cfo) +
+                " pad " + std::to_string(pad));
+        (want.found ? found : missed) += 1;
+        ++i;
+      }
+    }
+  }
+  // The sweep must straddle the detection threshold.
+  EXPECT_GT(found, 20);
+  EXPECT_GT(missed, 20);
+}
+
+TEST(CertifiedRescan, ZeroTailAfterStrongFrame) {
+  // After a strong frame the sliding-energy recurrence leaves rounding
+  // residue where the true energy is zero; the bound must hold there.
+  Rng rng(41);
+  const TxFrame frame = BuildFrame(RandomBytes(rng, 60), {});
+  for (const double cfo : {0.0, 5e3, 80e3}) {
+    IqBuffer noisy = RescanCapture(rng, 60, 40.0, cfo, 150);
+    noisy.resize(noisy.size() + 2000, Cplx{0.0, 0.0});
+    EXPECT_TRUE(ExpectRescanMatchesFullScan(noisy, cfo, 0.55, "noisy").found);
+    for (const double scale : {1.0, 1e30, 1e-30}) {
+      IqBuffer clean(150, Cplx{0.0, 0.0});
+      for (const Cplx& x : frame.waveform) clean.push_back(scale * x);
+      clean.resize(clean.size() + 2000, Cplx{0.0, 0.0});
+      const IqBuffer raw = dsp::MixFrequency(clean, cfo, kSampleRateHz);
+      EXPECT_TRUE(ExpectRescanMatchesFullScan(raw, cfo, 0.55,
+                                              "clean x" + std::to_string(scale))
+                      .found);
+    }
+  }
+}
+
+TEST(CertifiedRescan, RecurrenceCancellationAfterHugeSample) {
+  // One sample of 2^30 swallows the energy of the 64 samples after it
+  // (each |x|^2 < ulp(2^60) / 2), and its exit leaves the recurrence at
+  // exactly 0, so every later window energy reads low by the filler's
+  // energy F: the frame's LTF windows hold 1 - F / E of their true
+  // energy, in both scans (the oscillator starts at phase 0, so the
+  // huge sample mixes to itself). The rotation term scaled by that
+  // energy no longer covers the CFO'd LTF pair; only the energy
+  // allowance, which scales with the 2^60 of prefix energy, does.
+  Rng rng(49);
+  const TxFrame frame = BuildFrame(RandomBytes(rng, 40), {});
+  double ltf_window = 0.0;
+  for (std::size_t k = 0; k < kFftSize; ++k) {
+    ltf_window += std::norm(frame.waveform[192 + k]);
+  }
+  for (const double left : {0.05, 0.01}) {
+    for (const double cfo : {80e3, 200e3}) {
+      IqBuffer raw{Cplx{std::ldexp(1.0, 30), 0.0}};
+      raw.resize(kFftSize + 1,
+                 Cplx{std::sqrt((1.0 - left) * ltf_window / kFftSize), 0.0});
+      const IqBuffer rotated = dsp::MixFrequency(frame.waveform, cfo,
+                                                 kSampleRateHz);
+      raw.insert(raw.end(), rotated.begin(), rotated.end());
+      raw.resize(raw.size() + 100, Cplx{0.0, 0.0});
+      EXPECT_TRUE(ExpectRescanMatchesFullScan(
+                      raw, cfo, 0.55,
+                      "left " + std::to_string(left) + " cfo " +
+                          std::to_string(cfo))
+                      .found);
+    }
+  }
+}
+
+TEST(CertifiedRescan, ExtremeScales) {
+  // Window energies past the bound's safe range are kept unbounded;
+  // the result must still be the full scan's.
+  Rng rng(48);
+  const IqBuffer base = RescanCapture(rng, 40, 25.0, 5e3, 150);
+  for (const double scale : {1e-160, 1e-80, 1e80, 1e160}) {
+    IqBuffer raw = base;
+    for (auto& x : raw) x *= scale;
+    ExpectRescanMatchesFullScan(raw, 5e3, 0.55,
+                                "scale " + std::to_string(scale));
+  }
+}
+
+TEST(CertifiedRescan, EarlierOfTwoIdenticalCopiesWinsTheTie) {
+  // Samples on a 2^-10 grid keep every |x|^2 and every window-energy
+  // update exact, and a 0 Hz mix leaves them unchanged, so both copies
+  // give bit-identical pairs: strict `>` must keep the first.
+  Rng rng(42);
+  IqBuffer wave = BuildFrame(RandomBytes(rng, 30), {}).waveform;
+  for (auto& x : wave) {
+    x = {std::round(x.real() * 1024.0) / 1024.0,
+         std::round(x.imag() * 1024.0) / 1024.0};
+  }
+  IqBuffer raw(300, Cplx{0.0, 0.0});
+  raw.insert(raw.end(), wave.begin(), wave.end());
+  raw.insert(raw.end(), 600, Cplx{0.0, 0.0});
+  raw.insert(raw.end(), wave.begin(), wave.end());
+  raw.insert(raw.end(), 300, Cplx{0.0, 0.0});
+  const Detection want = ExpectRescanMatchesFullScan(raw, 0.0, 0.55, "tie");
+  ASSERT_TRUE(want.found);
+  ASSERT_LT(want.second_ltf_start, 300 + wave.size());
+  const std::size_t n = want.second_ltf_start - 64;
+  const std::size_t twin = n + wave.size() + 600;
+  dsp::Workspace ws;
+  DetectPreambleFast(raw, 0.55, ws);
+  EXPECT_EQ(ws.ncorr[n], ws.ncorr[twin]);
+  EXPECT_EQ(ws.ncorr[n + 64], ws.ncorr[twin + 64]);
+}
+
+TEST(CertifiedRescan, AllZeroBuffer) {
+  const IqBuffer zeros(1024, Cplx{0.0, 0.0});
+  for (const double threshold : {0.55, 0.0, -1.0}) {
+    for (const double cfo : {0.0, 80e3}) {
+      EXPECT_FALSE(ExpectRescanMatchesFullScan(zeros, cfo, threshold, "zeros")
+                       .found);
+    }
+  }
+}
+
+TEST(CertifiedRescan, NonFiniteSampleBeforeAndAfterThePreamble) {
+  Rng rng(43);
+  const IqBuffer clean = RescanCapture(rng, 40, 25.0, 0.0, 500);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const Cplx bad : {Cplx{nan, 0.0}, Cplx{0.0, inf}, Cplx{-inf, inf}}) {
+    for (const std::size_t at : {std::size_t{40}, std::size_t{460},
+                                 std::size_t{500 + 400}, clean.size() - 30}) {
+      IqBuffer raw = clean;
+      raw[at] = bad;
+      for (const double cfo : {0.0, 25e3}) {
+        ExpectRescanMatchesFullScan(raw, cfo, 0.55,
+                                    "bad sample at " + std::to_string(at));
+      }
+    }
+  }
+}
+
+TEST(CertifiedRescan, FrameFlushAgainstSignalFitLimit) {
+  // Cut the capture so the SIGNAL symbol ends exactly at its last
+  // sample, then one sample shorter: detected, then rejected.
+  Rng rng(44);
+  const IqBuffer raw = RescanCapture(rng, 40, 25.0, 5e3, 150);
+  const Detection whole = ExpectRescanMatchesFullScan(raw, 5e3, 0.55, "whole");
+  ASSERT_TRUE(whole.found);
+  const std::size_t fit = whole.second_ltf_start + kFftSize + kSymbolLen;
+  const IqBuffer flush(raw.begin(), raw.begin() + static_cast<std::ptrdiff_t>(fit));
+  EXPECT_TRUE(ExpectRescanMatchesFullScan(flush, 5e3, 0.55, "flush").found);
+  const IqBuffer short_by_one(flush.begin(), flush.end() - 1);
+  EXPECT_FALSE(
+      ExpectRescanMatchesFullScan(short_by_one, 5e3, 0.55, "one short").found);
+}
+
+TEST(CertifiedRescan, ScreenPrunesAtSmallCfo) {
+  // At a receiver-sized CFO the bound must rule out nearly every pair,
+  // or the certified scan silently costs a full one.
+  Rng rng(45);
+  const IqBuffer raw = RescanCapture(rng, 800, 15.0, 2e3, 150);
+  dsp::Workspace ws;
+  const Detection first = DetectPreambleFast(raw, 0.55, ws);
+  ASSERT_TRUE(first.found);
+  IqBuffer mixed;
+  dsp::MixFrequencyInto(raw, -2e3, kSampleRateHz, 0.0, mixed);
+  DetectPreambleAfterMix(mixed, 2e3, first, 0.55, ws);
+  const std::size_t positions = mixed.size() - kFftSize + 1;
+  std::size_t kept = 0;
+  for (std::size_t n = 0; n + 64 < positions; ++n) {
+    kept += ws.scan_keep[n] & ws.scan_keep[n + 64];
+  }
+  EXPECT_GT(positions, std::size_t{20000});
+  EXPECT_LT(kept, std::size_t{16});
+}
+
+TEST(CertifiedRescan, AllowancesKeepThousandfoldMargin) {
+  // Each allowance must stay at least 10^3 times the error it covers,
+  // measured against long-double references, so the bound never rides
+  // on luck:
+  //  * energy: |recurrence - exact window energy| / energy of x[0, n+64);
+  //  * correlation: the first scan's chain against the exact raw
+  //    correlation, plus the second scan's chain on the mixed capture
+  //    against the exact correlation of the raw capture rotated by the
+  //    oscillator's own step angle, over sqrt(E * E_ltf).
+  // Captures span a long frame, a zero tail after a strong frame, and
+  // absolute scales, at small and large CFO.
+  using LCplx = std::complex<long double>;
+  const IqBuffer ltf = LongTrainingSymbol64();
+  long double ltf_energy = 0.0L;
+  for (const Cplx& p : ltf) ltf_energy += std::norm(LCplx(p));
+  const auto chain = [&](const Cplx* x) {  // DetectPreambleFast's chain
+    double cr = 0.0;
+    double ci = 0.0;
+    for (std::size_t k = 0; k < kFftSize; ++k) {
+      cr += x[k].real() * ltf[k].real() + x[k].imag() * ltf[k].imag();
+      ci += x[k].imag() * ltf[k].real() - x[k].real() * ltf[k].imag();
+    }
+    return std::hypot(static_cast<long double>(cr),
+                      static_cast<long double>(ci));
+  };
+  double energy_ratio = 0.0;
+  double corr_ratio = 0.0;
+  std::size_t checked = 0;
+  for (int c = 0; c < 4; ++c) {
+    Rng rng(Rng::ForTrial(46, static_cast<std::uint64_t>(c), 0));
+    IqBuffer raw = RescanCapture(rng, c == 0 ? 800 : 60, c == 1 ? 45.0 : 20.0,
+                                 0.0, 150);
+    if (c == 1) raw.resize(raw.size() + 2000, Cplx{0.0, 0.0});
+    const double scale = c == 2 ? 1e40 : c == 3 ? 1e-40 : 1.0;
+    for (auto& x : raw) x *= scale;
+    const std::size_t positions = raw.size() - kFftSize + 1;
+
+    std::vector<double> re, im, energy;
+    dsp::SplitComplex(raw, re, im);
+    dsp::SlidingWindowEnergy64(re.data(), im.data(), positions, energy);
+    std::vector<long double> exact(positions);
+    long double prefix = 0.0L;
+    for (std::size_t j = 0; j + 1 < kFftSize; ++j) prefix += std::norm(LCplx(raw[j]));
+    for (std::size_t n = 0; n < positions; ++n) {
+      prefix += std::norm(LCplx(raw[n + kFftSize - 1]));
+      long double e = 0.0L;
+      for (std::size_t k = 0; k < kFftSize; ++k) e += std::norm(LCplx(raw[n + k]));
+      exact[n] = e;
+      const double err = static_cast<double>(
+          std::abs(static_cast<long double>(energy[n]) - e) / prefix);
+      energy_ratio = std::max(energy_ratio, err / kRescanEnergyAllowance);
+    }
+
+    for (const double cfo : {5e3, 80e3, -200e3}) {
+      IqBuffer mixed;
+      dsp::MixFrequencyInto(raw, -cfo, kSampleRateHz, 0.0, mixed);
+      const double dphi = kTwoPi * -cfo / kSampleRateHz;
+      const long double step = std::atan2(static_cast<long double>(std::sin(dphi)),
+                                          static_cast<long double>(std::cos(dphi)));
+      std::vector<LCplx> rotated(raw.size());
+      for (std::size_t m = 0; m < raw.size(); ++m) {
+        const long double phase = step * static_cast<long double>(m);
+        rotated[m] = LCplx(raw[m]) * LCplx(std::cos(phase), std::sin(phase));
+      }
+      for (std::size_t n = 0; n < positions; ++n) {
+        if (exact[n] == 0.0L) continue;
+        LCplx c1 = 0.0L;
+        LCplx c2 = 0.0L;
+        for (std::size_t k = 0; k < kFftSize; ++k) {
+          const LCplx p = std::conj(LCplx(ltf[k]));
+          c1 += LCplx(raw[n + k]) * p;
+          c2 += rotated[n + k] * p;
+        }
+        const long double err = std::abs(chain(raw.data() + n) - std::abs(c1)) +
+                                std::abs(chain(mixed.data() + n) - std::abs(c2));
+        const double ratio =
+            static_cast<double>(err / std::sqrt(exact[n] * ltf_energy));
+        corr_ratio = std::max(corr_ratio, ratio / kRescanCorrAllowance);
+        ++checked;
+      }
+    }
+  }
+  EXPECT_GT(checked, std::size_t{50000});
+  EXPECT_LT(energy_ratio, 1e-3) << "energy error / allowance";
+  EXPECT_LT(corr_ratio, 1e-3) << "correlation error / allowance";
+  // The relative allowance covers a few dozen roundings (each <= 2^-53)
+  // in the normalizations and the bound; docs/phy_fast_path.md counts
+  // them.
+  EXPECT_GE(kRescanRelAllowance, 1e3 * 128 * std::ldexp(1.0, -53));
 }
 
 }  // namespace

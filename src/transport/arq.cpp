@@ -398,11 +398,11 @@ CoordinatorTransport::CoordinatorTransport(std::size_t num_tags,
   for (std::size_t i = 0; i < num_tags; ++i) rx_.emplace_back(config);
 }
 
-AckExtension CoordinatorTransport::BuildExtension() {
+AckExtension CoordinatorTransport::BuildExtension(std::size_t max_blocks) {
   AckExtension ext;
   if (rx_.empty()) return ext;
   const std::size_t blocks =
-      std::min({config_.ack_blocks_per_round, rx_.size(), kMaxAckBlocks});
+      std::min({config_.ack_blocks_per_round, rx_.size(), max_blocks});
   for (std::size_t i = 0; i < blocks; ++i) {
     const std::size_t index = (rotation_ + i) % rx_.size();
     ext.acks.push_back(

@@ -311,8 +311,10 @@ class CoordinatorTransport {
   std::size_t num_tags() const { return rx_.size(); }
 
   /// ACK blocks for the next announcement: up to ack_blocks_per_round
-  /// tags, rotating so every tag is covered every ⌈N/blocks⌉ rounds.
-  AckExtension BuildExtension();
+  /// tags and at most `max_blocks` (what the announced extension version
+  /// can carry), rotating by the blocks returned so every tag is covered
+  /// every ⌈N/blocks⌉ rounds.
+  AckExtension BuildExtension(std::size_t max_blocks = kMaxAckBlocks);
 
  private:
   TransportConfig config_;

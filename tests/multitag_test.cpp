@@ -69,5 +69,24 @@ TEST(FullStack, WeakLinkKillsDeliveries) {
   EXPECT_EQ(stats.deliveries, 0u);
 }
 
+// With the supervisor on, the version-2 announcement holds at most
+// kMaxAckBlocksV2 ACK blocks. A coordinator configured for more blocks
+// per round must rotate by what was announced, not by what it built:
+// otherwise the blocks past the cap are never aired and the tags they
+// belong to are never acknowledged.
+TEST(FullStack, SupervisorAckRotationReachesEveryTag) {
+  Rng rng(7);
+  FullStackConfig config;
+  config.num_tags = 6;
+  config.transport.enabled = true;
+  config.transport.ack_blocks_per_round = 6;
+  config.supervisor.enabled = true;
+  FullStackSim sim(config, rng);
+  for (std::size_t round = 0; round < 80; ++round) sim.StepRound();
+  for (std::size_t t = 0; t < config.num_tags; ++t) {
+    EXPECT_GT(sim.tag_transport(t)->stats().acked, 0u) << "tag " << t;
+  }
+}
+
 }  // namespace
 }  // namespace freerider::sim

@@ -28,6 +28,22 @@ void BitsToBytesInto(std::span<const Bit> bits, Bytes& out) {
   }
 }
 
+void AppendBitsLsbFirst(BitVector& out, std::uint32_t value,
+                        std::size_t count) {
+  for (std::size_t i = 0; i < count; ++i) {
+    out.push_back(static_cast<Bit>((value >> i) & 1u));
+  }
+}
+
+std::uint32_t ReadBitsLsbFirst(std::span<const Bit> bits, std::size_t offset,
+                               std::size_t count) {
+  std::uint32_t value = 0;
+  for (std::size_t i = 0; i < count; ++i) {
+    value |= static_cast<std::uint32_t>(bits[offset + i] & 1u) << i;
+  }
+  return value;
+}
+
 BitVector BitsFromString(std::string_view s) {
   BitVector bits;
   bits.reserve(s.size());

@@ -24,6 +24,17 @@ Bytes BitsToBytes(std::span<const Bit> bits);
 /// vector makes repeated packing allocation-free.
 void BitsToBytesInto(std::span<const Bit> bits, Bytes& out);
 
+/// Append the low `count` (at most 32) bits of `value`, LSB first: the
+/// order of the PLM downlink fields and of the PHY header fields.
+void AppendBitsLsbFirst(BitVector& out, std::uint32_t value,
+                        std::size_t count);
+
+/// Read a `count`-bit (at most 32) LSB-first field at `offset`. Only each
+/// cell's LSB counts: a cell is a byte, and a corrupted producer can
+/// hand over values > 1 that must not smear into the upper bits.
+std::uint32_t ReadBitsLsbFirst(std::span<const Bit> bits, std::size_t offset,
+                               std::size_t count);
+
 /// Parse a string of '0'/'1' characters into bits. Any other character
 /// (spaces etc.) is skipped, so "1010 1100" is accepted.
 BitVector BitsFromString(std::string_view s);

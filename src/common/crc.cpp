@@ -59,4 +59,20 @@ std::uint32_t Crc24Ble(std::span<const Bit> bits, std::uint32_t init) {
   return lfsr;
 }
 
+std::uint8_t Crc8(std::span<const Bit> bits) {
+  std::uint8_t crc = 0;
+  for (Bit b : bits) {
+    const bool msb = (crc & 0x80u) != 0;
+    crc = static_cast<std::uint8_t>((crc << 1) | (b & 1u));
+    if (msb) crc ^= 0x07u;
+  }
+  // Flush the 8-bit register so trailing bits affect the result.
+  for (int i = 0; i < 8; ++i) {
+    const bool msb = (crc & 0x80u) != 0;
+    crc = static_cast<std::uint8_t>(crc << 1);
+    if (msb) crc ^= 0x07u;
+  }
+  return crc;
+}
+
 }  // namespace freerider

@@ -4,6 +4,8 @@
 #include <cstring>
 #include <stdexcept>
 
+#include "common/bits.h"
+
 namespace freerider::dsp {
 
 void SplitComplex(std::span<const Cplx> input, std::vector<double>& re,
@@ -159,11 +161,7 @@ std::uint32_t PackBits32(std::span<const Bit> bits) {
   if (bits.size() > 32) {
     throw std::invalid_argument("PackBits32: more than 32 bits");
   }
-  std::uint32_t word = 0;
-  for (std::size_t i = 0; i < bits.size(); ++i) {
-    word |= static_cast<std::uint32_t>(bits[i] & 1u) << i;
-  }
-  return word;
+  return ReadBitsLsbFirst(bits, 0, bits.size());
 }
 
 }  // namespace freerider::dsp

@@ -2,25 +2,43 @@
 
 #include <algorithm>
 
+#include "common/bits.h"
 #include "mac/plm.h"
 
 namespace freerider::health {
 namespace {
 
-void AppendBitsLsbFirst(BitVector& out, std::uint32_t value,
-                        std::size_t bits) {
-  for (std::size_t i = 0; i < bits; ++i) {
-    out.push_back(static_cast<Bit>((value >> i) & 1u));
+/// Decode an opened version-2 body into `result`, which is left
+/// untouched when the counts exceed the caps or do not account for
+/// every body bit.
+void DecodeHealthBody(std::span<const Bit> body, HealthParseResult& result) {
+  if (body.size() < 8) return;
+  const std::uint32_t n_ack = ReadBitsLsbFirst(body, 0, 4);
+  const std::uint32_t n_health = ReadBitsLsbFirst(body, 4, 4);
+  if (n_ack > kMaxAckBlocksV2 || n_health > kMaxHealthBlocks ||
+      body.size() != 8 + n_ack * transport::kAckBlockBits +
+                         n_health * kHealthBlockBits) {
+    return;
   }
-}
-
-std::uint32_t ReadBitsLsbFirst(const BitVector& bits, std::size_t offset,
-                               std::size_t count) {
-  std::uint32_t value = 0;
-  for (std::size_t i = 0; i < count; ++i) {
-    value |= static_cast<std::uint32_t>(bits[offset + i] & 1u) << i;
+  transport::AckExtension acks;
+  std::size_t offset = 8;
+  for (std::uint32_t i = 0; i < n_ack; ++i) {
+    acks.acks.push_back(transport::ReadAckBlock(body, offset));
+    offset += transport::kAckBlockBits;
   }
-  return value;
+  HealthExtension health;
+  for (std::uint32_t i = 0; i < n_health; ++i) {
+    TagCommand cmd;
+    cmd.tag_id = static_cast<std::uint8_t>(ReadBitsLsbFirst(body, offset, 8));
+    cmd.admit = ReadBitsLsbFirst(body, offset + 8, 1) != 0;
+    cmd.probe = ReadBitsLsbFirst(body, offset + 9, 1) != 0;
+    cmd.boost_steps =
+        static_cast<std::uint8_t>(ReadBitsLsbFirst(body, offset + 10, 2));
+    health.commands.push_back(cmd);
+    offset += kHealthBlockBits;
+  }
+  result.acks = std::move(acks);
+  result.health = std::move(health);
 }
 
 }  // namespace
@@ -28,40 +46,31 @@ std::uint32_t ReadBitsLsbFirst(const BitVector& bits, std::size_t offset,
 BitVector BuildAnnouncementHealth(const mac::RoundAnnouncement& round,
                                   const transport::AckExtension& acks,
                                   const HealthExtension& health) {
-  BitVector payload = mac::BuildAnnouncement(round);
   const std::size_t n_ack = std::min(acks.acks.size(), kMaxAckBlocksV2);
   const std::size_t n_health =
       std::min(health.commands.size(), kMaxHealthBlocks);
-  const std::size_t body_bits =
-      8 + n_ack * transport::kAckBlockBits + n_health * kHealthBlockBits;
-  AppendBitsLsbFirst(payload, kHealthExtensionVersion, 4);
-  AppendBitsLsbFirst(payload, static_cast<std::uint32_t>(body_bits), 8);
-  AppendBitsLsbFirst(payload, static_cast<std::uint32_t>(n_ack), 4);
-  AppendBitsLsbFirst(payload, static_cast<std::uint32_t>(n_health), 4);
+  BitVector body;
+  AppendBitsLsbFirst(body, static_cast<std::uint32_t>(n_ack), 4);
+  AppendBitsLsbFirst(body, static_cast<std::uint32_t>(n_health), 4);
   for (std::size_t i = 0; i < n_ack; ++i) {
-    const transport::TagAck& ack = acks.acks[i];
-    AppendBitsLsbFirst(payload, ack.tag_id, 8);
-    AppendBitsLsbFirst(payload, ack.cumulative, 8);
-    AppendBitsLsbFirst(payload, ack.nack_bitmap, transport::kNackBitmapBits);
+    transport::AppendAckBlock(body, acks.acks[i]);
   }
   for (std::size_t i = 0; i < n_health; ++i) {
     const TagCommand& cmd = health.commands[i];
-    AppendBitsLsbFirst(payload, cmd.tag_id, 8);
-    AppendBitsLsbFirst(payload, cmd.admit ? 1 : 0, 1);
-    AppendBitsLsbFirst(payload, cmd.probe ? 1 : 0, 1);
-    AppendBitsLsbFirst(payload,
+    AppendBitsLsbFirst(body, cmd.tag_id, 8);
+    AppendBitsLsbFirst(body, cmd.admit ? 1 : 0, 1);
+    AppendBitsLsbFirst(body, cmd.probe ? 1 : 0, 1);
+    AppendBitsLsbFirst(body,
                        std::min<std::uint32_t>(cmd.boost_steps, kMaxBoostSteps),
                        2);
-    AppendBitsLsbFirst(payload, 0, 4);  // reserved
+    AppendBitsLsbFirst(body, 0, 4);  // reserved
   }
-  const std::uint8_t crc = transport::CrcExtension(
-      std::span<const Bit>(payload).subspan(16, payload.size() - 16));
-  AppendBitsLsbFirst(payload, crc, mac::kPlmExtCrcBits);
-  return payload;
+  return mac::SealPlmExtension(mac::BuildAnnouncement(round),
+                               kHealthExtensionVersion, body);
 }
 
 std::optional<HealthParseResult> ParseAnnouncementHealth(
-    const BitVector& payload) {
+    const BitVector& payload, std::uint8_t max_version) {
   const auto round = mac::ParseAnnouncementPrefix(payload);
   if (!round.has_value()) return std::nullopt;
 
@@ -69,85 +78,17 @@ std::optional<HealthParseResult> ParseAnnouncementHealth(
   result.round = *round;
   if (payload.size() == 16) return result;  // legacy, no extension
 
-  const std::size_t min_size =
-      16 + mac::kPlmExtHeaderBits + mac::kPlmExtCrcBits;
-  if (payload.size() < min_size ||
-      payload.size() > mac::kMaxExtendedPayloadBits) {
-    result.ext_rejected = true;
-    return result;
-  }
-  const std::size_t body_bits = ReadBitsLsbFirst(payload, 20, 8);
-  if (payload.size() != min_size + body_bits) {  // truncated or padded
-    result.ext_rejected = true;
-    return result;
-  }
-  const std::uint8_t declared_crc = static_cast<std::uint8_t>(
-      ReadBitsLsbFirst(payload, payload.size() - mac::kPlmExtCrcBits,
-                       mac::kPlmExtCrcBits));
-  const std::uint8_t computed_crc = transport::CrcExtension(
-      std::span<const Bit>(payload).subspan(
-          16, payload.size() - 16 - mac::kPlmExtCrcBits));
-  if (declared_crc != computed_crc) {
-    result.ext_rejected = true;
-    return result;
-  }
-  const std::uint32_t version = ReadBitsLsbFirst(payload, 16, 4);
-  if (version == transport::kAckExtensionVersion) {
-    // Pure ACK extension from a pre-supervisor coordinator: delegate to
-    // the v1 parser (the layouts agree on prefix/header/CRC).
-    const auto v1 = transport::ParseAnnouncementExtended(payload);
-    if (v1.has_value()) {
-      result.acks = v1->ext;
-      result.ext_rejected = v1->ext_rejected;
-    } else {
-      result.ext_rejected = true;
+  if (const auto opened = mac::OpenPlmExtension(payload)) {
+    if (opened->version == transport::kAckExtensionVersion) {
+      // A pre-supervisor coordinator: the body is a plain run of ACKs.
+      result.acks = transport::DecodeAckBody(opened->body);
+    } else if (opened->version == kHealthExtensionVersion &&
+               opened->version <= max_version) {
+      DecodeHealthBody(opened->body, result);
     }
-    return result;
   }
-  if (version != kHealthExtensionVersion) {
-    result.ext_rejected = true;
-    return result;
-  }
-  if (body_bits < 8) {
-    result.ext_rejected = true;
-    return result;
-  }
-  const std::uint32_t n_ack = ReadBitsLsbFirst(payload, 28, 4);
-  const std::uint32_t n_health = ReadBitsLsbFirst(payload, 32, 4);
-  if (n_ack > kMaxAckBlocksV2 || n_health > kMaxHealthBlocks ||
-      body_bits != 8 + n_ack * transport::kAckBlockBits +
-                       n_health * kHealthBlockBits) {
-    result.ext_rejected = true;
-    return result;
-  }
-
-  transport::AckExtension acks;
-  std::size_t offset = 36;
-  for (std::uint32_t i = 0; i < n_ack; ++i) {
-    transport::TagAck ack;
-    ack.tag_id =
-        static_cast<std::uint8_t>(ReadBitsLsbFirst(payload, offset, 8));
-    ack.cumulative =
-        static_cast<std::uint8_t>(ReadBitsLsbFirst(payload, offset + 8, 8));
-    ack.nack_bitmap = static_cast<std::uint16_t>(
-        ReadBitsLsbFirst(payload, offset + 16, transport::kNackBitmapBits));
-    acks.acks.push_back(ack);
-    offset += transport::kAckBlockBits;
-  }
-  HealthExtension health;
-  for (std::uint32_t i = 0; i < n_health; ++i) {
-    TagCommand cmd;
-    cmd.tag_id =
-        static_cast<std::uint8_t>(ReadBitsLsbFirst(payload, offset, 8));
-    cmd.admit = ReadBitsLsbFirst(payload, offset + 8, 1) != 0;
-    cmd.probe = ReadBitsLsbFirst(payload, offset + 9, 1) != 0;
-    cmd.boost_steps =
-        static_cast<std::uint8_t>(ReadBitsLsbFirst(payload, offset + 10, 2));
-    health.commands.push_back(cmd);
-    offset += kHealthBlockBits;
-  }
-  result.acks = std::move(acks);
-  result.health = std::move(health);
+  // Every accepted body carries an ACK list, empty or not.
+  result.ext_rejected = !result.acks.has_value();
   return result;
 }
 

@@ -1,27 +1,25 @@
 // Announcement health extension: the coordinator→tag half of the link
-// supervisor's control loop, carried by the same versioned PLM
-// extension mechanism as the transport's ACK piggyback (transport/ack.h
-// — 4-bit version, 8-bit body length, CRC-8). Version 2 packs the ACK
-// feedback *and* per-tag health commands into one announcement so the
-// supervisor costs no extra downlink airtime beyond its command bits:
+// supervisor's control loop, carried as version 2 of the PLM
+// announcement extension (envelope: mac/plm.h). It packs the ACK
+// feedback *and* per-tag health commands into one announcement, so the
+// supervisor costs no extra downlink airtime beyond its command bits.
+// Version 2's body, all fields LSB-first:
 //
-//   body: n_ack (4) | n_health (4)
-//         n_ack   × ACK block     (32 bits, transport/ack.h layout)
-//         n_health × health block (16 bits):
-//             tag id (8) | admit (1) | probe (1) | boost (2) | rsvd (4)
+//   n_ack (4) | n_health (4)
+//   n_ack    × ACK block    (32 bits, transport/ack.h)
+//   n_health × health block (16 bits):
+//       tag id (8) | admit (1) | probe (1) | boost (2) | rsvd (4)
 //
 // `admit` 0 parks the tag (no uplink contention — quarantine), `probe`
 // 1 asks for an immediate keepalive frame even with an empty queue,
 // `boost` commands extra redundancy-ladder steps (×2 codewords per
-// step) on top of the tag's own ARQ escalation. All multi-bit fields
-// are LSB-first, like the rest of the PLM plumbing.
+// step) on top of the tag's own ARQ escalation.
 //
 // Compatibility: a legacy (16-bit) receiver still hears the unchanged
 // announcement prefix; a version-1 transport receiver rejects the
-// unknown version via the existing CRC/version check and loses one
-// round of ACK feedback, never bit sync. Commands are sticky at the
-// tag and re-sent round-robin, so a lost extension only delays the
-// loop by a round.
+// unknown version and loses one round of ACK feedback, never bit sync.
+// Commands are sticky at the tag and re-sent round-robin, so a lost
+// extension only delays the loop by a round.
 #pragma once
 
 #include <cstdint>
@@ -83,11 +81,13 @@ struct HealthParseResult {
 
 /// Parse an announcement payload of any provenance: exactly 16 bits is
 /// a legacy announcement, longer payloads are validated as prefix +
-/// version-2 extension. A version-1 (pure ACK) extension is also
-/// accepted — upgraded tags must keep hearing pre-supervisor
-/// coordinators. Returns std::nullopt only when the 16-bit prefix
-/// itself is unusable.
+/// extension. A version-1 (pure ACK) extension is accepted too —
+/// upgraded tags must keep hearing pre-supervisor coordinators — and a
+/// version-2 one only when `max_version` admits it: a transport-only
+/// tag understands version 1 alone. Returns std::nullopt only when the
+/// 16-bit prefix itself is unusable.
 std::optional<HealthParseResult> ParseAnnouncementHealth(
-    const BitVector& payload);
+    const BitVector& payload,
+    std::uint8_t max_version = kHealthExtensionVersion);
 
 }  // namespace freerider::health

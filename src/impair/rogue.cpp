@@ -20,13 +20,6 @@ constexpr std::uint64_t kSlotStride = 4096;
 
 const RogueSpec kHonest{};
 
-void AppendBitsLsbFirst(BitVector& out, std::uint32_t value,
-                        std::size_t bits) {
-  for (std::size_t i = 0; i < bits; ++i) {
-    out.push_back(static_cast<Bit>((value >> i) & 1u));
-  }
-}
-
 }  // namespace
 
 const char* RogueModelName(RogueModel model) {
@@ -161,17 +154,10 @@ BitVector RogueEngine::ForgedExtension(std::size_t tag) const {
     // the checksum is no authenticator, so the parser's structural
     // validation (version, length equation, block-count bounds) is the
     // only line of defense. Most of these must die there.
-    BitVector payload = mac::BuildAnnouncement(round);
-    const std::size_t body_bits = 8 + rng.NextBelow(192);
-    AppendBitsLsbFirst(payload, health::kHealthExtensionVersion, 4);
-    AppendBitsLsbFirst(payload, static_cast<std::uint32_t>(body_bits), 8);
-    for (std::size_t i = 0; i < body_bits; ++i) {
-      payload.push_back(static_cast<Bit>(rng.NextU64() & 1u));
-    }
-    const std::uint8_t crc = transport::CrcExtension(
-        std::span<const Bit>(payload).subspan(16, payload.size() - 16));
-    AppendBitsLsbFirst(payload, crc, mac::kPlmExtCrcBits);
-    return payload;
+    BitVector body(8 + rng.NextBelow(192));
+    for (Bit& b : body) b = static_cast<Bit>(rng.NextU64() & 1u);
+    return mac::SealPlmExtension(mac::BuildAnnouncement(round),
+                                 health::kHealthExtensionVersion, body);
   }
   // The remaining corpus starts from a well-formed extension carrying
   // adversarial content (bogus acks and commands for random tags)...

@@ -4,8 +4,19 @@
 #include <cmath>
 
 #include "common/bits.h"
+#include "common/crc.h"
 
 namespace freerider::mac {
+namespace {
+
+constexpr std::size_t kPrefixBits = 16;
+constexpr std::size_t kVersionBits = 4;
+constexpr std::size_t kLengthBits = 8;
+/// Where the length field and the body start.
+constexpr std::size_t kLengthOffset = kPrefixBits + kVersionBits;
+constexpr std::size_t kBodyOffset = kPrefixBits + kPlmExtHeaderBits;
+
+}  // namespace
 
 double PlmBitRateBps(const PlmConfig& config) {
   const double mean_bit_s = 0.5 * (config.l0_s + config.l1_s) + config.gap_s;
@@ -53,13 +64,47 @@ BitVector BuildPlmMessage(std::span<const Bit> payload) {
   return message;
 }
 
+BitVector SealPlmExtension(BitVector prefix, std::uint8_t version,
+                           std::span<const Bit> body) {
+  BitVector payload = std::move(prefix);
+  AppendBitsLsbFirst(payload, version, kVersionBits);
+  AppendBitsLsbFirst(payload, static_cast<std::uint32_t>(body.size()),
+                     kLengthBits);
+  payload.insert(payload.end(), body.begin(), body.end());
+  const std::uint8_t crc =
+      Crc8(std::span<const Bit>(payload).subspan(kPrefixBits));
+  AppendBitsLsbFirst(payload, crc, kPlmExtCrcBits);
+  return payload;
+}
+
+std::optional<PlmExtension> OpenPlmExtension(std::span<const Bit> payload) {
+  // Adversarially oversized buffers are rejected before any length
+  // math runs on them.
+  constexpr std::size_t kMinSize = kBodyOffset + kPlmExtCrcBits;
+  if (payload.size() < kMinSize || payload.size() > kMaxExtendedPayloadBits) {
+    return std::nullopt;
+  }
+  const std::size_t body_bits =
+      ReadBitsLsbFirst(payload, kLengthOffset, kLengthBits);
+  if (payload.size() != kMinSize + body_bits) return std::nullopt;
+  const std::size_t crc_offset = payload.size() - kPlmExtCrcBits;
+  if (ReadBitsLsbFirst(payload, crc_offset, kPlmExtCrcBits) !=
+      Crc8(payload.subspan(kPrefixBits, crc_offset - kPrefixBits))) {
+    return std::nullopt;
+  }
+  return PlmExtension{
+      static_cast<std::uint8_t>(
+          ReadBitsLsbFirst(payload, kPrefixBits, kVersionBits)),
+      payload.subspan(kBodyOffset, body_bits)};
+}
+
 PlmMessageReceiver::PlmMessageReceiver(std::size_t payload_bits)
     : payload_bits_(std::clamp<std::size_t>(payload_bits, 1,
                                             kMaxPlmPayloadBits)),
       history_(PlmPreamble().size()) {}
 
 PlmMessageReceiver PlmMessageReceiver::ExtendedReceiver() {
-  PlmMessageReceiver receiver(16 + kPlmExtHeaderBits);
+  PlmMessageReceiver receiver(kBodyOffset);
   receiver.extended_ = true;
   return receiver;
 }
@@ -67,16 +112,14 @@ PlmMessageReceiver PlmMessageReceiver::ExtendedReceiver() {
 std::optional<BitVector> PlmMessageReceiver::PushBit(Bit bit) {
   if (collecting_) {
     pending_.push_back(bit);
-    if (extended_ && pending_.size() == 16 + kPlmExtHeaderBits) {
+    if (extended_ && pending_.size() == kBodyOffset) {
       // The fixed extension header is complete: its length field tells
       // us how much body + CRC still follows. The field is 8 bits, so
       // the target is bounded by kMaxExtendedPayloadBits whatever a
       // corrupt header claims.
-      std::size_t body_bits = 0;
-      for (std::size_t i = 0; i < 8; ++i) {
-        body_bits |= static_cast<std::size_t>(pending_[20 + i] & 1u) << i;
-      }
-      target_bits_ = 16 + kPlmExtHeaderBits + body_bits + kPlmExtCrcBits;
+      target_bits_ = kBodyOffset +
+                     ReadBitsLsbFirst(pending_, kLengthOffset, kLengthBits) +
+                     kPlmExtCrcBits;
     }
     const std::size_t target = extended_ ? target_bits_ : payload_bits_;
     if (pending_.size() >= target) {
@@ -93,7 +136,7 @@ std::optional<BitVector> PlmMessageReceiver::PushBit(Bit bit) {
     collecting_ = true;
     pending_.clear();
     // Until the header is in, the extended target is just the header.
-    target_bits_ = extended_ ? 16 + kPlmExtHeaderBits : payload_bits_;
+    target_bits_ = extended_ ? kBodyOffset : payload_bits_;
   }
   return std::nullopt;
 }

@@ -6,6 +6,7 @@
 // received bits (paper §2.4.1).
 #pragma once
 
+#include <cstdint>
 #include <optional>
 #include <span>
 #include <vector>
@@ -54,7 +55,9 @@ const BitVector& PlmPreamble();
 /// unbounded (or never-completing zero-length) message.
 inline constexpr std::size_t kMaxPlmPayloadBits = 1024;
 
-// Extended (transport-capable) announcement payload layout. The first
+// Extended announcement payload layout — the one description of the
+// versioned PLM extension; SealPlmExtension and OpenPlmExtension below
+// are the only code that writes or reads its header and CRC. The first
 // 16 bits are the legacy announcement — a legacy PlmMessageReceiver(16)
 // collects exactly those and never sees the extension, which is what
 // keeps old tags parsing new announcements' prefix. After the prefix
@@ -66,13 +69,38 @@ inline constexpr std::size_t kMaxPlmPayloadBits = 1024;
 //   [16..19]  extension version (4 bits, LSB-first)
 //   [20..27]  extension body length in bits (8 bits, LSB-first)
 //   [28..28+len)       version-defined body
-//   [28+len..28+len+8) CRC-8 over bits 16..28+len (header + body)
+//   [28+len..28+len+8) CRC-8 (common/crc.h Crc8) over bits 16..28+len
+//                      (header + body), LSB-first
+//
+// Bodies: version 1 is a run of ACK blocks (transport/ack.h); version 2
+// is two block counts, ACK blocks, then health blocks (health/wire.h).
 inline constexpr std::size_t kPlmExtHeaderBits = 12;
 inline constexpr std::size_t kPlmExtCrcBits = 8;
 /// Longest possible extended payload: prefix + header + 255-bit body +
 /// CRC. Everything a well-formed coordinator emits fits in this.
 inline constexpr std::size_t kMaxExtendedPayloadBits =
     16 + kPlmExtHeaderBits + 255 + kPlmExtCrcBits;
+
+/// Append a sealed extension to a 16-bit announcement prefix: version,
+/// body length, body, CRC-8. The body must fit the 8-bit length field
+/// (at most 255 bits); the version must fit its 4 bits.
+BitVector SealPlmExtension(BitVector prefix, std::uint8_t version,
+                           std::span<const Bit> body);
+
+/// An opened extension: its version and its body, a view into the
+/// payload it was opened from.
+struct PlmExtension {
+  std::uint8_t version = 0;
+  std::span<const Bit> body;
+};
+
+/// Open the extension of an announcement payload longer than its 16-bit
+/// prefix. std::nullopt when the payload is shorter than prefix +
+/// header + CRC or longer than kMaxExtendedPayloadBits, when the length
+/// field does not account for every bit (truncated or padded), or when
+/// the CRC-8 mismatches. The version is not judged here: whether a body
+/// is understood is the caller's decision.
+std::optional<PlmExtension> OpenPlmExtension(std::span<const Bit> payload);
 
 /// Tag-side message receiver: push decoded bits one at a time; when the
 /// newest bits match the preamble, the following `payload_bits` bits

@@ -1,5 +1,7 @@
 #include "mac/tag_mac.h"
 
+#include "common/bits.h"
+
 namespace freerider::mac {
 
 std::optional<RoundAnnouncement> ParseAnnouncement(const BitVector& payload) {
@@ -11,27 +13,17 @@ std::optional<RoundAnnouncement> ParseAnnouncementPrefix(
     const BitVector& payload) {
   if (payload.size() < 16) return std::nullopt;
   RoundAnnouncement a;
-  for (std::size_t i = 0; i < 8; ++i) {
-    // Mask to the LSB: a BitVector cell is a byte, and a corrupted
-    // producer can hand us values > 1 — those must not smear into the
-    // upper bits of the slot count.
-    a.slots |= static_cast<std::size_t>(payload[i] & 1u) << i;
-  }
-  for (std::size_t i = 0; i < 8; ++i) {
-    a.sequence |= static_cast<std::uint8_t>((payload[8 + i] & 1u) << i);
-  }
+  a.slots = ReadBitsLsbFirst(payload, 0, 8);
+  a.sequence = static_cast<std::uint8_t>(ReadBitsLsbFirst(payload, 8, 8));
   if (a.slots == 0) return std::nullopt;
   return a;
 }
 
 BitVector BuildAnnouncement(const RoundAnnouncement& announcement) {
-  BitVector payload(16, 0);
-  for (int i = 0; i < 8; ++i) {
-    payload[static_cast<std::size_t>(i)] =
-        static_cast<Bit>((announcement.slots >> i) & 1u);
-    payload[8 + static_cast<std::size_t>(i)] =
-        static_cast<Bit>((announcement.sequence >> i) & 1u);
-  }
+  BitVector payload;
+  AppendBitsLsbFirst(payload, static_cast<std::uint32_t>(announcement.slots),
+                     8);
+  AppendBitsLsbFirst(payload, announcement.sequence, 8);
   return payload;
 }
 

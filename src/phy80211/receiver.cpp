@@ -115,10 +115,7 @@ SignalInfo ParseSignal(std::span<const Bit> bits24) {
   const auto rate = RateFromSignalBits(rate_bits);
   if (!rate.has_value()) return info;
   if (bits24[4] != 0) return info;  // reserved bit
-  std::size_t length = 0;
-  for (int i = 0; i < 12; ++i) {
-    length |= static_cast<std::size_t>(bits24[5 + i]) << i;
-  }
+  const std::size_t length = ReadBitsLsbFirst(bits24, 5, 12);
   Bit parity = 0;
   for (int i = 0; i < 17; ++i) parity ^= bits24[i];
   if (parity != bits24[17]) return info;

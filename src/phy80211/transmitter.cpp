@@ -28,9 +28,7 @@ BitVector BuildSignalBits(Rate rate, std::size_t psdu_bytes) {
     bits.push_back(static_cast<Bit>((params.signal_rate_bits >> i) & 1u));
   }
   bits.push_back(0);  // reserved
-  for (int i = 0; i < 12; ++i) {
-    bits.push_back(static_cast<Bit>((psdu_bytes >> i) & 1u));
-  }
+  AppendBitsLsbFirst(bits, static_cast<std::uint32_t>(psdu_bytes), 12);
   Bit parity = 0;
   for (std::size_t i = 0; i < 17; ++i) parity ^= bits[i];
   bits.push_back(parity);

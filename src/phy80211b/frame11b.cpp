@@ -14,9 +14,7 @@ namespace {
 
 BitVector SfdBits() {
   BitVector bits;
-  for (int i = 0; i < 16; ++i) {
-    bits.push_back(static_cast<Bit>((kSfd >> i) & 1u));
-  }
+  AppendBitsLsbFirst(bits, kSfd, 16);
   return bits;
 }
 
@@ -32,10 +30,7 @@ BitVector HeaderBits(std::size_t psdu_bytes, Rate11b rate) {
   fields.push_back(static_cast<std::uint8_t>(length_us & 0xFF));
   fields.push_back(static_cast<std::uint8_t>((length_us >> 8) & 0xFF));
   BitVector bits = BytesToBits(fields);
-  const std::uint16_t crc = Crc16Ccitt(fields);
-  for (int i = 0; i < 16; ++i) {
-    bits.push_back(static_cast<Bit>((crc >> i) & 1u));
-  }
+  AppendBitsLsbFirst(bits, Crc16Ccitt(fields), 16);
   return bits;
 }
 
@@ -154,12 +149,7 @@ RxResult ReceiveFrame(const IqBuffer& rx, const RxConfig& config) {
   if (sfd_end + kPlcpHeaderBits > plain.size()) return result;
   const std::span<const Bit> header(plain.data() + sfd_end, kPlcpHeaderBits);
   const Bytes fields = BitsToBytes(header.subspan(0, 32));
-  std::uint16_t rx_crc = 0;
-  for (int i = 0; i < 16; ++i) {
-    rx_crc |= static_cast<std::uint16_t>(header[32 + static_cast<std::size_t>(i)])
-              << i;
-  }
-  if (Crc16Ccitt(fields) != rx_crc) return result;
+  if (Crc16Ccitt(fields) != ReadBitsLsbFirst(header, 32, 16)) return result;
   if (fields[0] != kSignal1Mbps && fields[0] != kSignal2Mbps) return result;
   result.rate = fields[0] == kSignal1Mbps ? Rate11b::k1Mbps : Rate11b::k2Mbps;
   result.header_ok = true;

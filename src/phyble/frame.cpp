@@ -24,9 +24,7 @@ BitVector HeaderBits(std::uint32_t access_address) {
   for (std::size_t i = 0; i < kPreambleBits; ++i) {
     bits.push_back(static_cast<Bit>(i % 2 == 0));
   }
-  for (std::size_t i = 0; i < kAccessAddressBits; ++i) {
-    bits.push_back(static_cast<Bit>((access_address >> i) & 1u));
-  }
+  AppendBitsLsbFirst(bits, access_address, kAccessAddressBits);
   return bits;
 }
 

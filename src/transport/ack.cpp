@@ -1,61 +1,44 @@
 #include "transport/ack.h"
 
+#include <algorithm>
+
+#include "common/bits.h"
 #include "mac/plm.h"
 
 namespace freerider::transport {
-namespace {
 
-void AppendBitsLsbFirst(BitVector& out, std::uint32_t value,
-                        std::size_t bits) {
-  for (std::size_t i = 0; i < bits; ++i) {
-    out.push_back(static_cast<Bit>((value >> i) & 1u));
-  }
+void AppendAckBlock(BitVector& body, const TagAck& ack) {
+  AppendBitsLsbFirst(body, ack.tag_id, 8);
+  AppendBitsLsbFirst(body, ack.cumulative, 8);
+  AppendBitsLsbFirst(body, ack.nack_bitmap, kNackBitmapBits);
 }
 
-std::uint32_t ReadBitsLsbFirst(const BitVector& bits, std::size_t offset,
-                               std::size_t count) {
-  std::uint32_t value = 0;
-  for (std::size_t i = 0; i < count; ++i) {
-    value |= static_cast<std::uint32_t>(bits[offset + i] & 1u) << i;
-  }
-  return value;
+TagAck ReadAckBlock(std::span<const Bit> body, std::size_t offset) {
+  TagAck ack;
+  ack.tag_id = static_cast<std::uint8_t>(ReadBitsLsbFirst(body, offset, 8));
+  ack.cumulative =
+      static_cast<std::uint8_t>(ReadBitsLsbFirst(body, offset + 8, 8));
+  ack.nack_bitmap = static_cast<std::uint16_t>(
+      ReadBitsLsbFirst(body, offset + 16, kNackBitmapBits));
+  return ack;
 }
 
-}  // namespace
-
-std::uint8_t CrcExtension(std::span<const Bit> bits) {
-  std::uint8_t crc = 0;
-  for (Bit b : bits) {
-    const bool msb = (crc & 0x80u) != 0;
-    crc = static_cast<std::uint8_t>((crc << 1) | (b & 1u));
-    if (msb) crc ^= 0x07u;
+std::optional<AckExtension> DecodeAckBody(std::span<const Bit> body) {
+  if (body.size() % kAckBlockBits != 0) return std::nullopt;
+  AckExtension ext;
+  for (std::size_t offset = 0; offset < body.size(); offset += kAckBlockBits) {
+    ext.acks.push_back(ReadAckBlock(body, offset));
   }
-  // Flush the 8-bit register so trailing bits affect the result.
-  for (int i = 0; i < 8; ++i) {
-    const bool msb = (crc & 0x80u) != 0;
-    crc = static_cast<std::uint8_t>(crc << 1);
-    if (msb) crc ^= 0x07u;
-  }
-  return crc;
+  return ext;
 }
 
 BitVector BuildAnnouncementExtended(const mac::RoundAnnouncement& round,
                                     const AckExtension& ext) {
-  BitVector payload = mac::BuildAnnouncement(round);
+  BitVector body;
   const std::size_t blocks = std::min(ext.acks.size(), kMaxAckBlocks);
-  AppendBitsLsbFirst(payload, kAckExtensionVersion, 4);
-  AppendBitsLsbFirst(payload,
-                     static_cast<std::uint32_t>(blocks * kAckBlockBits), 8);
-  for (std::size_t i = 0; i < blocks; ++i) {
-    const TagAck& ack = ext.acks[i];
-    AppendBitsLsbFirst(payload, ack.tag_id, 8);
-    AppendBitsLsbFirst(payload, ack.cumulative, 8);
-    AppendBitsLsbFirst(payload, ack.nack_bitmap, kNackBitmapBits);
-  }
-  const std::uint8_t crc = CrcExtension(
-      std::span<const Bit>(payload).subspan(16, payload.size() - 16));
-  AppendBitsLsbFirst(payload, crc, mac::kPlmExtCrcBits);
-  return payload;
+  for (std::size_t i = 0; i < blocks; ++i) AppendAckBlock(body, ext.acks[i]);
+  return mac::SealPlmExtension(mac::BuildAnnouncement(round),
+                               kAckExtensionVersion, body);
 }
 
 std::optional<ExtendedParseResult> ParseAnnouncementExtended(
@@ -67,54 +50,13 @@ std::optional<ExtendedParseResult> ParseAnnouncementExtended(
   result.round = *round;
   if (payload.size() == 16) return result;  // legacy, no extension
 
-  // Anything longer must carry at least the extension header + CRC and
-  // must not exceed the longest well-formed payload — adversarially
-  // oversized buffers are rejected before any length math runs on them.
-  const std::size_t min_size = 16 + mac::kPlmExtHeaderBits + mac::kPlmExtCrcBits;
-  if (payload.size() < min_size ||
-      payload.size() > mac::kMaxExtendedPayloadBits) {
-    result.ext_rejected = true;
-    return result;
+  // Future versions pass the envelope checks (they are version-
+  // independent by contract), but their body is opaque to us.
+  const auto opened = mac::OpenPlmExtension(payload);
+  if (opened.has_value() && opened->version == kAckExtensionVersion) {
+    result.ext = DecodeAckBody(opened->body);
   }
-  const std::size_t body_bits = ReadBitsLsbFirst(payload, 20, 8);
-  if (payload.size() != min_size + body_bits) {  // truncated or padded
-    result.ext_rejected = true;
-    return result;
-  }
-  const std::uint8_t declared_crc = static_cast<std::uint8_t>(
-      ReadBitsLsbFirst(payload, payload.size() - mac::kPlmExtCrcBits,
-                       mac::kPlmExtCrcBits));
-  const std::uint8_t computed_crc = CrcExtension(
-      std::span<const Bit>(payload).subspan(
-          16, payload.size() - 16 - mac::kPlmExtCrcBits));
-  if (declared_crc != computed_crc) {
-    result.ext_rejected = true;
-    return result;
-  }
-  const std::uint32_t version = ReadBitsLsbFirst(payload, 16, 4);
-  if (version != kAckExtensionVersion) {
-    // Future versions: length and CRC already validated (they are
-    // version-independent by contract), but the body is opaque to us.
-    result.ext_rejected = true;
-    return result;
-  }
-  if (body_bits % kAckBlockBits != 0) {
-    result.ext_rejected = true;
-    return result;
-  }
-
-  AckExtension ext;
-  for (std::size_t offset = 28; offset + kAckBlockBits <= 28 + body_bits;
-       offset += kAckBlockBits) {
-    TagAck ack;
-    ack.tag_id = static_cast<std::uint8_t>(ReadBitsLsbFirst(payload, offset, 8));
-    ack.cumulative =
-        static_cast<std::uint8_t>(ReadBitsLsbFirst(payload, offset + 8, 8));
-    ack.nack_bitmap = static_cast<std::uint16_t>(
-        ReadBitsLsbFirst(payload, offset + 16, kNackBitmapBits));
-    ext.acks.push_back(ack);
-  }
-  result.ext = std::move(ext);
+  result.ext_rejected = !result.ext.has_value();
   return result;
 }
 

@@ -1,11 +1,9 @@
 // Announcement ACK extension: the coordinator→tag half of the reliable
 // transport's feedback loop, piggybacked on the PLM round announcement
-// so it costs no extra downlink messages (the tag's envelope detector
-// is already listening for the announcement anyway).
+// so it costs no extra downlink messages. The envelope (version, body
+// length, CRC-8) is mac/plm.h's; this module owns the body.
 //
-// Wire format (appended to the 16-bit legacy announcement, see
-// mac/plm.h for the carrier layout): version 1's body is a sequence of
-// 32-bit ACK blocks,
+// Version 1's body is a run of 32-bit ACK blocks, all fields LSB-first:
 //
 //   tag id (8) | cumulative seq (8) | NACK bitmap (16)
 //
@@ -14,14 +12,12 @@
 // yet, i.e. next expected is 0). NACK bitmap bit i set means sequence
 // cumulative+1+i is known missing — the coordinator has already
 // received something newer, so the gap is a real loss, not just
-// in-flight data. All multi-bit fields are LSB-first, matching the
-// rest of the PLM bit plumbing.
+// in-flight data. Version 2 (health/wire.h) carries the same block.
 //
 // The 8-bit body-length field caps the body at 255 bits = 7 blocks per
 // announcement; coordinators with more tags rotate blocks round-robin
-// across rounds (the PLM downlink runs at ~1 kbps — announcement
-// airtime is the scarce resource, and stale ACK state only costs a
-// duplicate retransmission, never correctness).
+// across rounds (announcement airtime is the scarce resource, and
+// stale ACK state only costs a duplicate retransmission).
 #pragma once
 
 #include <cstdint>
@@ -29,6 +25,7 @@
 #include <span>
 #include <vector>
 
+#include "common/crc.h"
 #include "common/types.h"
 #include "mac/tag_mac.h"
 
@@ -58,10 +55,20 @@ struct AckExtension {
   bool operator==(const AckExtension&) const = default;
 };
 
-/// CRC-8 (poly 0x07, init 0) over a bit span — guards the extension so
-/// a corrupted downlink can only cost a round of ACK feedback, never
-/// fabricate acknowledgements for frames that were lost.
-std::uint8_t CrcExtension(std::span<const Bit> bits);
+/// The extension's CRC-8 (common/crc.h Crc8), by its transport name.
+inline std::uint8_t CrcExtension(std::span<const Bit> bits) {
+  return Crc8(bits);
+}
+
+/// Append one ACK block to an extension body.
+void AppendAckBlock(BitVector& body, const TagAck& ack);
+
+/// Read the ACK block starting at `offset` of an extension body.
+TagAck ReadAckBlock(std::span<const Bit> body, std::size_t offset);
+
+/// Decode an opened version-1 body: a whole number of ACK blocks, else
+/// std::nullopt.
+std::optional<AckExtension> DecodeAckBody(std::span<const Bit> body);
 
 /// Build the full extended announcement payload: legacy 16-bit prefix,
 /// extension header, version-1 ACK body, CRC. At most kMaxAckBlocks

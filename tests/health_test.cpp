@@ -568,3 +568,37 @@ TEST(HealthWireTest, LegacyAndVersion1PayloadsStillParse) {
   EXPECT_EQ(v1->acks->acks[0].cumulative, 200);
   EXPECT_FALSE(v1->health.has_value());
 }
+
+// A transport-only tag parses with max_version 1. On every payload,
+// clean or with one bit flipped, it must reach exactly the transport
+// parser's verdict: a version-2 extension is rejected, never applied.
+TEST(HealthWireTest, VersionOneTagMatchesTheTransportParser) {
+  mac::RoundAnnouncement round;
+  round.slots = 5;
+  round.sequence = 200;
+  transport::AckExtension acks;
+  acks.acks.push_back({2, 9, 0x0102});
+  health::HealthExtension cmds;
+  cmds.commands.push_back({2, false, true, 1});
+  const BitVector v2 = health::BuildAnnouncementHealth(round, acks, cmds);
+  const auto clean_v2 =
+      health::ParseAnnouncementHealth(v2, transport::kAckExtensionVersion);
+  ASSERT_TRUE(clean_v2.has_value());
+  EXPECT_TRUE(clean_v2->ext_rejected);
+
+  for (const BitVector& clean :
+       {transport::BuildAnnouncementExtended(round, acks), v2}) {
+    for (std::size_t i = 0; i <= clean.size(); ++i) {
+      BitVector payload = clean;
+      if (i < clean.size()) payload[i] ^= 1;
+      const auto tag = health::ParseAnnouncementHealth(
+          payload, transport::kAckExtensionVersion);
+      const auto v1 = transport::ParseAnnouncementExtended(payload);
+      ASSERT_EQ(tag.has_value(), v1.has_value()) << "bit " << i;
+      if (!v1.has_value()) continue;
+      EXPECT_EQ(tag->ext_rejected, v1->ext_rejected) << "bit " << i;
+      EXPECT_EQ(tag->acks, v1->ext) << "bit " << i;
+      EXPECT_FALSE(tag->health.has_value()) << "bit " << i;
+    }
+  }
+}

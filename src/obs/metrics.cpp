@@ -13,6 +13,8 @@ namespace {
 
 thread_local int tls_shard = -1;
 
+}  // namespace
+
 void AppendJsonString(std::string& out, std::string_view s) {
   out.push_back('"');
   for (char c : s) {
@@ -36,8 +38,6 @@ void AppendJsonString(std::string& out, std::string_view s) {
   }
   out.push_back('"');
 }
-
-}  // namespace
 
 void SetCurrentShard(int shard) { tls_shard = shard; }
 int CurrentShard() { return tls_shard; }

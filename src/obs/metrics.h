@@ -103,6 +103,11 @@ class MetricsRegistry {
 
 // ---- Exporters --------------------------------------------------------
 
+// Append `s` as a JSON string: quoted, with `"` and `\` escaped and
+// bytes below 0x20 written as \u00XX. The escaper of every obs JSON
+// exporter (metrics and profile spans).
+void AppendJsonString(std::string& out, std::string_view s);
+
 // Deterministic JSON document:
 // {"metrics":"<label>","values":[{"name":...,"kind":...,...},...]}
 // Histogram buckets are exported sparse as [[low,count],...].  Gauges are

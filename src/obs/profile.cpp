@@ -5,6 +5,8 @@
 #include <cinttypes>
 #include <cstdio>
 
+#include "obs/metrics.h"
+
 namespace freerider::obs {
 namespace {
 
@@ -12,30 +14,6 @@ std::int64_t MonotonicNowNs() {
   return std::chrono::duration_cast<std::chrono::nanoseconds>(
              std::chrono::steady_clock::now().time_since_epoch())
       .count();
-}
-
-void AppendJsonString(std::string& out, std::string_view s) {
-  out.push_back('"');
-  for (char c : s) {
-    const unsigned char ch = static_cast<unsigned char>(c);
-    switch (ch) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      default:
-        if (ch < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", ch);
-          out += buf;
-        } else {
-          out.push_back(c);
-        }
-    }
-  }
-  out.push_back('"');
 }
 
 }  // namespace

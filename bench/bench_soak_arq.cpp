@@ -103,7 +103,8 @@ std::vector<sim::SoakSegment> DrawSchedule(std::uint64_t seed,
 
 /// Count frames the legacy fire-and-forget stack loses under the same
 /// schedule: every fired slot either decodes (raw frame) or is gone
-/// forever — there is no retransmission to hide behind.
+/// forever — there is no retransmission to hide behind. The transport
+/// is off, so this is its own loop, not sim::RunCampaignRounds.
 struct LegacyOutcome {
   std::size_t fired = 0;
   std::size_t received = 0;
@@ -112,18 +113,14 @@ struct LegacyOutcome {
 LegacyOutcome RunLegacy(const sim::SoakConfig& soak) {
   sim::FullStackConfig config;
   config.num_tags = soak.num_tags;
-  config.rounds = soak.rounds + soak.drain_rounds;
+  config.rounds = soak.total_rounds();
   config.reserve_impairment_stream = true;
   Rng rng(soak.seed);
   sim::FullStackSim sim(config, rng);
   LegacyOutcome outcome;
-  std::size_t segment = 0;
+  sim::SoakSegmentCursor segments{soak.schedule};
   for (std::size_t round = 0; round < config.rounds; ++round) {
-    while (segment < soak.schedule.size() &&
-           soak.schedule[segment].start_round <= round) {
-      sim.SetImpairments(soak.schedule[segment].impairments);
-      ++segment;
-    }
+    segments.Apply(round, sim);
     const sim::RoundReport report = sim.StepRound();
     outcome.fired += report.fired.size();
     outcome.received += report.raw_frames;

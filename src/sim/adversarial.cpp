@@ -6,21 +6,9 @@
 #include "sim/campaign_audit.h"
 
 namespace freerider::sim {
-namespace {
-
-impair::RogueSpec SpecFor(const impair::RogueConfig& config,
-                          std::size_t tag) {
-  return tag < config.tags.size() ? config.tags[tag] : impair::RogueSpec{};
-}
-
-}  // namespace
 
 AdversarialResult RunAdversarial(const AdversarialConfig& config) {
-  FullStackConfig sim_cfg;
-  sim_cfg.num_tags = config.num_tags;
-  sim_cfg.rounds = config.rounds + config.drain_rounds;
-  sim_cfg.transport = config.transport;
-  sim_cfg.transport.enabled = true;
+  FullStackConfig sim_cfg = CampaignSimConfig(config);
   sim_cfg.transport.replay_guard = config.defenses_on;
   sim_cfg.supervisor = config.supervisor;
   sim_cfg.supervisor.enabled = true;  // both arms: off is not a strawman
@@ -29,21 +17,6 @@ AdversarialResult RunAdversarial(const AdversarialConfig& config) {
   sim_cfg.policing.enabled = config.defenses_on;
   sim_cfg.rogue = config.rogue;
   sim_cfg.dynamics = config.dynamics;
-  sim_cfg.offered_per_round = 0;  // the harness schedules offers itself
-
-  // Cast lists. A clone pollutes its victim's on-air identity, so that
-  // id leaves the victim set too (the documented sacrifice: a cloned
-  // identity cannot be served until the challenge recovery clears it).
-  std::vector<bool> is_rogue(config.num_tags, false);
-  std::vector<bool> polluted(config.num_tags, false);
-  for (std::size_t t = 0; t < config.num_tags; ++t) {
-    const impair::RogueSpec s = SpecFor(config.rogue, t);
-    if (s.model == impair::RogueModel::kNone) continue;
-    is_rogue[t] = true;
-    if (s.model == impair::RogueModel::kClone && s.clone_of < config.num_tags) {
-      polluted[s.clone_of] = true;
-    }
-  }
 
   CampaignTrace trace("adversarial", config.trace_capacity);
   sim_cfg.trace = trace.sink();
@@ -53,29 +26,39 @@ AdversarialResult RunAdversarial(const AdversarialConfig& config) {
   AdversarialResult result;
   SeqAudit audit(config.num_tags, /*skips_violate=*/false);
 
-  const std::size_t total_rounds = config.rounds + config.drain_rounds;
-  for (std::size_t round = 0; round < total_rounds; ++round) {
-    const bool offering = round < config.rounds && config.offer_every != 0 &&
-                          round % config.offer_every == 0;
-    sim.SetOfferedPerRound(offering ? 1 : 0);
-    const RoundReport report = sim.StepRound();
-    // Ground truth from the cast list: every frame an always-stale
-    // replayer ever put on the air is a replay, so *any* transport
-    // delivery on its stream is stale data reaching the application.
-    auto flag_stale = [&](const RoundReport::Delivery& d) {
-      if (SpecFor(config.rogue, d.tag_id - 1).model ==
-          impair::RogueModel::kReplayer) {
-        result.violations.Add(round, "stale_delivery",
-                              Fmt("tag=%u seq=%u", d.tag_id, d.seq));
-      }
-    };
-    audit.Observe(round, report, ResyncCounts(sim, config.num_tags),
-                  result.violations, flag_stale);
+  // Specs come from the sim's engine, so everything below shares its
+  // normalization (an out-of-range clone_of clones tag 0).
+  const impair::RogueSpec honest;
+  auto spec = [&](std::size_t tag) -> const impair::RogueSpec& {
+    return sim.rogues() != nullptr ? sim.rogues()->spec(tag) : honest;
+  };
+
+  // Ground truth from the cast list: every frame an always-stale
+  // replayer ever put on the air is a replay, so *any* transport
+  // delivery on its stream is stale data reaching the application.
+  CampaignHooks hooks;
+  hooks.on_delivery = [&](std::size_t round, const RoundReport::Delivery& d) {
+    if (spec(d.tag_id - 1).model == impair::RogueModel::kReplayer) {
+      result.violations.Add(round, "stale_delivery",
+                            Fmt("tag=%u seq=%u", d.tag_id, d.seq));
+    }
+  };
+  RunCampaignRounds(config, sim, audit, result.violations, hooks);
+
+  // The cast list. Rogues are not victims, and a clone pollutes its
+  // victim's on-air identity, so that id leaves the victim set too (the
+  // documented sacrifice: a cloned identity cannot be served until the
+  // challenge recovery clears it).
+  std::vector<bool> victim(config.num_tags, true);
+  for (std::size_t t = 0; t < config.num_tags; ++t) {
+    const impair::RogueSpec& s = spec(t);
+    if (s.model != impair::RogueModel::kNone) victim[t] = false;
+    if (s.model == impair::RogueModel::kClone) victim[s.clone_of] = false;
   }
 
   const FullStackStats stats = sim.Stats();
   for (std::size_t t = 0; t < config.num_tags; ++t) {
-    if (is_rogue[t] || polluted[t]) continue;
+    if (!victim[t]) continue;
     result.victim_offered += sim.tag_transport(t)->stats().offered;
     result.victim_delivered +=
         sim.coordinator_transport()->rx(t).stats().delivered;
@@ -107,38 +90,28 @@ AdversarialResult RunAdversarial(const AdversarialConfig& config) {
         health::MisbehaviorDetectionBound(sim_cfg.supervisor);
     const std::size_t silence_bound =
         health::QuarantineDetectionBound(sim_cfg.supervisor);
+    auto add_audit = [&](std::size_t t, std::size_t identity,
+                         std::string model, bool via_misbehavior) {
+      RogueAudit a;
+      a.tag = t;
+      a.wire_id = static_cast<std::uint8_t>(identity + 1);
+      a.model = std::move(model);
+      a.via_misbehavior = via_misbehavior;
+      a.bound = via_misbehavior ? misb_bound : silence_bound;
+      result.audits.push_back(std::move(a));
+    };
     for (std::size_t t = 0; t < config.num_tags; ++t) {
-      const impair::RogueSpec s = SpecFor(config.rogue, t);
+      const impair::RogueSpec& s = spec(t);
       switch (s.model) {
         case impair::RogueModel::kBabbler:
         case impair::RogueModel::kSlotThief:
-        case impair::RogueModel::kReplayer: {
-          RogueAudit a;
-          a.tag = t;
-          a.wire_id = static_cast<std::uint8_t>(t + 1);
-          a.model = impair::RogueModelName(s.model);
-          a.via_misbehavior = true;
-          a.bound = misb_bound;
-          result.audits.push_back(std::move(a));
+        case impair::RogueModel::kReplayer:
+          add_audit(t, t, impair::RogueModelName(s.model), true);
           break;
-        }
-        case impair::RogueModel::kClone: {
-          RogueAudit victim;
-          victim.tag = t;
-          victim.wire_id = static_cast<std::uint8_t>(s.clone_of + 1);
-          victim.model = "clone";
-          victim.via_misbehavior = true;
-          victim.bound = misb_bound;
-          result.audits.push_back(std::move(victim));
-          RogueAudit own;
-          own.tag = t;
-          own.wire_id = static_cast<std::uint8_t>(t + 1);
-          own.model = "clone_own_id";
-          own.via_misbehavior = false;
-          own.bound = silence_bound;
-          result.audits.push_back(std::move(own));
+        case impair::RogueModel::kClone:
+          add_audit(t, s.clone_of, "clone", true);
+          add_audit(t, t, "clone_own_id", false);
           break;
-        }
         case impair::RogueModel::kNone:
         case impair::RogueModel::kForger:   // junk is unattributable
         case impair::RogueModel::kFlapper:  // never frame-level illegal
@@ -166,16 +139,16 @@ AdversarialResult RunAdversarial(const AdversarialConfig& config) {
                         health::TagHealth::kQuarantined;
       if (!a.quarantined) {
         result.violations.Add(
-            total_rounds, "no_detection",
+            config.total_rounds(), "no_detection",
             Fmt("model=%s wire_id=%u", a.model.c_str(), a.wire_id));
       } else if (!a.bound_met) {
         result.violations.Add(
-            total_rounds, "detection_late",
+            config.total_rounds(), "detection_late",
             Fmt("model=%s wire_id=%u round=%zu bound=%zu", a.model.c_str(),
                 a.wire_id, a.quarantine_round, a.bound));
       } else if (!a.parked_at_end) {
         result.violations.Add(
-            total_rounds, "containment_lost",
+            config.total_rounds(), "containment_lost",
             Fmt("model=%s wire_id=%u", a.model.c_str(), a.wire_id));
       }
     }

@@ -136,13 +136,37 @@ void SeqAudit::Observe(std::size_t round, const RoundReport& report,
   }
 }
 
-std::vector<std::size_t> ResyncCounts(const FullStackSim& sim,
-                                      std::size_t num_tags) {
-  std::vector<std::size_t> counts(num_tags);
-  for (std::size_t t = 0; t < num_tags; ++t) {
-    counts[t] = sim.coordinator_transport()->rx(t).stats().resyncs;
+// ------------------------------------------------- RunCampaignRounds
+
+FullStackConfig CampaignSimConfig(const CampaignRoundsConfig& config) {
+  FullStackConfig sim_cfg;
+  sim_cfg.num_tags = config.num_tags;
+  sim_cfg.rounds = config.total_rounds();
+  sim_cfg.transport = config.transport;
+  sim_cfg.transport.enabled = true;
+  sim_cfg.offered_per_round = 0;
+  return sim_cfg;
+}
+
+void RunCampaignRounds(const CampaignRoundsConfig& config, FullStackSim& sim,
+                       SeqAudit& audit, ViolationLog& log,
+                       const CampaignHooks& hooks) {
+  std::vector<std::size_t> resyncs(config.num_tags);
+  for (std::size_t round = 0; round < config.total_rounds(); ++round) {
+    if (hooks.before_step) hooks.before_step(round);
+    const bool offering = round < config.rounds && config.offer_every != 0 &&
+                          round % config.offer_every == 0;
+    sim.SetOfferedPerRound(offering ? 1 : 0);
+    const RoundReport report = sim.StepRound();
+    for (std::size_t t = 0; t < config.num_tags; ++t) {
+      resyncs[t] = sim.coordinator_transport()->rx(t).stats().resyncs;
+    }
+    audit.Observe(round, report, resyncs, log,
+                  [&](const RoundReport::Delivery& d) {
+                    if (hooks.on_delivery) hooks.on_delivery(round, d);
+                  });
+    if (hooks.after_audit) hooks.after_audit(round);
   }
-  return counts;
 }
 
 // ----------------------------------------------------- CampaignTrace

@@ -1,6 +1,8 @@
-// The audit every full-stack campaign (sim/stress, sim/adversarial,
-// sim/soak) runs against the transport, and the record it keeps.
+// What every full-stack campaign (sim/stress, sim/adversarial,
+// sim/soak) shares: its round driver, transport audit and record.
 //
+//   * RunCampaignRounds is the one round loop. A driver adds its own
+//     sim knobs to CampaignSimConfig and its own CampaignHooks.
 //   * SeqAudit owns the sequence rule: per tag, transport deliveries
 //     and explicit hole skips advance the sequence space strictly
 //     forward. Anything else is a duplicate, a reorder or an
@@ -11,11 +13,10 @@
 //     inside every campaign result's checkpoint payload.
 //   * CampaignTrace is the flight recorder a stress or adversarial
 //     campaign carries.
-//   * CampaignConfig holds the knobs the stress and adversarial
-//     configs share.
+//   * CampaignRoundsConfig holds the fields all three configs share;
+//     CampaignConfig adds the knobs stress and adversarial share.
 //
-// Each driver keeps its own round loop and its own end-of-run audits;
-// this module holds only what all of them share.
+// Each driver keeps its sim knobs, end-of-run audits, digest and codec.
 #pragma once
 
 #include <cstdint>
@@ -29,11 +30,9 @@
 
 namespace freerider::sim {
 
-/// The schedule, transport, supervisor, dynamics and recorder knobs of a
-/// stress (sim/stress) or adversarial (sim/adversarial) campaign. Each
-/// driver's config adds its own A/B knob; the drivers force
-/// `transport.enabled` and `supervisor.enabled`.
-struct CampaignConfig {
+/// The fields every campaign config shares: seed, size, offer
+/// schedule and transport.
+struct CampaignRoundsConfig {
   std::uint64_t seed = 1;
   std::size_t num_tags = 6;
   /// Rounds with offered load.
@@ -43,6 +42,14 @@ struct CampaignConfig {
   /// Enqueue one frame per tag every this many rounds (1 = every round).
   std::size_t offer_every = 2;
   transport::TransportConfig transport;
+
+  std::size_t total_rounds() const { return rounds + drain_rounds; }
+};
+
+/// The supervisor, dynamics and recorder knobs a stress (sim/stress) or
+/// adversarial (sim/adversarial) campaign adds. Each driver's config
+/// adds its own A/B knob; the drivers force `supervisor.enabled`.
+struct CampaignConfig : CampaignRoundsConfig {
   health::SupervisorConfig supervisor;
   /// The time-varying honest channel.
   impair::DynamicsConfig dynamics;
@@ -152,9 +159,28 @@ class SeqAudit {
   bool skips_violate_;
 };
 
-/// Each tag's coordinator-side stream resync count, for SeqAudit.
-std::vector<std::size_t> ResyncCounts(const FullStackSim& sim,
-                                      std::size_t num_tags);
+/// The sim config every campaign starts from: tag and round counts,
+/// the transport forced on, and no offers of the sim's own.
+FullStackConfig CampaignSimConfig(const CampaignRoundsConfig& config);
+
+/// A driver's per-round hooks into RunCampaignRounds; each may be empty.
+struct CampaignHooks {
+  /// Before the round is stepped (schedule changes, offer gates).
+  std::function<void(std::size_t round)> before_step;
+  /// Each delivery, before the audit checks it.
+  std::function<void(std::size_t round, const RoundReport::Delivery&)>
+      on_delivery;
+  /// After the round's audit, so what it logs follows the audit's.
+  std::function<void(std::size_t round)> after_audit;
+};
+
+/// Each round: `before_step`, an offer of one frame per tag on every
+/// `offer_every`-th round before the drain, the step, the audit into
+/// `log`, then `after_audit`. `sim` runs CampaignSimConfig(config)
+/// plus the driver's knobs.
+void RunCampaignRounds(const CampaignRoundsConfig& config, FullStackSim& sim,
+                       SeqAudit& audit, ViolationLog& log,
+                       const CampaignHooks& hooks);
 
 /// The flight recorder of a stress or adversarial campaign: the newest
 /// `capacity` events in virtual (round, slot) time. Capacity 0 turns

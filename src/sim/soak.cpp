@@ -14,55 +14,36 @@
 namespace freerider::sim {
 
 SoakResult RunSoak(const SoakConfig& config) {
-  FullStackConfig sim_cfg;
-  sim_cfg.num_tags = config.num_tags;
-  sim_cfg.rounds = config.rounds + config.drain_rounds;
-  sim_cfg.transport = config.transport;
-  sim_cfg.transport.enabled = true;
+  FullStackConfig sim_cfg = CampaignSimConfig(config);
   sim_cfg.reserve_impairment_stream = true;
-  sim_cfg.offered_per_round = 0;  // the harness schedules offers itself
 
   Rng rng(config.seed);
   FullStackSim sim(sim_cfg, rng);
   SoakResult result;
   SeqAudit audit(config.num_tags, /*skips_violate=*/config.strict);
 
-  std::size_t next_segment = 0;
+  SoakSegmentCursor segments{config.schedule};
+  CampaignHooks hooks;
+  hooks.before_step = [&](std::size_t round) { segments.Apply(round, sim); };
   std::size_t prev_expired = 0;
   std::size_t prev_rejected = 0;
-  const std::size_t total_rounds = config.rounds + config.drain_rounds;
-  for (std::size_t round = 0; round < total_rounds; ++round) {
-    while (next_segment < config.schedule.size() &&
-           config.schedule[next_segment].start_round <= round) {
-      sim.SetImpairments(config.schedule[next_segment].impairments);
-      ++next_segment;
+  hooks.after_audit = [&](std::size_t round) {
+    if (!config.strict) return;
+    const FullStackStats snap = sim.Stats();
+    if (snap.transport_expired > prev_expired) {
+      result.violations.Add(
+          round, "expired",
+          Fmt("frames=%zu", snap.transport_expired - prev_expired));
     }
-    const bool offering = round < config.rounds &&
-                          config.offer_every != 0 &&
-                          round % config.offer_every == 0;
-    sim.SetOfferedPerRound(offering ? 1 : 0);
-
-    const RoundReport report = sim.StepRound();
-
-    audit.Observe(round, report, ResyncCounts(sim, config.num_tags),
-                  result.violations);
-
-    if (config.strict) {
-      const FullStackStats snap = sim.Stats();
-      if (snap.transport_expired > prev_expired) {
-        result.violations.Add(
-            round, "expired",
-            Fmt("frames=%zu", snap.transport_expired - prev_expired));
-      }
-      if (snap.transport_rejected_full > prev_rejected) {
-        result.violations.Add(
-            round, "queue-full",
-            Fmt("frames=%zu", snap.transport_rejected_full - prev_rejected));
-      }
-      prev_expired = snap.transport_expired;
-      prev_rejected = snap.transport_rejected_full;
+    if (snap.transport_rejected_full > prev_rejected) {
+      result.violations.Add(
+          round, "queue-full",
+          Fmt("frames=%zu", snap.transport_rejected_full - prev_rejected));
     }
-  }
+    prev_expired = snap.transport_expired;
+    prev_rejected = snap.transport_rejected_full;
+  };
+  RunCampaignRounds(config, sim, audit, result.violations, hooks);
 
   // End-of-drain verdicts: nothing may be stuck, and in strict mode
   // everything accepted must have been delivered (or show up above as
@@ -71,7 +52,7 @@ SoakResult RunSoak(const SoakConfig& config) {
     const transport::TagTransport* arq = sim.tag_transport(t);
     if (arq->HasPending()) {
       result.violations.Add(
-          total_rounds, "stuck",
+          config.total_rounds(), "stuck",
           Fmt("tag=%zu pending=%zu", t + 1, arq->pending()));
     }
     // Every accepted-but-undelivered frame must be explained by an
@@ -85,7 +66,7 @@ SoakResult RunSoak(const SoakConfig& config) {
         arq->stats().expired + stream.skipped + arq->pending();
     if (undelivered > explained) {
       result.violations.Add(
-          total_rounds, "lost",
+          config.total_rounds(), "lost",
           Fmt("tag=%zu offered=%zu delivered=%" PRIu64 " explained=%" PRIu64,
               t + 1, arq->stats().offered, stream.delivered, explained));
     }
@@ -585,10 +566,10 @@ std::optional<SoakReplay> ParseSoakReplay(const std::string& json,
       return Reject(error, Fmt("schedule[%zu].start_round = %zu out of range",
                                i, segment.start_round));
     }
-    // RunSoak applies segments front-to-back assuming ascending
-    // start_round; an unsorted schedule would silently apply the wrong
-    // impairment mix, which is exactly the class of quiet corruption a
-    // replay record must not carry.
+    // SoakSegmentCursor applies segments front-to-back assuming
+    // ascending start_round; an unsorted schedule would silently apply
+    // the wrong impairment mix, which is exactly the class of quiet
+    // corruption a replay record must not carry.
     if (!replay.config.schedule.empty() &&
         segment.start_round < replay.config.schedule.back().start_round) {
       return Reject(error,

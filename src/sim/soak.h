@@ -43,26 +43,30 @@ struct SoakSegment {
   impair::ImpairmentConfig impairments;
 };
 
-struct SoakConfig {
-  std::uint64_t seed = 1;
-  std::size_t num_tags = 4;
-  /// Rounds with offered load (the chaos phase).
-  std::size_t rounds = 500;
-  /// Extra rounds with no new offers so in-flight frames can finish;
-  /// the no-stuck-tag and eventual-delivery invariants are judged
-  /// after this phase. The drain runs under the last segment's mix.
-  std::size_t drain_rounds = 250;
-  /// Enqueue one frame per tag every this many rounds (1 = every
-  /// round). Offered load must sit below the collision-limited channel
-  /// capacity or "eventual delivery" is unachievable by construction.
-  std::size_t offer_every = 2;
+/// Applies a schedule sorted by start_round (ParseSoakReplay rejects
+/// any other): call Apply before stepping each round, rounds ascending,
+/// on a sim with reserve_impairment_stream.
+struct SoakSegmentCursor {
+  const std::vector<SoakSegment>& schedule;
+  std::size_t next = 0;
+
+  void Apply(std::size_t round, FullStackSim& sim) {
+    for (; next < schedule.size() && schedule[next].start_round <= round;
+         ++next) {
+      sim.SetImpairments(schedule[next].impairments);
+    }
+  }
+};
+
+/// Offered load must sit below the channel's collision-limited capacity,
+/// or eventual delivery is unachievable. The drain runs under the last
+/// segment's mix; the no-stuck and eventual invariants are judged after.
+struct SoakConfig : CampaignRoundsConfig {
   /// Strict mode: expiry, receiver hole-skips, and queue-full rejects
   /// are invariant violations (the acceptance posture). Non-strict
   /// soaks only police duplicates/reordering — for probing schedules
   /// beyond the transport's give-up envelope.
   bool strict = true;
-  /// Transport knobs; `enabled` is forced on by RunSoak.
-  transport::TransportConfig transport;
   /// Impairment schedule, sorted by start_round (segment 0 should
   /// start at round 0; rounds before the first segment run clean).
   std::vector<SoakSegment> schedule;

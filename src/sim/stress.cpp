@@ -9,19 +9,14 @@
 namespace freerider::sim {
 
 StressResult RunStress(const StressConfig& config) {
-  FullStackConfig sim_cfg;
-  sim_cfg.num_tags = config.num_tags;
-  sim_cfg.rounds = config.rounds + config.drain_rounds;
-  sim_cfg.transport = config.transport;
-  sim_cfg.transport.enabled = true;
+  FullStackConfig sim_cfg = CampaignSimConfig(config);
   sim_cfg.supervisor = config.supervisor;
   sim_cfg.supervisor.enabled = config.supervisor_on;
   sim_cfg.dynamics = config.dynamics;
-  sim_cfg.offered_per_round = 0;  // the harness schedules offers itself
   if (config.HasDeadTag()) {
     impair::BlackoutWindow death;
     death.begin_round = config.dead_round;
-    death.end_round = config.rounds + config.drain_rounds + 1;
+    death.end_round = config.total_rounds() + 1;
     death.tags = {config.dead_tag};
     sim_cfg.dynamics.blackouts.push_back(death);
   }
@@ -34,21 +29,16 @@ StressResult RunStress(const StressConfig& config) {
   StressResult result;
   SeqAudit audit(config.num_tags, /*skips_violate=*/false);
 
-  const std::size_t total_rounds = config.rounds + config.drain_rounds;
-  for (std::size_t round = 0; round < total_rounds; ++round) {
-    const bool offering = round < config.rounds && config.offer_every != 0 &&
-                          round % config.offer_every == 0;
-    sim.SetOfferedPerRound(offering ? 1 : 0);
-    // The workload stops addressing the dead tag once it dies — the
-    // way real traffic sources drop an unplugged node. Frames already
-    // queued at death stay offered (and charged) in both arms.
+  CampaignHooks hooks;
+  // The workload stops addressing the dead tag once it dies — the way
+  // real traffic sources drop an unplugged node. Frames already queued
+  // at death stay offered (and charged) in both arms.
+  hooks.before_step = [&](std::size_t round) {
     if (config.HasDeadTag() && round == config.dead_round) {
       sim.SetTagOffering(config.dead_tag, false);
     }
-    const RoundReport report = sim.StepRound();
-    audit.Observe(round, report, ResyncCounts(sim, config.num_tags),
-                  result.violations);
-  }
+  };
+  RunCampaignRounds(config, sim, audit, result.violations, hooks);
 
   const FullStackStats stats = sim.Stats();
   result.offered = stats.transport_offered;
@@ -88,12 +78,12 @@ StressResult RunStress(const StressConfig& config) {
       const transport::TagRxStats& rx =
           sim.coordinator_transport()->rx(t).stats();
       if (rx.resyncs > 0) {
-        result.violations.Add(total_rounds, "resync_healthy",
+        result.violations.Add(config.total_rounds(), "resync_healthy",
                               Fmt("tag=%zu resyncs=%zu", t + 1, rx.resyncs));
       }
       if (rx.ooo_evicted > 0) {
         result.violations.Add(
-            total_rounds, "evict_healthy",
+            config.total_rounds(), "evict_healthy",
             Fmt("tag=%zu evicted=%zu", t + 1, rx.ooo_evicted));
       }
     }
@@ -132,11 +122,11 @@ StressResult RunStress(const StressConfig& config) {
           in_quarantine && result.detection_rounds <= result.detection_bound;
       if (!in_quarantine) {
         result.violations.Add(
-            total_rounds, "no_quarantine",
+            config.total_rounds(), "no_quarantine",
             Fmt("tag=%u dead_round=%zu", dead_id, config.dead_round));
       } else if (!result.quarantine_bound_met) {
         result.violations.Add(
-            total_rounds, "quarantine_late",
+            config.total_rounds(), "quarantine_late",
             Fmt("tag=%u detection=%zu bound=%zu", dead_id,
                 result.detection_rounds, result.detection_bound));
       }

@@ -95,6 +95,25 @@ TEST(AdversarialCampaignTest, ReplayerIsEmbargoedAndNeverDelivers) {
   EXPECT_GT(result.victim_delivery, 0.9);
 }
 
+TEST(AdversarialCampaignTest, OutOfRangeCloneAuditsTheClonedIdentity) {
+  // The rogue engine maps an out-of-range clone_of to tag 0; the cast
+  // list and the audits must follow it, so the campaign is the same as
+  // an explicit clone of tag 0.
+  AdversarialConfig config = SmallCampaign(3, 25, 10);
+  config.rogue.tags[2].model = impair::RogueModel::kClone;
+  config.rogue.tags[2].clone_of = 7;
+  config.defenses_on = true;
+  const AdversarialResult out_of_range = RunAdversarial(config);
+  ASSERT_EQ(out_of_range.audits.size(), 2u);
+  EXPECT_EQ(out_of_range.audits[0].model, "clone");
+  EXPECT_EQ(out_of_range.audits[0].wire_id, 1);
+  EXPECT_EQ(out_of_range.audits[1].model, "clone_own_id");
+  EXPECT_EQ(out_of_range.audits[1].wire_id, 3);
+
+  config.rogue.tags[2].clone_of = 0;
+  EXPECT_EQ(RunAdversarial(config).digest, out_of_range.digest);
+}
+
 TEST(AdversarialCampaignTest, DeterministicDigestAndSnapshotRoundTrip) {
   AdversarialConfig config = SmallCampaign(2, 60, 20);
   config.rogue.tags[1].model = impair::RogueModel::kSlotThief;

@@ -1,6 +1,7 @@
-// The shared campaign audit (sim/campaign_audit): SeqAudit and
-// ViolationLog on synthetic round reports, then golden digests of small
-// stress, adversarial and soak campaigns.
+// The shared campaign module (sim/campaign_audit): SeqAudit and
+// ViolationLog on synthetic round reports, the round driver
+// RunCampaignRounds on its own, then golden digests of small stress,
+// adversarial and soak campaigns.
 //
 // Each case pins a 64-bit FNV-1a hash of the campaign's result digest
 // and of its checkpoint payload. The digest carries every violation
@@ -251,6 +252,101 @@ TEST(ViolationLogTest, UncappedLogWritesNoSeparateTotal) {
   expected.Str("lost");
   expected.Str("tag=2");
   EXPECT_EQ(w.Take(), expected.Take());
+}
+
+// -------------------------------------------------- RunCampaignRounds
+
+/// 10 offered rounds (offers on 0, 3, 6 and 9) and 5 drain rounds.
+sim::CampaignRoundsConfig DriverConfig() {
+  sim::CampaignRoundsConfig config;
+  config.seed = 5;
+  config.num_tags = 3;
+  config.rounds = 10;
+  config.drain_rounds = 5;
+  config.offer_every = 3;
+  return config;
+}
+
+TEST(CampaignRoundsTest, HooksSeeEveryRoundAndOffersFollowOfferEvery) {
+  const sim::CampaignRoundsConfig config = DriverConfig();
+  Rng rng(config.seed);
+  sim::FullStackSim sim(sim::CampaignSimConfig(config), rng);
+  SeqAudit audit(config.num_tags, /*skips_violate=*/false);
+  ViolationLog log;
+  std::vector<std::size_t> before;
+  std::vector<std::size_t> offer_rounds;
+  std::size_t offered = 0;
+  std::size_t deliveries = 0;
+  sim::CampaignHooks hooks;
+  hooks.before_step = [&](std::size_t round) { before.push_back(round); };
+  hooks.on_delivery = [&](std::size_t round, const RoundReport::Delivery&) {
+    EXPECT_EQ(round, before.back());
+    ++deliveries;
+  };
+  hooks.after_audit = [&](std::size_t round) {
+    EXPECT_EQ(round, before.back());
+    const std::size_t now = sim.Stats().transport_offered;
+    if (now > offered) offer_rounds.push_back(round);
+    offered = now;
+  };
+  sim::RunCampaignRounds(config, sim, audit, log, hooks);
+
+  std::vector<std::size_t> all_rounds(15);
+  for (std::size_t r = 0; r < all_rounds.size(); ++r) all_rounds[r] = r;
+  EXPECT_EQ(before, all_rounds);
+  EXPECT_EQ(sim.rounds_stepped(), 15u);
+  EXPECT_EQ(offer_rounds, (std::vector<std::size_t>{0, 3, 6, 9}));
+  const sim::FullStackStats stats = sim.Stats();
+  EXPECT_EQ(stats.transport_offered, 4 * config.num_tags);
+  EXPECT_EQ(stats.transport_rejected_full, 0u);
+  EXPECT_EQ(deliveries, stats.transport_delivered);
+  EXPECT_GT(deliveries, 0u);
+}
+
+TEST(CampaignRoundsTest, AfterAuditViolationsFollowTheAuditsOwn) {
+  // One transmission under heavy dropout: frames are lost and the
+  // receiver skips the holes, which a strict audit logs as violations.
+  sim::CampaignRoundsConfig config = DriverConfig();
+  config.rounds = 40;
+  config.drain_rounds = 30;
+  config.offer_every = 2;
+  config.transport.max_transmissions = 1;
+  config.transport.rto_rounds = 1;
+  config.transport.hole_skip_rounds = 4;
+  sim::FullStackConfig sim_cfg = sim::CampaignSimConfig(config);
+  sim_cfg.impairments.dropout.enabled = true;
+  sim_cfg.impairments.dropout.dropout_probability = 0.5;
+  sim_cfg.impairments.dropout.min_keep_fraction = 0.1;
+  sim_cfg.impairments.dropout.max_keep_fraction = 0.5;
+  Rng rng(config.seed);
+  sim::FullStackSim sim(sim_cfg, rng);
+  SeqAudit audit(config.num_tags, /*skips_violate=*/true);
+  ViolationLog log;
+  sim::CampaignHooks hooks;
+  hooks.after_audit = [&](std::size_t round) { log.Add(round, "after", ""); };
+  sim::RunCampaignRounds(config, sim, audit, log, hooks);
+
+  // Per round: the audit's records, then exactly one "after".
+  std::size_t audit_records = 0;
+  std::size_t round = 0;
+  bool after_seen = false;
+  for (const sim::CampaignViolation& v : log.records()) {
+    if (v.round != round) {
+      EXPECT_TRUE(after_seen) << "round " << round;
+      EXPECT_EQ(v.round, round + 1);
+      round = v.round;
+      after_seen = false;
+    }
+    EXPECT_FALSE(after_seen) << "record after the hook in round " << round;
+    if (v.kind == "after") {
+      after_seen = true;
+    } else {
+      ++audit_records;
+    }
+  }
+  EXPECT_TRUE(after_seen);
+  EXPECT_EQ(round + 1, config.total_rounds());
+  EXPECT_GT(audit_records, 0u);
 }
 
 // ----------------------------------------------------- golden digests

@@ -17,18 +17,29 @@ double ReceiverFrontEnd::NoiseFloorDbm() const {
 }
 
 IqBuffer ToAbsolutePower(std::span<const Cplx> waveform, double power_dbm) {
+  IqBuffer out(waveform.begin(), waveform.end());
+  ToAbsolutePowerInPlace(out, power_dbm);
+  return out;
+}
+
+void ToAbsolutePowerInPlace(std::span<Cplx> waveform, double power_dbm) {
   const double current = dsp::MeanPower(waveform);
-  if (current <= 0.0) return IqBuffer(waveform.begin(), waveform.end());
-  const double target = DbmToWatts(power_dbm);
-  return dsp::ScaleAmplitude(waveform, std::sqrt(target / current));
+  if (current <= 0.0) return;
+  const double gain = std::sqrt(DbmToWatts(power_dbm) / current);
+  for (auto& x : waveform) x *= gain;
 }
 
 IqBuffer AddThermalNoise(std::span<const Cplx> waveform,
                          const ReceiverFrontEnd& fe, Rng& rng) {
-  const double sigma = std::sqrt(fe.NoiseFloorWatts());
   IqBuffer out(waveform.begin(), waveform.end());
-  for (auto& x : out) x += sigma * rng.NextComplexGaussian();
+  AddThermalNoiseInPlace(out, fe, rng);
   return out;
+}
+
+void AddThermalNoiseInPlace(std::span<Cplx> waveform,
+                            const ReceiverFrontEnd& fe, Rng& rng) {
+  const double sigma = std::sqrt(fe.NoiseFloorWatts());
+  for (auto& x : waveform) x += sigma * rng.NextComplexGaussian();
 }
 
 IqBuffer ApplyLink(std::span<const Cplx> tx_waveform, double rx_power_dbm,

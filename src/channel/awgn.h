@@ -35,8 +35,15 @@ IqBuffer ApplyLink(std::span<const Cplx> tx_waveform, double rx_power_dbm,
 IqBuffer AddThermalNoise(std::span<const Cplx> waveform,
                          const ReceiverFrontEnd& fe, Rng& rng);
 
+/// AddThermalNoise in place: the same draws, the same sums.
+void AddThermalNoiseInPlace(std::span<Cplx> waveform,
+                            const ReceiverFrontEnd& fe, Rng& rng);
+
 /// Scale a waveform to an absolute mean power without adding noise.
 IqBuffer ToAbsolutePower(std::span<const Cplx> waveform, double power_dbm);
+
+/// ToAbsolutePower in place (a zero-power waveform is left as it is).
+void ToAbsolutePowerInPlace(std::span<Cplx> waveform, double power_dbm);
 
 /// SNR (dB) implied by a receive power and front end.
 double SnrDb(double rx_power_dbm, const ReceiverFrontEnd& fe);

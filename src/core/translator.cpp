@@ -105,11 +105,22 @@ double TagBitRateBps(const TranslateConfig& config) {
 
 IqBuffer Translate(std::span<const Cplx> excitation,
                    std::span<const Bit> tag_bits, const TranslateConfig& config) {
+  IqBuffer out(excitation.size());
+  TranslateInto(excitation, tag_bits, config, out);
+  return out;
+}
+
+void TranslateInto(std::span<const Cplx> excitation,
+                   std::span<const Bit> tag_bits, const TranslateConfig& config,
+                   std::span<Cplx> out) {
   if (config.redundancy == 0) {
     throw std::invalid_argument("Translate: redundancy must be >= 1");
   }
   if (config.quaternary && config.radio != RadioType::kWifi) {
     throw std::invalid_argument("quaternary mode is only defined for OFDM WiFi");
+  }
+  if (out.size() != excitation.size()) {
+    throw std::invalid_argument("Translate: output must be excitation-sized");
   }
   const std::size_t start = ModulationStartSamples(config.radio);
   const std::size_t window = SamplesPerCodeword(config.radio) * config.redundancy;
@@ -123,15 +134,17 @@ IqBuffer Translate(std::span<const Cplx> excitation,
   const double rate_factor = 1.0 + config.tag_clock_ppm * 1e-6;
 
   if (config.radio == RadioType::kBluetooth) {
-    BitVector flags(num_windows, 0);
+    thread_local BitVector flags;
+    flags.assign(num_windows, 0);
     for (std::size_t w = 0; w < num_windows && w < tag_bits.size(); ++w) {
       flags[w] = tag_bits[w];
     }
     if (!drifted) {
-      return tag::ApplyFskTogglePlan(excitation, start, window, flags,
-                                     phyble::kTagDeltaFHz,
-                                     SampleRate(config.radio),
-                                     config.conversion_amplitude);
+      tag::ApplyFskTogglePlanInto(excitation, start, window, flags,
+                                  phyble::kTagDeltaFHz,
+                                  SampleRate(config.radio),
+                                  config.conversion_amplitude, out);
+      return;
     }
     // A fast/slow ring oscillator scales the Δf toggle and the window
     // clock together; the slip shifts where modulation begins.
@@ -139,13 +152,15 @@ IqBuffer Translate(std::span<const Cplx> excitation,
         SlippedStart(start, config.start_slip_samples, excitation.size());
     const auto window_eff = static_cast<std::size_t>(std::max(
         1.0, static_cast<double>(window) * std::max(rate_factor, 1e-3) + 0.5));
-    return tag::ApplyFskTogglePlan(excitation, start_eff, window_eff, flags,
-                                   phyble::kTagDeltaFHz * rate_factor,
-                                   SampleRate(config.radio),
-                                   config.conversion_amplitude);
+    tag::ApplyFskTogglePlanInto(excitation, start_eff, window_eff, flags,
+                                phyble::kTagDeltaFHz * rate_factor,
+                                SampleRate(config.radio),
+                                config.conversion_amplitude, out);
+    return;
   }
 
-  std::vector<double> phases(num_windows, 0.0);
+  thread_local std::vector<double> phases;
+  phases.assign(num_windows, 0.0);
   if (config.quaternary) {
     for (std::size_t w = 0; w < num_windows; ++w) {
       const std::size_t b0 = 2 * w;
@@ -160,12 +175,10 @@ IqBuffer Translate(std::span<const Cplx> excitation,
     }
   }
 
-  tag::PhasePlan plan;
   if (!drifted) {
-    plan.start_sample = start;
-    plan.samples_per_window = window;
-    plan.window_phases = std::move(phases);
-    return tag::ApplyPhasePlan(excitation, plan, config.conversion_amplitude);
+    tag::ApplyPhasePlanInto(excitation, start, window, phases,
+                            config.conversion_amplitude, out);
+    return;
   }
   // Drifted boundaries: express the plan per-sample (window length 1)
   // so fractional boundary positions survive — window w of the tag's
@@ -176,16 +189,16 @@ IqBuffer Translate(std::span<const Cplx> excitation,
       SlippedStart(start, config.start_slip_samples, excitation.size());
   const double window_eff =
       std::max(1e-3, static_cast<double>(window) * rate_factor);
-  plan.start_sample = start_eff;
-  plan.samples_per_window = 1;
-  plan.window_phases.assign(
+  thread_local std::vector<double> sample_phases;
+  sample_phases.assign(
       excitation.size() > start_eff ? excitation.size() - start_eff : 0, 0.0);
-  for (std::size_t i = 0; i < plan.window_phases.size(); ++i) {
+  for (std::size_t i = 0; i < sample_phases.size(); ++i) {
     const auto w =
         static_cast<std::size_t>(static_cast<double>(i) / window_eff);
-    if (w < phases.size()) plan.window_phases[i] = phases[w];
+    if (w < phases.size()) sample_phases[i] = phases[w];
   }
-  return tag::ApplyPhasePlan(excitation, plan, config.conversion_amplitude);
+  tag::ApplyPhasePlanInto(excitation, start_eff, 1, sample_phases,
+                          config.conversion_amplitude, out);
 }
 
 }  // namespace freerider::core

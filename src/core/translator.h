@@ -77,6 +77,13 @@ struct TranslateConfig {
 IqBuffer Translate(std::span<const Cplx> excitation,
                    std::span<const Bit> tag_bits, const TranslateConfig& config);
 
+/// Allocation-free Translate: writes all of `out`, which must be
+/// excitation-sized (it may alias `excitation`). The window plan lives
+/// in thread-local scratch. Byte-identical to Translate.
+void TranslateInto(std::span<const Cplx> excitation,
+                   std::span<const Bit> tag_bits, const TranslateConfig& config,
+                   std::span<Cplx> out);
+
 /// Number of tag bits one excitation frame of `waveform_samples` can
 /// carry under `config`.
 std::size_t TagBitCapacity(std::size_t waveform_samples,

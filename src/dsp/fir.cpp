@@ -10,7 +10,13 @@ FirFilter::FirFilter(std::vector<double> taps) : taps_(std::move(taps)) {
 }
 
 IqBuffer FirFilter::Filter(std::span<const Cplx> input) const {
-  IqBuffer out(input.size(), Cplx{0.0, 0.0});
+  IqBuffer out;
+  FilterInto(input, out);
+  return out;
+}
+
+void FirFilter::FilterInto(std::span<const Cplx> input, IqBuffer& out) const {
+  out.resize(input.size());
   // Center the group delay so output stays time-aligned with input.
   const std::ptrdiff_t delay = static_cast<std::ptrdiff_t>(taps_.size() / 2);
   for (std::size_t n = 0; n < input.size(); ++n) {
@@ -24,7 +30,6 @@ IqBuffer FirFilter::Filter(std::span<const Cplx> input) const {
     }
     out[n] = acc;
   }
-  return out;
 }
 
 std::vector<double> LowPassTaps(double cutoff_norm, std::size_t num_taps) {

@@ -22,6 +22,10 @@ class FirFilter {
   /// y[n] = sum_k taps[k] * x[n-k], same length as input.
   IqBuffer Filter(std::span<const Cplx> input) const;
 
+  /// Allocation-free Filter: `out` (which must not alias `input`) is
+  /// resized to the input length and fully rewritten.
+  void FilterInto(std::span<const Cplx> input, IqBuffer& out) const;
+
   const std::vector<double>& taps() const { return taps_; }
 
  private:

@@ -58,6 +58,10 @@ std::size_t PeakIndex(std::span<const Cplx> input);
 /// the longer tail is kept). Models superposition at a receiver antenna.
 IqBuffer AddSignals(std::span<const Cplx> a, std::span<const Cplx> b);
 
+/// AddSignals(acc, b) written over `acc` (b no longer than acc), with
+/// the same `0 + a + b` sums: a -0.0 in `acc` becomes +0.0 as there.
+void AddSignalsInPlace(std::span<Cplx> acc, std::span<const Cplx> b);
+
 /// Scale amplitude by `gain` (linear amplitude, not power).
 IqBuffer ScaleAmplitude(std::span<const Cplx> input, double gain);
 

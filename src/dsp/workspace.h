@@ -1,7 +1,8 @@
-// Per-thread scratch arena for the allocation-free RX fast path.
+// Per-thread scratch arena for the allocation-free 802.11 fast paths.
 //
 // Every buffer the 802.11 receive chain needs between "raw samples in"
-// and "decoded bits out" lives here, so the steady-state decode of a
+// and "decoded bits out", and every intermediate stream of the frame
+// builder, lives here, so the steady-state decode (or build) of a
 // frame performs zero heap allocations: each vector is resized (or
 // cleared and refilled) in place, and after the first frame through a
 // given workspace all capacities are warm. The workspace carries no
@@ -54,6 +55,14 @@ struct Workspace {
 
   // --- Viterbi scratch ---
   std::vector<std::uint8_t> vit_decisions;  ///< steps x 64 survivor bytes.
+
+  // --- 802.11 TX (BuildFrameInto) ---
+  BitVector tx_signal;              ///< SIGNAL field bits.
+  BitVector tx_scrambled;           ///< Scrambled DATA field bits.
+  BitVector tx_mother;              ///< Rate-1/2 encoder output.
+  BitVector tx_coded;               ///< Punctured coded bits.
+  BitVector tx_interleaved;         ///< Interleaved coded bits.
+  IqBuffer tx_points;               ///< Mapped constellation points.
 };
 
 /// The calling thread's lazily-constructed scratch arena.

@@ -59,7 +59,13 @@ FrameFaults FaultInjector::DrawFrame() {
 
 IqBuffer FaultInjector::ApplyCfo(IqBuffer wave, double cfo_hz,
                                  double sample_rate_hz) {
-  if (cfo_hz == 0.0 || sample_rate_hz <= 0.0 || wave.empty()) return wave;
+  ApplyCfoInPlace(wave, cfo_hz, sample_rate_hz);
+  return wave;
+}
+
+void FaultInjector::ApplyCfoInPlace(std::span<Cplx> wave, double cfo_hz,
+                                    double sample_rate_hz) {
+  if (cfo_hz == 0.0 || sample_rate_hz <= 0.0 || wave.empty()) return;
   const double dphi = kTwoPi * cfo_hz / sample_rate_hz;
   double phase = 0.0;
   for (auto& x : wave) {
@@ -69,10 +75,9 @@ IqBuffer FaultInjector::ApplyCfo(IqBuffer wave, double cfo_hz,
     if (phase < -kTwoPi) phase += kTwoPi;
   }
   ++counters_.cfo_rotations;
-  return wave;
 }
 
-void FaultInjector::ApplyDropout(IqBuffer& excitation,
+void FaultInjector::ApplyDropout(std::span<Cplx> excitation,
                                  const FrameFaults& faults) {
   if (!faults.drop_excitation || excitation.empty()) return;
   const double keep = std::clamp(faults.keep_fraction, 0.0, 1.0);
@@ -86,7 +91,8 @@ void FaultInjector::ApplyDropout(IqBuffer& excitation,
   ++counters_.excitation_dropouts;
 }
 
-void FaultInjector::ApplyInterferer(IqBuffer& rx, const FrameFaults& faults) {
+void FaultInjector::ApplyInterferer(std::span<Cplx> rx,
+                                    const FrameFaults& faults) {
   if (!faults.interferer || rx.empty()) return;
   const double start = std::clamp(faults.interferer_start_fraction, 0.0, 1.0);
   const double span = std::clamp(faults.interferer_span_fraction, 0.0, 1.0);

@@ -33,6 +33,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "common/rng.h"
@@ -169,14 +170,22 @@ class FaultInjector {
 
   /// Rotate a backscattered waveform by the drawn CFO.
   IqBuffer ApplyCfo(IqBuffer wave, double cfo_hz, double sample_rate_hz);
+  void ApplyCfoInPlace(std::span<Cplx> wave, double cfo_hz,
+                       double sample_rate_hz);
 
   /// Truncate the excitation: samples past keep_fraction become
   /// silent air (the sender deferred; the tag reflects nothing).
-  void ApplyDropout(IqBuffer& excitation, const FrameFaults& faults);
+  void ApplyDropout(std::span<Cplx> excitation, const FrameFaults& faults);
+
+  /// Count the dropout of an excitation that was never rendered (no tag
+  /// reflected in its slot): the sender still stopped mid-frame.
+  void CountUnrenderedDropout(const FrameFaults& faults) {
+    if (faults.drop_excitation) ++counters_.excitation_dropouts;
+  }
 
   /// Add the interferer burst (complex Gaussian at burst power) over
   /// the drawn span of the receive buffer.
-  void ApplyInterferer(IqBuffer& rx, const FrameFaults& faults);
+  void ApplyInterferer(std::span<Cplx> rx, const FrameFaults& faults);
 
   /// Record that a frame went out with drifted/slipped window
   /// boundaries (the slip itself is applied inside core::Translate,

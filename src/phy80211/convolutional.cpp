@@ -144,28 +144,37 @@ void TracebackPlanes(const std::uint8_t* decisions, std::size_t steps,
 
 BitVector ConvolutionalEncode(std::span<const Bit> bits) {
   BitVector out;
-  out.reserve(bits.size() * 2);
-  int state = 0;
-  for (Bit b : bits) {
-    Bit a = 0;
-    Bit c = 0;
-    BranchOutputs(state, b, a, c);
-    out.push_back(a);
-    out.push_back(c);
-    state = ((state << 1) | b) & (kNumStates - 1);
-  }
+  ConvolutionalEncodeInto(bits, out);
   return out;
 }
 
+void ConvolutionalEncodeInto(std::span<const Bit> bits, BitVector& out) {
+  out.resize(bits.size() * 2);
+  int state = 0;
+  for (std::size_t i = 0; i < bits.size(); ++i) {
+    const Bit b = bits[i];
+    BranchOutputs(state, b, out[2 * i], out[2 * i + 1]);
+    state = ((state << 1) | b) & (kNumStates - 1);
+  }
+}
+
 BitVector Puncture(std::span<const Bit> coded, CodingRate rate) {
-  if (rate == CodingRate::kHalf) return BitVector(coded.begin(), coded.end());
-  const auto mask = KeepMask(rate);
   BitVector out;
+  PunctureInto(coded, rate, out);
+  return out;
+}
+
+void PunctureInto(std::span<const Bit> coded, CodingRate rate, BitVector& out) {
+  out.clear();
+  if (rate == CodingRate::kHalf) {
+    out.insert(out.end(), coded.begin(), coded.end());
+    return;
+  }
+  const auto mask = KeepMask(rate);
   out.reserve(coded.size());
   for (std::size_t i = 0; i < coded.size(); ++i) {
     if (mask[i % mask.size()]) out.push_back(coded[i]);
   }
-  return out;
 }
 
 BitVector Depuncture(std::span<const Bit> punctured, CodingRate rate,

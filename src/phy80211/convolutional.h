@@ -24,6 +24,11 @@ BitVector ConvolutionalEncode(std::span<const Bit> bits);
 /// (clause 17.3.5.7 puncturing patterns). kHalf is the identity.
 BitVector Puncture(std::span<const Bit> coded, CodingRate rate);
 
+/// Allocation-free ConvolutionalEncode / Puncture for the TX path
+/// (`out` is cleared and refilled; it must not alias the input).
+void ConvolutionalEncodeInto(std::span<const Bit> bits, BitVector& out);
+void PunctureInto(std::span<const Bit> coded, CodingRate rate, BitVector& out);
+
 /// Re-insert erasure markers (value 2) at punctured positions so the
 /// Viterbi decoder can skip them. `num_mother_bits` is the length of
 /// the original rate-1/2 stream.

@@ -92,7 +92,22 @@ BitVector ApplyPerSymbol(std::span<const Bit> bits, const RateParams& rate,
 }  // namespace
 
 BitVector InterleaveStream(std::span<const Bit> bits, const RateParams& rate) {
-  return ApplyPerSymbol(bits, rate, &InterleaveSymbol);
+  BitVector out;
+  InterleaveStreamInto(bits, rate, out);
+  return out;
+}
+
+void InterleaveStreamInto(std::span<const Bit> bits, const RateParams& rate,
+                          BitVector& out) {
+  const std::size_t ncbps = rate.coded_bits_per_symbol;
+  if (bits.size() % ncbps != 0) {
+    throw std::invalid_argument("stream length not a multiple of N_CBPS");
+  }
+  const auto& perm = CachedPermutation(rate);
+  out.resize(bits.size());
+  for (std::size_t off = 0; off < bits.size(); off += ncbps) {
+    for (std::size_t k = 0; k < ncbps; ++k) out[off + perm[k]] = bits[off + k];
+  }
 }
 
 BitVector DeinterleaveStream(std::span<const Bit> bits, const RateParams& rate) {

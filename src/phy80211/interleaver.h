@@ -23,6 +23,11 @@ BitVector DeinterleaveSymbol(std::span<const Bit> bits, const RateParams& rate);
 BitVector InterleaveStream(std::span<const Bit> bits, const RateParams& rate);
 BitVector DeinterleaveStream(std::span<const Bit> bits, const RateParams& rate);
 
+/// Allocation-free InterleaveStream: one pass over the whole stream
+/// (`out` must not alias `bits`; it is resized to `bits.size()`).
+void InterleaveStreamInto(std::span<const Bit> bits, const RateParams& rate,
+                          BitVector& out);
+
 /// Allocation-free variants for the RX fast path (`out` must not alias
 /// the input; it is resized to N_CBPS). The soft form deinterleaves one
 /// symbol of soft metrics with the same permutation as the bits.

@@ -51,17 +51,6 @@ const std::array<StfEntry, 12>& StfEntries() {
   return entries;
 }
 
-IqBuffer IfftWithCp(std::span<const Cplx> bins, std::size_t cp_len) {
-  IqBuffer time(bins.begin(), bins.end());
-  dsp::Ifft(time);
-  IqBuffer out;
-  out.reserve(cp_len + time.size());
-  out.insert(out.end(), time.end() - static_cast<std::ptrdiff_t>(cp_len),
-             time.end());
-  out.insert(out.end(), time.begin(), time.end());
-  return out;
-}
-
 // Amplitude scale applied after the (1/N-normalized) IFFT so a symbol
 // with 52 unit-power subcarriers has unit mean time-domain power.
 const double kTimeScale =
@@ -95,10 +84,20 @@ Cplx LtfSymbolAt(int subcarrier) {
 
 IqBuffer ModulateSymbol(std::span<const Cplx> data_points,
                         std::size_t symbol_index) {
+  IqBuffer symbol(kSymbolLen);
+  ModulateSymbolInto(data_points, symbol_index, symbol);
+  return symbol;
+}
+
+void ModulateSymbolInto(std::span<const Cplx> data_points,
+                        std::size_t symbol_index, std::span<Cplx> out) {
   if (data_points.size() != kNumDataSubcarriers) {
     throw std::invalid_argument("ModulateSymbol: need 48 data points");
   }
-  IqBuffer bins(kFftSize, Cplx{0.0, 0.0});
+  if (out.size() != kSymbolLen) {
+    throw std::invalid_argument("ModulateSymbol: need an 80-sample output");
+  }
+  std::array<Cplx, kFftSize> bins{};
   const auto& sc = DataSubcarriers();
   for (std::size_t i = 0; i < sc.size(); ++i) {
     bins[BinIndex(sc[i])] = data_points[i];
@@ -109,11 +108,16 @@ IqBuffer ModulateSymbol(std::span<const Cplx> data_points,
   bins[BinIndex(-7)] = polarity;
   bins[BinIndex(7)] = polarity;
   bins[BinIndex(21)] = -polarity;
-  // Scale so time-domain mean power is ~1 regardless of the 64-pt IFFT
+  dsp::Ifft(bins);
+  // CP (the last 16 time samples), then the 64-sample symbol, scaled so
+  // time-domain mean power is ~1 regardless of the 64-pt IFFT
   // normalization (52 live bins / 64 bins).
-  IqBuffer symbol = IfftWithCp(bins, kCpLen);
-  for (auto& x : symbol) x *= kTimeScale;
-  return symbol;
+  for (std::size_t n = 0; n < kCpLen; ++n) {
+    out[n] = bins[kFftSize - kCpLen + n] * kTimeScale;
+  }
+  for (std::size_t n = 0; n < kFftSize; ++n) {
+    out[kCpLen + n] = bins[n] * kTimeScale;
+  }
 }
 
 IqBuffer DemodulateSymbol(std::span<const Cplx> symbol80) {

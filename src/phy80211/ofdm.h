@@ -28,6 +28,11 @@ Cplx LtfSymbolAt(int subcarrier);
 IqBuffer ModulateSymbol(std::span<const Cplx> data_points,
                         std::size_t symbol_index);
 
+/// Allocation-free ModulateSymbol: the IFFT runs in place on a stack
+/// array and CP + symbol are written straight into `out` (80 samples).
+void ModulateSymbolInto(std::span<const Cplx> data_points,
+                        std::size_t symbol_index, std::span<Cplx> out);
+
 /// FFT of the useful part of one received symbol (the 64 samples after
 /// the CP); returns the 64 frequency bins in FFT order.
 IqBuffer DemodulateSymbol(std::span<const Cplx> symbol80);

@@ -38,10 +38,15 @@ BitVector DemodulateLocked(std::span<const Cplx> rx, std::size_t start,
 }  // namespace
 
 TxFrame BuildFrame(std::span<const std::uint8_t> payload) {
+  TxFrame frame;
+  BuildFrameInto(payload, frame);
+  return frame;
+}
+
+void BuildFrameInto(std::span<const std::uint8_t> payload, TxFrame& frame) {
   if (payload.size() + 2 > kMaxPsduBytes) {
     throw std::invalid_argument("802.15.4 payload too large");
   }
-  TxFrame frame;
   frame.psdu.assign(payload.begin(), payload.end());
   const std::uint16_t fcs = Crc16Ccitt(payload);
   frame.psdu.push_back(static_cast<std::uint8_t>(fcs & 0xFFu));
@@ -53,13 +58,12 @@ TxFrame BuildFrame(std::span<const std::uint8_t> payload) {
   Bytes phr_and_psdu;
   phr_and_psdu.push_back(static_cast<std::uint8_t>(frame.psdu.size() & 0x7Fu));
   phr_and_psdu.insert(phr_and_psdu.end(), frame.psdu.begin(), frame.psdu.end());
-  const std::vector<std::uint8_t> data_symbols = BytesToSymbols(phr_and_psdu);
-  symbols.insert(symbols.end(), data_symbols.begin(), data_symbols.end());
+  frame.data_symbols = BytesToSymbols(phr_and_psdu);
+  symbols.insert(symbols.end(), frame.data_symbols.begin(),
+                 frame.data_symbols.end());
 
-  frame.data_symbols = data_symbols;
-  frame.waveform = ModulateChips(SpreadSymbols(symbols));
+  ModulateChipsInto(SpreadSymbols(symbols), frame.waveform);
   frame.shr_samples = shr_count * kSamplesPerSymbol;
-  return frame;
 }
 
 double FrameDurationS(const TxFrame& frame) {

@@ -27,6 +27,10 @@ struct TxFrame {
 /// kMaxPsduBytes - 2).
 TxFrame BuildFrame(std::span<const std::uint8_t> payload);
 
+/// BuildFrame into a reused frame: the waveform keeps its capacity, so a
+/// warm frame rebuilds without a capture-sized allocation.
+void BuildFrameInto(std::span<const std::uint8_t> payload, TxFrame& frame);
+
 struct RxConfig {
   double detection_threshold = 0.5;  ///< Normalized SHR correlation.
 };

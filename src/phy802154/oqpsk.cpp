@@ -31,11 +31,17 @@ std::size_t WaveformLength(std::size_t num_chips) {
 }
 
 IqBuffer ModulateChips(std::span<const Bit> chips) {
+  IqBuffer out;
+  ModulateChipsInto(chips, out);
+  return out;
+}
+
+void ModulateChipsInto(std::span<const Bit> chips, IqBuffer& out) {
   if (chips.size() % 2 != 0) {
     throw std::invalid_argument("ModulateChips: chip count must be even");
   }
   const auto& pulse = HalfSinePulse();
-  IqBuffer out(WaveformLength(chips.size()), Cplx{0.0, 0.0});
+  out.assign(WaveformLength(chips.size()), Cplx{0.0, 0.0});
   for (std::size_t k = 0; k < chips.size(); ++k) {
     // Chip k's pulse starts at k * Tc; even -> I, odd -> Q.
     const std::size_t start = k * kSamplesPerChip;
@@ -51,7 +57,6 @@ IqBuffer ModulateChips(std::span<const Bit> chips) {
   // Mean power of sin^2 on each rail is 0.5; both rails active at any
   // instant gives ~1.0 total. Normalize exactly: |I|^2+|Q|^2 averages
   // to 1 when each rail is a continuous stream of half-sines.
-  return out;
 }
 
 BitVector DemodulateChips(std::span<const Cplx> rx, std::size_t start,

@@ -16,6 +16,9 @@ namespace freerider::phy802154 {
 /// Chip count must be even.
 IqBuffer ModulateChips(std::span<const Bit> chips);
 
+/// Allocation-free ModulateChips: `out` is resized and fully rewritten.
+void ModulateChipsInto(std::span<const Bit> chips, IqBuffer& out);
+
 /// Number of output samples for n chips.
 std::size_t WaveformLength(std::size_t num_chips);
 

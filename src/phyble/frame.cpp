@@ -32,10 +32,16 @@ BitVector HeaderBits(std::uint32_t access_address) {
 
 TxFrame BuildFrame(std::span<const std::uint8_t> payload,
                    const TxConfig& config) {
+  TxFrame frame;
+  BuildFrameInto(payload, config, frame);
+  return frame;
+}
+
+void BuildFrameInto(std::span<const std::uint8_t> payload,
+                    const TxConfig& config, TxFrame& frame) {
   if (payload.size() > kMaxPayloadBytes) {
     throw std::invalid_argument("BLE payload too large");
   }
-  TxFrame frame;
   frame.payload.assign(payload.begin(), payload.end());
 
   // PDU = length byte + payload.
@@ -46,19 +52,17 @@ TxFrame BuildFrame(std::span<const std::uint8_t> payload,
 
   // CRC over PDU bits, transmitted MSB (bit 23) first.
   const std::uint32_t crc = Crc24Ble(frame.pdu_bits);
-  BitVector pdu_crc = frame.pdu_bits;
+  frame.stream_bits = frame.pdu_bits;
   for (int i = 23; i >= 0; --i) {
-    pdu_crc.push_back(static_cast<Bit>((crc >> i) & 1u));
+    frame.stream_bits.push_back(static_cast<Bit>((crc >> i) & 1u));
   }
 
-  frame.stream_bits = pdu_crc;
-  const BitVector whitened = Whiten(pdu_crc, config.channel_index);
+  const BitVector whitened = Whiten(frame.stream_bits, config.channel_index);
   frame.air_bits = HeaderBits(config.access_address);
   frame.header_bits = frame.air_bits.size();
   frame.air_bits.insert(frame.air_bits.end(), whitened.begin(), whitened.end());
 
-  frame.waveform = ModulateBits(frame.air_bits);
-  return frame;
+  ModulateBitsInto(frame.air_bits, frame.waveform);
 }
 
 double FrameDurationS(const TxFrame& frame) {
@@ -71,8 +75,11 @@ RxResult ReceiveFrame(const IqBuffer& rx, const RxConfig& config) {
   const std::size_t header_samples = header.size() * kSamplesPerBit;
   if (rx.size() < header_samples + kSamplesPerBit) return result;
 
-  const IqBuffer filtered = ChannelFilter(rx);
-  const std::vector<double> freq = Discriminate(filtered);
+  // Capture-sized scratch, fully rewritten per frame.
+  thread_local IqBuffer filtered;
+  thread_local std::vector<double> freq;
+  ChannelFilterInto(rx, filtered);
+  DiscriminateInto(filtered, freq);
 
   // Slide over candidate start samples; score = fraction of header bits
   // whose center-frequency sign matches.

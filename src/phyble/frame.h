@@ -31,6 +31,11 @@ struct TxFrame {
 TxFrame BuildFrame(std::span<const std::uint8_t> payload,
                    const TxConfig& config = {});
 
+/// BuildFrame into a reused frame: the waveform keeps its capacity, so a
+/// warm frame rebuilds without a capture-sized allocation.
+void BuildFrameInto(std::span<const std::uint8_t> payload,
+                    const TxConfig& config, TxFrame& frame);
+
 struct RxConfig {
   std::uint32_t access_address = kAdvAccessAddress;
   std::uint8_t channel_index = 37;

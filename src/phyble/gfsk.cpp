@@ -23,38 +23,54 @@ const dsp::FirFilter& SelectFilter() {
 }  // namespace
 
 IqBuffer ModulateBits(std::span<const Bit> bits) {
+  IqBuffer out;
+  ModulateBitsInto(bits, out);
+  return out;
+}
+
+void ModulateBitsInto(std::span<const Bit> bits, IqBuffer& out) {
+  thread_local IqBuffer nrz;
+  thread_local IqBuffer shaped;
   // NRZ at sample rate.
-  IqBuffer nrz(bits.size() * kSamplesPerBit);
+  nrz.resize(bits.size() * kSamplesPerBit);
   for (std::size_t i = 0; i < bits.size(); ++i) {
     const double level = bits[i] ? 1.0 : -1.0;
     for (std::size_t s = 0; s < kSamplesPerBit; ++s) {
       nrz[i * kSamplesPerBit + s] = {level, 0.0};
     }
   }
-  const IqBuffer shaped = GaussianShaper().Filter(nrz);
+  GaussianShaper().FilterInto(nrz, shaped);
 
   // Integrate frequency into phase.
-  IqBuffer out(shaped.size());
+  out.resize(shaped.size());
   double phase = 0.0;
   const double k = kTwoPi * kFreqDeviationHz / kSampleRateHz;
   for (std::size_t n = 0; n < shaped.size(); ++n) {
     phase += k * shaped[n].real();
     out[n] = {std::cos(phase), std::sin(phase)};
   }
-  return out;
 }
 
 IqBuffer ChannelFilter(std::span<const Cplx> rx) {
   return SelectFilter().Filter(rx);
 }
 
+void ChannelFilterInto(std::span<const Cplx> rx, IqBuffer& out) {
+  SelectFilter().FilterInto(rx, out);
+}
+
 std::vector<double> Discriminate(std::span<const Cplx> rx) {
-  std::vector<double> freq(rx.size(), 0.0);
+  std::vector<double> freq;
+  DiscriminateInto(rx, freq);
+  return freq;
+}
+
+void DiscriminateInto(std::span<const Cplx> rx, std::vector<double>& freq) {
+  freq.assign(rx.size(), 0.0);
   for (std::size_t n = 1; n < rx.size(); ++n) {
     const Cplx d = rx[n] * std::conj(rx[n - 1]);
     freq[n] = std::arg(d) * kSampleRateHz / kTwoPi;
   }
-  return freq;
 }
 
 double BitFrequency(std::span<const double> inst_freq, std::size_t bit_start,

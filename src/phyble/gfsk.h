@@ -7,6 +7,7 @@
 #pragma once
 
 #include <span>
+#include <vector>
 
 #include "common/types.h"
 #include "phyble/params.h"
@@ -17,12 +18,18 @@ namespace freerider::phyble {
 /// bit 1 -> +kFreqDeviationHz, bit 0 -> -kFreqDeviationHz.
 IqBuffer ModulateBits(std::span<const Bit> bits);
 
+/// Allocation-free ModulateBits: `out` is resized and fully rewritten,
+/// and the NRZ and shaped intermediates live in thread-local scratch.
+void ModulateBitsInto(std::span<const Bit> bits, IqBuffer& out);
+
 /// Channel-select filter: low-pass with cutoff ~0.6 * bandwidth/2
 /// margin, applied before demodulation.
 IqBuffer ChannelFilter(std::span<const Cplx> rx);
+void ChannelFilterInto(std::span<const Cplx> rx, IqBuffer& out);
 
 /// Polar discriminator: instantaneous frequency (Hz) per sample.
 std::vector<double> Discriminate(std::span<const Cplx> rx);
+void DiscriminateInto(std::span<const Cplx> rx, std::vector<double>& freq);
 
 /// Average instantaneous frequency over the center half of bit `k`
 /// given the sample index of bit 0's start. Used by the bit slicer.

@@ -6,11 +6,7 @@
 #include "channel/awgn.h"
 #include "common/bits.h"
 #include "core/redundancy.h"
-#include "core/xor_decoder.h"
-#include "phy80211/receiver.h"
-#include "phy80211/transmitter.h"
-#include "phy802154/frame.h"
-#include "phyble/frame.h"
+#include "sim/slot_chain.h"
 
 namespace freerider::sim {
 namespace {
@@ -25,24 +21,6 @@ double SampleRate(core::RadioType radio) {
       return phyble::kSampleRateHz;
   }
   return 0.0;
-}
-
-/// Apply a random-walk phase drift (receiver LO wander).
-IqBuffer ApplyPhaseDrift(IqBuffer wave, double sigma_per_sample, Rng& rng) {
-  if (sigma_per_sample <= 0.0) return wave;
-  double phase = 0.0;
-  for (auto& x : wave) {
-    phase += sigma_per_sample * rng.NextGaussian();
-    x *= Cplx{std::cos(phase), std::sin(phase)};
-  }
-  return wave;
-}
-
-IqBuffer PadBuffer(const IqBuffer& wave, std::size_t pad) {
-  IqBuffer out(pad, Cplx{0.0, 0.0});
-  out.insert(out.end(), wave.begin(), wave.end());
-  out.insert(out.end(), pad, Cplx{0.0, 0.0});
-  return out;
 }
 
 channel::BackscatterBudget MakeBudget(const LinkConfig& config) {
@@ -79,9 +57,10 @@ void ChunkAccount(std::span<const Bit> sent, std::span<const Bit> decoded,
   }
 }
 
-PacketOutcome RunOnePacket(const LinkConfig& config, std::size_t redundancy,
-                           double rx_power_dbm, Rng& rng,
-                           impair::FaultInjector& injector) {
+template <class Phy>
+PacketOutcome RunOnePacketOn(const LinkConfig& config, std::size_t redundancy,
+                             double rx_power_dbm, Rng& rng,
+                             impair::FaultInjector& injector) {
   PacketOutcome outcome;
   const impair::FrameFaults faults = injector.DrawFrame();
   core::TranslateConfig tcfg;
@@ -93,90 +72,43 @@ PacketOutcome RunOnePacket(const LinkConfig& config, std::size_t redundancy,
     injector.CountWindowSlip();
   }
 
-  channel::ReceiverFrontEnd fe;
-  fe.sample_rate_hz = SampleRate(config.radio);
-  fe.noise_figure_db = config.profile.noise_figure_db;
-
   const Bytes payload =
       RandomBytes(rng, config.profile.excitation_payload_bytes);
-
-  switch (config.radio) {
-    case core::RadioType::kWifi: {
-      const phy80211::TxFrame frame = phy80211::BuildFrame(payload, {});
-      outcome.airtime_s = phy80211::FrameDurationS(frame);
-      const BitVector tag_bits =
-          RandomBits(rng, core::TagBitCapacity(frame.waveform.size(), tcfg));
-      IqBuffer scaled = channel::ToAbsolutePower(frame.waveform, rx_power_dbm);
-      injector.ApplyDropout(scaled, faults);
-      const IqBuffer backscattered = injector.ApplyCfo(
-          core::Translate(scaled, tag_bits, tcfg), faults.cfo_hz,
-          fe.sample_rate_hz);
-      IqBuffer rx =
-          channel::AddThermalNoise(PadBuffer(backscattered, 150), fe, rng);
-      injector.ApplyInterferer(rx, faults);
-      const phy80211::RxResult result = phy80211::ReceiveFrame(rx);
-      if (!result.signal_ok) return outcome;
-      outcome.decoded = true;
-      outcome.rssi_dbm = result.rssi_dbm;
-      const core::TagDecodeResult decoded = core::DecodeWifi(
-          frame.data_bits, result.data_bits,
-          phy80211::ParamsFor(frame.rate).data_bits_per_symbol, redundancy);
-      ChunkAccount(tag_bits, decoded.bits, outcome);
-      break;
-    }
-    case core::RadioType::kZigbee: {
-      const std::size_t psdu = std::min<std::size_t>(
-          config.profile.excitation_payload_bytes, 100);
-      const phy802154::TxFrame frame =
-          phy802154::BuildFrame(std::span(payload).subspan(0, psdu));
-      outcome.airtime_s = phy802154::FrameDurationS(frame);
-      const BitVector tag_bits =
-          RandomBits(rng, core::TagBitCapacity(frame.waveform.size(), tcfg));
-      IqBuffer scaled = channel::ToAbsolutePower(frame.waveform, rx_power_dbm);
-      injector.ApplyDropout(scaled, faults);
-      const IqBuffer backscattered = injector.ApplyCfo(
-          core::Translate(scaled, tag_bits, tcfg), faults.cfo_hz,
-          fe.sample_rate_hz);
-      IqBuffer rx = ApplyPhaseDrift(
-          channel::AddThermalNoise(PadBuffer(backscattered, 200), fe, rng),
-          config.profile.phase_noise_rw_rad_per_sample, rng);
-      injector.ApplyInterferer(rx, faults);
-      const phy802154::RxResult result = phy802154::ReceiveFrame(rx);
-      if (!result.detected || result.data_symbols.empty()) return outcome;
-      outcome.decoded = true;
-      outcome.rssi_dbm = result.rssi_dbm;
-      const core::TagDecodeResult decoded = core::DecodeZigbee(
-          frame.data_symbols, result.data_symbols, redundancy);
-      ChunkAccount(tag_bits, decoded.bits, outcome);
-      break;
-    }
-    case core::RadioType::kBluetooth: {
-      const std::size_t len = std::min<std::size_t>(
-          config.profile.excitation_payload_bytes, phyble::kMaxPayloadBytes);
-      const phyble::TxFrame frame =
-          phyble::BuildFrame(std::span(payload).subspan(0, len));
-      outcome.airtime_s = phyble::FrameDurationS(frame);
-      const BitVector tag_bits =
-          RandomBits(rng, core::TagBitCapacity(frame.waveform.size(), tcfg));
-      IqBuffer scaled = channel::ToAbsolutePower(frame.waveform, rx_power_dbm);
-      injector.ApplyDropout(scaled, faults);
-      const IqBuffer backscattered = injector.ApplyCfo(
-          core::Translate(scaled, tag_bits, tcfg), faults.cfo_hz,
-          fe.sample_rate_hz);
-      IqBuffer rx =
-          channel::AddThermalNoise(PadBuffer(backscattered, 200), fe, rng);
-      injector.ApplyInterferer(rx, faults);
-      const phyble::RxResult result = phyble::ReceiveFrame(rx);
-      if (!result.detected || result.stream_bits.empty()) return outcome;
-      outcome.decoded = true;
-      outcome.rssi_dbm = result.rssi_dbm;
-      const core::TagDecodeResult decoded = core::DecodeBluetooth(
-          frame.stream_bits, result.stream_bits, redundancy);
-      ChunkAccount(tag_bits, decoded.bits, outcome);
-      break;
-    }
-  }
+  SlotChain<Phy> chain(ThreadLocalSlotWorkspace(), Phy::kPad, Phy::kPad);
+  const typename Phy::Frame& frame = chain.Excite(
+      std::span(payload).first(Phy::PayloadBytes(payload.size())),
+      rx_power_dbm, injector, faults);
+  outcome.airtime_s = Phy::DurationS(frame);
+  const BitVector tag_bits =
+      RandomBits(rng, core::TagBitCapacity(frame.waveform.size(), tcfg));
+  chain.Reflect(tag_bits, tcfg);
+  const typename Phy::Rx result =
+      chain.Receive(config.profile.noise_figure_db,
+                    config.profile.phase_noise_rw_rad_per_sample, rng,
+                    injector, faults);
+  if (!Phy::Decoded(result)) return outcome;
+  outcome.decoded = true;
+  outcome.rssi_dbm = result.rssi_dbm;
+  ChunkAccount(tag_bits, Phy::Decode(frame, result, redundancy).bits,
+               outcome);
   return outcome;
+}
+
+PacketOutcome RunOnePacket(const LinkConfig& config, std::size_t redundancy,
+                           double rx_power_dbm, Rng& rng,
+                           impair::FaultInjector& injector) {
+  switch (config.radio) {
+    case core::RadioType::kWifi:
+      return RunOnePacketOn<WifiSlot>(config, redundancy, rx_power_dbm, rng,
+                                      injector);
+    case core::RadioType::kZigbee:
+      return RunOnePacketOn<ZigbeeSlot>(config, redundancy, rx_power_dbm, rng,
+                                        injector);
+    case core::RadioType::kBluetooth:
+      return RunOnePacketOn<BleSlot>(config, redundancy, rx_power_dbm, rng,
+                                     injector);
+  }
+  return {};
 }
 
 LinkStats Aggregate(const LinkConfig& config, std::size_t redundancy,

@@ -3,16 +3,11 @@
 #include <algorithm>
 #include <set>
 
-#include "channel/awgn.h"
 #include "common/bits.h"
 #include "common/stats.h"
 #include "core/tag_frame.h"
-#include "core/translator.h"
-#include "core/xor_decoder.h"
-#include "dsp/signal_ops.h"
 #include "health/wire.h"
-#include "phy80211/receiver.h"
-#include "phy80211/transmitter.h"
+#include "sim/slot_chain.h"
 #include "tag/envelope_detector.h"
 #include "transport/ack.h"
 
@@ -310,9 +305,17 @@ RoundReport FullStackSim::StepRound() {
   std::vector<std::size_t> raw_per_tag(sup ? config_.num_tags : 0, 0);
   for (std::size_t slot = 0; slot < slots; ++slot) {
     ++stats_.slots_total;
-    const phy80211::TxFrame excitation = phy80211::BuildFrame(
-        RandomBytes(rng_, config_.excitation_payload_bytes), {});
-    stats_.airtime_s += phy80211::FrameDurationS(excitation) + 60e-6;
+    // The excitation's bytes are drawn now, but its waveform is built
+    // only when the first reflection needs it: idle slots skip TX and
+    // scaling. Its length (airtime, tag-bit capacity) follows from the
+    // payload size alone.
+    const Bytes excitation_payload =
+        RandomBytes(rng_, config_.excitation_payload_bytes);
+    const std::size_t waveform_samples = phy80211::FrameSamples(
+        excitation_payload.size(), phy80211::Rate::k6Mbps);
+    stats_.airtime_s +=
+        static_cast<double>(waveform_samples) / phy80211::kSampleRateHz +
+        60e-6;
 
     // One fault realization per slot: the excitation, the channel
     // burst, and the (shared) tag-oscillator drift for this exchange.
@@ -320,10 +323,6 @@ RoundReport FullStackSim::StepRound() {
     core::TranslateConfig tcfg = base_tcfg;
     tcfg.tag_clock_ppm = faults.tag_clock_ppm;
     tcfg.start_slip_samples = faults.start_slip_samples;
-    const std::size_t waveform_samples = excitation.waveform.size();
-    IqBuffer scaled = channel::ToAbsolutePower(excitation.waveform,
-                                               config_.backscatter_rx_dbm);
-    injector_.ApplyDropout(scaled, faults);
 
     auto capacity_at = [&](std::size_t redundancy) {
       core::TranslateConfig probe = tcfg;
@@ -331,8 +330,9 @@ RoundReport FullStackSim::StepRound() {
       return core::TagBitCapacity(waveform_samples, probe);
     };
 
-    // Superpose every firing tag's reflection.
-    IqBuffer composite;
+    // Superpose every firing tag's reflection (the coordinator's
+    // capture has leading silence only).
+    SlotChain<WifiSlot> chain(ThreadLocalSlotWorkspace(), WifiSlot::kPad, 0);
     for (std::size_t t = 0; t < config_.num_tags; ++t) {
       const bool honest_slot = tags_[t].controller.OnSlotBoundary();
       // No excitation reaches a blacked-out tag: nothing to reflect,
@@ -440,31 +440,25 @@ RoundReport FullStackSim::StepRound() {
         }
       }
       bits.resize(capacity_at(tag_tcfg.redundancy), 0);
-      const IqBuffer reflection = core::Translate(scaled, bits, tag_tcfg);
+      if (!chain.excited()) {
+        chain.Excite(excitation_payload, config_.backscatter_rx_dbm,
+                     injector_, faults);
+      }
+      chain.Reflect(bits, tag_tcfg);
       if (faults.tag_clock_ppm != 0.0 || faults.start_slip_samples != 0.0) {
         injector_.CountWindowSlip();
       }
-      composite = composite.empty()
-                      ? reflection
-                      : dsp::AddSignals(composite, reflection);
     }
 
-    if (composite.empty()) {
+    if (!chain.reflected()) {
+      injector_.CountUnrenderedDropout(faults);
       ++empties_observed;
       continue;
     }
-    composite =
-        injector_.ApplyCfo(std::move(composite), faults.cfo_hz,
-                           phy80211::kSampleRateHz);
-
-    IqBuffer padded(150, Cplx{0.0, 0.0});
-    padded.insert(padded.end(), composite.begin(), composite.end());
-    channel::ReceiverFrontEnd fe;
-    fe.sample_rate_hz = phy80211::kSampleRateHz;
-    fe.noise_figure_db = 5.0;
-    IqBuffer rx_wave = channel::AddThermalNoise(padded, fe, rng_);
-    injector_.ApplyInterferer(rx_wave, faults);
-    const phy80211::RxResult rx = phy80211::ReceiveFrame(rx_wave);
+    const phy80211::RxResult rx =
+        chain.Receive(/*noise_figure_db=*/5.0,
+                      /*phase_noise_rw_rad_per_sample=*/0.0, rng_, injector_,
+                      faults);
 
     bool delivered = false;
     if (rx.signal_ok) {
@@ -486,10 +480,8 @@ RoundReport FullStackSim::StepRound() {
       }
       std::set<std::pair<std::uint8_t, std::uint8_t>> seen;
       for (const std::size_t redundancy : candidates) {
-        const core::TagDecodeResult decoded = core::DecodeWifi(
-            excitation.data_bits, rx.data_bits,
-            phy80211::ParamsFor(excitation.rate).data_bits_per_symbol,
-            redundancy);
+        const core::TagDecodeResult decoded =
+            WifiSlot::Decode(chain.frame(), rx, redundancy);
         for (const core::TagFrame& f : core::ExtractTagFrames(decoded.bits)) {
           if (!f.crc_ok || f.payload.size() != config_.tag_payload_bytes) {
             continue;

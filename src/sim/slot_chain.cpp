@@ -1,0 +1,107 @@
+#include "sim/slot_chain.h"
+
+#include <algorithm>
+#include <cmath>
+#include <stdexcept>
+
+#include "channel/awgn.h"
+#include "dsp/signal_ops.h"
+
+namespace freerider::sim {
+namespace {
+
+/// Random-walk phase drift of the receiver's oscillator (LO wander).
+void ApplyPhaseDrift(std::span<Cplx> wave, double sigma_per_sample, Rng& rng) {
+  if (sigma_per_sample <= 0.0) return;
+  double phase = 0.0;
+  for (auto& x : wave) {
+    phase += sigma_per_sample * rng.NextGaussian();
+    x *= Cplx{std::cos(phase), std::sin(phase)};
+  }
+}
+
+}  // namespace
+
+SlotWorkspace& ThreadLocalSlotWorkspace() {
+  thread_local SlotWorkspace ws;
+  return ws;
+}
+
+template <class Phy>
+SlotChain<Phy>::SlotChain(SlotWorkspace& ws, std::size_t lead_pad,
+                          std::size_t trail_pad)
+    : ws_(ws), lead_(lead_pad), trail_(trail_pad) {
+  if (ws_.borrowed) {
+    throw std::logic_error("SlotChain: workspace is borrowed by a live slot");
+  }
+  ws_.borrowed = true;
+}
+
+template <class Phy>
+SlotChain<Phy>::~SlotChain() {
+  ws_.borrowed = false;
+}
+
+template <class Phy>
+std::span<Cplx> SlotChain<Phy>::Composite() {
+  return std::span<Cplx>(ws_.capture).subspan(lead_, samples_);
+}
+
+template <class Phy>
+const typename Phy::Frame& SlotChain<Phy>::Excite(
+    std::span<const std::uint8_t> payload, double rx_power_dbm,
+    impair::FaultInjector& injector, const impair::FrameFaults& faults) {
+  Frame& frame = Phy::FrameIn(ws_);
+  Phy::Build(payload, frame);
+  channel::ToAbsolutePowerInPlace(frame.waveform, rx_power_dbm);
+  injector.ApplyDropout(frame.waveform, faults);
+  // Pad once: the silence is written here, the middle by the first
+  // reflection.
+  samples_ = frame.waveform.size();
+  ws_.capture.resize(lead_ + samples_ + trail_);
+  std::fill_n(ws_.capture.begin(), lead_, Cplx{0.0, 0.0});
+  std::fill(ws_.capture.begin() + static_cast<std::ptrdiff_t>(lead_ + samples_),
+            ws_.capture.end(), Cplx{0.0, 0.0});
+  excited_ = true;
+  return frame;
+}
+
+template <class Phy>
+void SlotChain<Phy>::Reflect(std::span<const Bit> tag_bits,
+                             const core::TranslateConfig& tcfg) {
+  if (!excited_) throw std::logic_error("SlotChain: Reflect before Excite");
+  const std::span<const Cplx> excitation(Phy::FrameIn(ws_).waveform);
+  if (reflections_ == 0) {
+    core::TranslateInto(excitation, tag_bits, tcfg, Composite());
+  } else {
+    ws_.reflection.resize(samples_);
+    core::TranslateInto(excitation, tag_bits, tcfg, ws_.reflection);
+    dsp::AddSignalsInPlace(Composite(), ws_.reflection);
+  }
+  ++reflections_;
+}
+
+template <class Phy>
+typename Phy::Rx SlotChain<Phy>::Receive(
+    double noise_figure_db, double phase_noise_rw_rad_per_sample, Rng& rng,
+    impair::FaultInjector& injector, const impair::FrameFaults& faults) {
+  if (reflections_ == 0) {
+    throw std::logic_error("SlotChain: Receive without a reflection");
+  }
+  injector.ApplyCfoInPlace(Composite(), faults.cfo_hz, Phy::kSampleRateHz);
+  channel::ReceiverFrontEnd fe;
+  fe.sample_rate_hz = Phy::kSampleRateHz;
+  fe.noise_figure_db = noise_figure_db;
+  channel::AddThermalNoiseInPlace(ws_.capture, fe, rng);
+  if constexpr (Phy::kPhaseNoise) {
+    ApplyPhaseDrift(ws_.capture, phase_noise_rw_rad_per_sample, rng);
+  }
+  injector.ApplyInterferer(ws_.capture, faults);
+  return Phy::Receive(ws_.capture);
+}
+
+template class SlotChain<WifiSlot>;
+template class SlotChain<ZigbeeSlot>;
+template class SlotChain<BleSlot>;
+
+}  // namespace freerider::sim

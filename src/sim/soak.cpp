@@ -167,11 +167,22 @@ std::string SoakReplayJson(const SoakConfig& config,
              "\"max_transmissions\":%zu,\"expiry_rounds\":%zu,"
              "\"rto_rounds\":%zu,\"escalate_after_nacks\":%zu,"
              "\"max_escalation_steps\":%zu,\"ack_blocks_per_round\":%zu,"
-             "\"hole_skip_rounds\":%zu},\n",
+             "\"hole_skip_rounds\":%zu",
              t.window, t.queue_capacity, t.max_transmissions,
              t.expiry_rounds, t.rto_rounds, t.escalate_after_nacks,
              t.max_escalation_steps, t.ack_blocks_per_round,
              t.hole_skip_rounds);
+  // The replay-guard knobs are written only when they differ from the
+  // defaults, so records of default runs keep their historical bytes
+  // (and older readers keep reading them).
+  const transport::TransportConfig defaults;
+  if (t.replay_guard != defaults.replay_guard) {
+    out += Fmt(",\"replay_guard\":%s", t.replay_guard ? "true" : "false");
+  }
+  if (t.replay_stale_behind != defaults.replay_stale_behind) {
+    out += Fmt(",\"replay_stale_behind\":%zu", t.replay_stale_behind);
+  }
+  out += "},\n";
   out += "  \"schedule\": [\n";
   for (std::size_t i = 0; i < config.schedule.size(); ++i) {
     out += Fmt("    {\"start_round\": %zu, \"impairments\": %s}%s\n",
@@ -540,6 +551,22 @@ std::optional<SoakReplay> ParseSoakReplay(const std::string& json,
       return Reject(error,
                     Fmt("\"transport.%s\" = %zu out of range [%zu, %zu]",
                         f.key, *f.dest, f.min, f.max));
+    }
+  }
+  // Optional: absent means the TransportConfig default.
+  if (t->Find("replay_guard") != nullptr &&
+      !GetBool(*t, "replay_guard", tc.replay_guard)) {
+    return Reject(error, "non-boolean \"transport.replay_guard\"");
+  }
+  if (t->Find("replay_stale_behind") != nullptr) {
+    if (!GetSize(*t, "replay_stale_behind", tc.replay_stale_behind)) {
+      return Reject(error, "non-integer \"transport.replay_stale_behind\"");
+    }
+    if (tc.replay_stale_behind > (1u << 20)) {
+      return Reject(error,
+                    Fmt("\"transport.replay_stale_behind\" = %zu out of "
+                        "range [0, %u]",
+                        tc.replay_stale_behind, 1u << 20));
     }
   }
   tc.enabled = true;

@@ -582,5 +582,19 @@ TEST(ShrSearch, FilterAllowanceKeepsThousandfoldMargin) {
   EXPECT_LT(worst_ratio, 1e-3) << "error / allowance";
 }
 
+TEST(Frame, BuildFrameIntoAReusedFrameMatchesAFreshBuild) {
+  Rng rng(12);
+  TxFrame reused;
+  for (const std::size_t len : {80, 2, 125, 0, 40}) {
+    const Bytes payload = RandomBytes(rng, len);
+    BuildFrameInto(payload, reused);
+    const TxFrame fresh = BuildFrame(payload);
+    EXPECT_EQ(reused.waveform, fresh.waveform);
+    EXPECT_EQ(reused.data_symbols, fresh.data_symbols);
+    EXPECT_EQ(reused.psdu, fresh.psdu);
+    EXPECT_EQ(reused.shr_samples, fresh.shr_samples);
+  }
+}
+
 }  // namespace
 }  // namespace freerider::phy802154

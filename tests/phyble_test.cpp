@@ -213,5 +213,21 @@ TEST(Frame, DurationMatchesBitCount) {
   EXPECT_NEAR(FrameDurationS(frame), 152e-6, 2e-6);
 }
 
+TEST(Frame, BuildFrameIntoAReusedFrameMatchesAFreshBuild) {
+  Rng rng(13);
+  TxFrame reused;
+  for (const std::size_t len : {200, 1, 255, 0, 37}) {
+    const Bytes payload = RandomBytes(rng, len);
+    BuildFrameInto(payload, {}, reused);
+    const TxFrame fresh = BuildFrame(payload);
+    EXPECT_EQ(reused.waveform, fresh.waveform);
+    EXPECT_EQ(reused.air_bits, fresh.air_bits);
+    EXPECT_EQ(reused.pdu_bits, fresh.pdu_bits);
+    EXPECT_EQ(reused.stream_bits, fresh.stream_bits);
+    EXPECT_EQ(reused.payload, fresh.payload);
+    EXPECT_EQ(reused.header_bits, fresh.header_bits);
+  }
+}
+
 }  // namespace
 }  // namespace freerider::phyble

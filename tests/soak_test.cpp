@@ -103,6 +103,47 @@ TEST(SoakTest, ReplayRecordRoundTripsAndReproduces) {
   EXPECT_EQ(again.digest, original.digest);
 }
 
+TEST(SoakTest, ReplayRecordCarriesTheReplayGuardKnobs) {
+  sim::SoakConfig config = SurvivableConfig(37);
+  config.rounds = 12;
+  config.transport.replay_guard = false;
+  config.transport.replay_stale_behind = 32;
+  const sim::SoakResult original = sim::RunSoak(config);
+  const std::string json = sim::SoakReplayJson(config, original);
+  EXPECT_NE(json.find("\"replay_guard\":false"), std::string::npos);
+  EXPECT_NE(json.find("\"replay_stale_behind\":32"), std::string::npos);
+
+  const auto replay = sim::ParseSoakReplay(json);
+  ASSERT_TRUE(replay.has_value());
+  EXPECT_FALSE(replay->config.transport.replay_guard);
+  EXPECT_EQ(replay->config.transport.replay_stale_behind, 32u);
+  EXPECT_EQ(sim::RunSoak(replay->config).digest, original.digest);
+}
+
+TEST(SoakTest, ReplayRecordWithoutGuardKnobsReadsTheDefaults) {
+  // Default knobs are not written at all, so a default record keeps
+  // the bytes it had before the knobs existed, and reads back as them.
+  sim::SoakConfig config = SurvivableConfig(41);
+  config.rounds = 6;
+  const std::string json =
+      sim::SoakReplayJson(config, sim::RunSoak(config));
+  EXPECT_EQ(json.find("replay_guard"), std::string::npos);
+  EXPECT_EQ(json.find("replay_stale_behind"), std::string::npos);
+  const transport::TransportConfig defaults;
+  const auto replay = sim::ParseSoakReplay(json);
+  ASSERT_TRUE(replay.has_value());
+  EXPECT_EQ(replay->config.transport.replay_guard, defaults.replay_guard);
+  EXPECT_EQ(replay->config.transport.replay_stale_behind,
+            defaults.replay_stale_behind);
+
+  std::string bad = json;
+  bad.replace(bad.find("\"hole_skip_rounds\""), 0,
+              "\"replay_guard\":7,");
+  std::string why;
+  EXPECT_FALSE(sim::ParseSoakReplay(bad, &why).has_value());
+  EXPECT_NE(why.find("replay_guard"), std::string::npos) << why;
+}
+
 TEST(SoakTest, DeliberateViolationReproducesBitForBit) {
   const sim::SoakConfig config = BrokenConfig();
   const sim::SoakResult original = sim::RunSoak(config);

@@ -101,20 +101,20 @@ sim::AdversarialConfig MakeConfig(std::size_t seed_index, bool defenses_on,
 }  // namespace
 
 int main(int argc, char** argv) {
-  runtime::InitThreadsFromArgs(argc, argv);
+  bool args_ok = true;
+  runtime::InitThreadsFromArgs(argc, argv, &args_ok);
   runtime::RobustSweepOptions robust =
-      runtime::RobustOptionsFromArgs(argc, argv);
+      runtime::RobustOptionsFromArgs(argc, argv, &args_ok);
   std::size_t rounds = 600;
   std::string out_dir = ".";
-  bool args_ok = true;
   cli::ConsumeSize(argc, argv, "--rounds", &rounds, &args_ok);
   cli::ConsumeValue(argc, argv, "--out-dir", &out_dir);
   if (!args_ok) return cli::kUsageError;
   if (const int rc = cli::RejectUnknownArgs(
           argc, argv,
           "bench_adversarial_mac [--rounds N] [--out-dir DIR]"
-          " [--threads N] [--checkpoint PATH] [--resume [PATH]]"
-          " [--watchdog-s X]")) {
+          " [--threads N] [--checkpoint PATH] [--checkpoint-every N]"
+          " [--resume [PATH]] [--watchdog-s X]")) {
     return rc;
   }
   // The thresholds are calibrated for 600 offered rounds: shorter runs

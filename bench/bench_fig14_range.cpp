@@ -28,14 +28,16 @@ int main(int argc, char** argv) {
   if (const int rc = runtime::dist::HandleWorkerMode(argc, argv); rc >= 0) {
     return rc;
   }
-  runtime::InitThreadsFromArgs(argc, argv);
+  bool args_ok = true;
+  runtime::InitThreadsFromArgs(argc, argv, &args_ok);
   const runtime::RobustSweepOptions robust =
-      runtime::RobustOptionsFromArgs(argc, argv);
+      runtime::RobustOptionsFromArgs(argc, argv, &args_ok);
   const runtime::dist::DistOptions dist =
-      runtime::dist::DistOptionsFromArgs(argc, argv);
+      runtime::dist::DistOptionsFromArgs(argc, argv, &args_ok);
   const std::string out_dir = bench::OutDirFromArgs(argc, argv);
-  const std::string usage =
-      std::string("bench_fig14_range ") + bench::kRuntimeUsage;
+  if (!args_ok) return cli::kUsageError;
+  const std::string usage = std::string("bench_fig14_range ") +
+                            bench::kRuntimeUsage + " [--workers N]";
   if (const int rc = cli::RejectUnknownArgs(argc, argv, usage.c_str())) {
     return rc;
   }

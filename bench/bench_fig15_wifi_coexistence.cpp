@@ -28,8 +28,10 @@ void PrintCdf(const char* label, const std::vector<double>& samples) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  runtime::InitThreadsFromArgs(argc, argv);
+  bool args_ok = true;
+  runtime::InitThreadsFromArgs(argc, argv, &args_ok);
   const std::string out_dir = bench::OutDirFromArgs(argc, argv);
+  if (!args_ok) return cli::kUsageError;
   if (const int rc = cli::RejectUnknownArgs(
           argc, argv,
           "bench_fig15_wifi_coexistence [--threads N] [--out-dir DIR]")) {

@@ -20,8 +20,10 @@
 using namespace freerider;
 
 int main(int argc, char** argv) {
-  runtime::InitThreadsFromArgs(argc, argv);
+  bool args_ok = true;
+  runtime::InitThreadsFromArgs(argc, argv, &args_ok);
   const std::string out_dir = bench::OutDirFromArgs(argc, argv);
+  if (!args_ok) return cli::kUsageError;
   if (const int rc = cli::RejectUnknownArgs(
           argc, argv,
           "bench_fig16_backscatter_coexistence [--threads N] "

@@ -52,10 +52,12 @@ bool Fig17aPointFields(Io& io, T& point) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  runtime::InitThreadsFromArgs(argc, argv);
+  bool args_ok = true;
+  runtime::InitThreadsFromArgs(argc, argv, &args_ok);
   const runtime::RobustSweepOptions robust =
-      runtime::RobustOptionsFromArgs(argc, argv);
+      runtime::RobustOptionsFromArgs(argc, argv, &args_ok);
   const std::string out_dir = bench::OutDirFromArgs(argc, argv);
+  if (!args_ok) return cli::kUsageError;
   const std::string usage =
       std::string("bench_fig17_mac_multitag ") + bench::kRuntimeUsage;
   if (const int rc = cli::RejectUnknownArgs(argc, argv, usage.c_str())) {

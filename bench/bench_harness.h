@@ -68,11 +68,13 @@ inline std::string OutDirFromArgs(int& argc, char** argv) {
   return out_dir;
 }
 
-/// The usage tail every runtime-driven bench shares (the flags the
-/// runtime's own parsers consume).
+/// The usage tail every checkpointing bench shares: the flags
+/// InitThreadsFromArgs, RobustOptionsFromArgs and OutDirFromArgs
+/// consume. A bench that also parses --workers (DistOptionsFromArgs)
+/// appends it.
 inline constexpr const char* kRuntimeUsage =
-    "[--threads N] [--workers N] [--out-dir DIR] [--checkpoint PATH] "
-    "[--resume [PATH]] [--watchdog-s X]";
+    "[--threads N] [--out-dir DIR] [--checkpoint PATH] "
+    "[--checkpoint-every N] [--resume [PATH]] [--watchdog-s X]";
 
 /// BENCH_<slug>.json — the deterministic result artifact.
 inline bool EmitBench(const std::string& out_dir, const std::string& slug,

@@ -131,19 +131,20 @@ LegacyOutcome RunLegacy(const sim::SoakConfig& soak) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  freerider::runtime::InitThreadsFromArgs(argc, argv);
+  bool args_ok = true;
+  runtime::InitThreadsFromArgs(argc, argv, &args_ok);
   runtime::RobustSweepOptions robust =
-      runtime::RobustOptionsFromArgs(argc, argv);
+      runtime::RobustOptionsFromArgs(argc, argv, &args_ok);
   std::size_t rounds = 2000;
   std::string out_dir = ".";
-  bool args_ok = true;
   cli::ConsumeSize(argc, argv, "--rounds", &rounds, &args_ok);
   cli::ConsumeValue(argc, argv, "--out-dir", &out_dir);
   if (!args_ok) return cli::kUsageError;
   if (const int rc = cli::RejectUnknownArgs(
           argc, argv,
           "bench_soak_arq [--rounds N] [--out-dir DIR] [--threads N]"
-          " [--checkpoint PATH] [--resume [PATH]] [--watchdog-s X]")) {
+          " [--checkpoint PATH] [--checkpoint-every N] [--resume [PATH]]"
+          " [--watchdog-s X]")) {
     return rc;
   }
 

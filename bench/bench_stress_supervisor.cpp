@@ -56,14 +56,14 @@ int main(int argc, char** argv) {
   if (const int rc = runtime::dist::HandleWorkerMode(argc, argv); rc >= 0) {
     return rc;
   }
-  runtime::InitThreadsFromArgs(argc, argv);
+  bool args_ok = true;
+  runtime::InitThreadsFromArgs(argc, argv, &args_ok);
   runtime::RobustSweepOptions robust =
-      runtime::RobustOptionsFromArgs(argc, argv);
+      runtime::RobustOptionsFromArgs(argc, argv, &args_ok);
   runtime::dist::DistOptions dist =
-      runtime::dist::DistOptionsFromArgs(argc, argv);
+      runtime::dist::DistOptionsFromArgs(argc, argv, &args_ok);
   std::size_t rounds = 600;
   std::string out_dir = ".";
-  bool args_ok = true;
   cli::ConsumeSize(argc, argv, "--rounds", &rounds, &args_ok);
   cli::ConsumeValue(argc, argv, "--out-dir", &out_dir);
   if (!args_ok) return cli::kUsageError;
@@ -71,7 +71,7 @@ int main(int argc, char** argv) {
           argc, argv,
           "bench_stress_supervisor [--rounds N] [--out-dir DIR]"
           " [--threads N] [--workers N] [--checkpoint PATH]"
-          " [--resume [PATH]] [--watchdog-s X]")) {
+          " [--checkpoint-every N] [--resume [PATH]] [--watchdog-s X]")) {
     return rc;
   }
   // The acceptance thresholds are calibrated for the 600-round

@@ -33,10 +33,12 @@ inline int RunDistanceFigure(int argc, char** argv, const std::string& title,
                              const std::vector<double>& distances,
                              std::size_t packets, std::uint64_t seed,
                              const std::string& paper_summary) {
-  runtime::InitThreadsFromArgs(argc, argv);
+  bool args_ok = true;
+  runtime::InitThreadsFromArgs(argc, argv, &args_ok);
   const runtime::RobustSweepOptions robust =
-      runtime::RobustOptionsFromArgs(argc, argv);
+      runtime::RobustOptionsFromArgs(argc, argv, &args_ok);
   const std::string out_dir = OutDirFromArgs(argc, argv);
+  if (!args_ok) return cli::kUsageError;
   const std::string usage = "bench_" + slug + " " + kRuntimeUsage;
   if (const int rc = cli::RejectUnknownArgs(argc, argv, usage.c_str())) {
     return rc;

@@ -9,15 +9,18 @@
 // run is worse than no run.
 //
 // The contract every entry point now follows:
-//   1. consume known flags with the Consume* helpers (or the existing
+//   1. consume known flags with the Consume* helpers (or the runtime's
 //      compacting parsers — runtime::InitThreadsFromArgs etc., which
-//      remove what they recognise);
+//      consume through them); a malformed value clears the caller's
+//      `ok` and the binary exits with kUsageError, naming the flag;
 //   2. call RejectUnknownArgs(argc, argv, usage) exactly once, after
 //      all consumers: anything still in argv is unknown, and the
 //      binary prints the offending argument + its usage line to
 //      stderr and exits with kUsageError (2) — never a silent default.
 #pragma once
 
+#include <cerrno>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -51,21 +54,43 @@ inline bool ConsumeValue(int& argc, char** argv, const char* name,
   return found;
 }
 
-/// Consume an unsigned integer flag. A present-but-unparsable value is
-/// a usage error, reported like an unknown flag (return via *ok).
+/// Reports a present-but-unparsable flag value: a usage error,
+/// reported like an unknown flag (return via *ok).
+inline bool RejectValue(const char* name, const char* expects,
+                        const std::string& raw, bool* ok) {
+  std::fprintf(stderr, "error: %s expects %s, got '%s'\n", name, expects,
+               raw.c_str());
+  *ok = false;
+  return false;
+}
+
+/// Consume an unsigned decimal integer flag. strtoull alone would read
+/// "-1" as 2^64-1, so the value must start with a digit and fit.
 inline bool ConsumeSize(int& argc, char** argv, const char* name,
                         std::size_t* value, bool* ok) {
   std::string raw;
   if (!ConsumeValue(argc, argv, name, &raw)) return false;
   char* end = nullptr;
+  errno = 0;
   const unsigned long long parsed = std::strtoull(raw.c_str(), &end, 10);
-  if (end == raw.c_str() || *end != '\0') {
-    std::fprintf(stderr, "error: %s expects an unsigned integer, got '%s'\n",
-                 name, raw.c_str());
-    *ok = false;
-    return false;
+  if (raw[0] < '0' || raw[0] > '9' || *end != '\0' || errno == ERANGE) {
+    return RejectValue(name, "an unsigned integer", raw, ok);
   }
   *value = static_cast<std::size_t>(parsed);
+  return true;
+}
+
+/// Consume a finite floating-point flag.
+inline bool ConsumeDouble(int& argc, char** argv, const char* name,
+                          double* value, bool* ok) {
+  std::string raw;
+  if (!ConsumeValue(argc, argv, name, &raw)) return false;
+  char* end = nullptr;
+  const double parsed = std::strtod(raw.c_str(), &end);
+  if (end == raw.c_str() || *end != '\0' || !std::isfinite(parsed)) {
+    return RejectValue(name, "a finite number", raw, ok);
+  }
+  *value = parsed;
   return true;
 }
 
@@ -75,6 +100,13 @@ inline bool ConsumeU64(int& argc, char** argv, const char* name,
   const bool found = ConsumeSize(argc, argv, name, &v, ok);
   if (found) *value = v;
   return found;
+}
+
+/// The environment fallback of an unsigned flag; `fallback` when unset.
+inline std::size_t EnvSize(const char* name, std::size_t fallback) {
+  const char* env = std::getenv(name);
+  return env ? static_cast<std::size_t>(std::strtoull(env, nullptr, 10))
+             : fallback;
 }
 
 /// Consume a bare `--name` switch from argv (compacting it).
@@ -99,6 +131,18 @@ inline bool ConsumeFlag(int& argc, char** argv, const char* name) {
 inline int RejectUnknownArgs(int argc, char** argv, const char* usage) {
   if (argc <= 1) return 0;
   std::fprintf(stderr, "error: unknown argument '%s'\n", argv[1]);
+  std::fprintf(stderr, "usage: %s\n", usage);
+  return kUsageError;
+}
+
+/// RejectUnknownArgs for a tool that takes exactly one operand: a
+/// flag-like leftover is unknown, and a missing or extra operand is a
+/// usage error too.
+inline int RejectUnlessOneOperand(int argc, char** argv, const char* usage) {
+  if (argc >= 2 && argv[1][0] == '-') {
+    return RejectUnknownArgs(argc, argv, usage);
+  }
+  if (argc == 2) return 0;
   std::fprintf(stderr, "usage: %s\n", usage);
   return kUsageError;
 }

@@ -118,6 +118,19 @@ CheckpointDecodeResult DecodeCheckpoint(std::string_view bytes) {
   return result;
 }
 
+bool WriteAll(int fd, std::string_view bytes) {
+  std::size_t off = 0;
+  while (off < bytes.size()) {
+    const ssize_t n = ::write(fd, bytes.data() + off, bytes.size() - off);
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      return false;
+    }
+    off += static_cast<std::size_t>(n);
+  }
+  return true;
+}
+
 bool WriteFileAtomic(const std::string& path, std::string_view bytes,
                      std::string* error) {
   const std::string tmp = path + ".tmp";
@@ -129,17 +142,10 @@ bool WriteFileAtomic(const std::string& path, std::string_view bytes,
   };
   const int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
   if (fd < 0) return fail("open");
-  std::size_t written = 0;
-  while (written < bytes.size()) {
-    const ssize_t n =
-        ::write(fd, bytes.data() + written, bytes.size() - written);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      ::close(fd);
-      ::unlink(tmp.c_str());
-      return fail("write");
-    }
-    written += static_cast<std::size_t>(n);
+  if (!WriteAll(fd, bytes)) {
+    ::close(fd);
+    ::unlink(tmp.c_str());
+    return fail("write");
   }
   if (::fsync(fd) != 0) {
     ::close(fd);

@@ -91,6 +91,10 @@ struct CheckpointDecodeResult {
 /// same result.
 CheckpointDecodeResult DecodeCheckpoint(std::string_view bytes);
 
+/// Write the whole buffer to `fd`, retrying short writes and EINTR.
+/// False on any hard error (for a pipe: the other end is gone).
+bool WriteAll(int fd, std::string_view bytes);
+
 /// Write `bytes` to `path` atomically: write `<path>.tmp`, fsync,
 /// rename over `path`. Returns false (with `error` set) on any I/O
 /// failure; `path` then still holds its previous content.

@@ -18,7 +18,9 @@
 #include <thread>
 #include <vector>
 
+#include "common/cli.h"
 #include "obs/profile.h"
+#include "runtime/checkpoint.h"
 #include "runtime/dist/lease.h"
 #include "runtime/dist/wire.h"
 
@@ -27,21 +29,6 @@ namespace freerider::runtime::dist {
 namespace {
 
 using Clock = std::chrono::steady_clock;
-
-double EnvDouble(const char* name, double fallback) {
-  if (const char* env = std::getenv(name)) {
-    const double v = std::strtod(env, nullptr);
-    if (v > 0.0) return v;
-  }
-  return fallback;
-}
-
-std::size_t EnvSize(const char* name, std::size_t fallback) {
-  if (const char* env = std::getenv(name)) {
-    return static_cast<std::size_t>(std::strtoull(env, nullptr, 10));
-  }
-  return fallback;
-}
 
 struct WorkerProc {
   pid_t pid = -1;
@@ -54,19 +41,6 @@ struct WorkerProc {
   std::size_t outstanding = 0;
   double deadline_s = 0.0;
 };
-
-bool WriteAll(int fd, const std::string& bytes) {
-  std::size_t off = 0;
-  while (off < bytes.size()) {
-    const ssize_t n = ::write(fd, bytes.data() + off, bytes.size() - off);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return false;
-    }
-    off += static_cast<std::size_t>(n);
-  }
-  return true;
-}
 
 /// fork+exec one worker serving `--dist-serve=RFD,WFD,IDX`. All pipe
 /// fds are O_CLOEXEC in the parent; the child re-enables exactly its
@@ -116,36 +90,18 @@ bool SpawnWorker(const std::string& bin, int index, WorkerProc* w) {
 
 }  // namespace
 
-DistOptions DistOptionsFromArgs(int& argc, char** argv) {
+DistOptions DistOptionsFromArgs(int& argc, char** argv, bool* ok) {
   DistOptions options;
-  if (const char* env = std::getenv("FREERIDER_WORKERS")) {
-    options.workers =
-        static_cast<std::size_t>(std::strtoull(env, nullptr, 10));
-  }
-  int out = 1;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--workers") == 0 && i + 1 < argc) {
-      options.workers =
-          static_cast<std::size_t>(std::strtoull(argv[++i], nullptr, 10));
-    } else if (std::strncmp(argv[i], "--workers=", 10) == 0) {
-      options.workers =
-          static_cast<std::size_t>(std::strtoull(argv[i] + 10, nullptr, 10));
-    } else {
-      argv[out++] = argv[i];
-    }
-  }
-  argc = out;
+  options.workers = cli::EnvSize("FREERIDER_WORKERS", options.workers);
+  cli::ConsumeSize(argc, argv, "--workers", &options.workers, ok);
   options.lease_timeout_s =
-      EnvDouble("FREERIDER_DIST_LEASE_S", options.lease_timeout_s);
-  options.spawn_grace_s =
-      EnvDouble("FREERIDER_DIST_SPAWN_GRACE_S", options.spawn_grace_s);
-  options.speculate_after_s =
-      EnvDouble("FREERIDER_DIST_SPECULATE_S", options.speculate_after_s);
+      EnvPositiveDouble("FREERIDER_DIST_LEASE_S", options.lease_timeout_s);
+  options.spawn_grace_s = EnvPositiveDouble("FREERIDER_DIST_SPAWN_GRACE_S",
+                                            options.spawn_grace_s);
+  options.speculate_after_s = EnvPositiveDouble(
+      "FREERIDER_DIST_SPECULATE_S", options.speculate_after_s);
   options.max_respawns =
-      EnvSize("FREERIDER_DIST_RESPAWNS", options.max_respawns);
-  if (const char* env = std::getenv("FREERIDER_WORKER_BIN")) {
-    options.worker_bin = env;
-  }
+      cli::EnvSize("FREERIDER_DIST_RESPAWNS", options.max_respawns);
   return options;
 }
 

@@ -72,8 +72,9 @@ struct DistOptions {
 
 /// Consume `--workers N` / `--workers=N` from argv (compacting it),
 /// with FREERIDER_WORKERS as the environment fallback, plus the
-/// FREERIDER_DIST_* / FREERIDER_WORKER_BIN tunables.
-DistOptions DistOptionsFromArgs(int& argc, char** argv);
+/// FREERIDER_DIST_* tunables (FREERIDER_WORKER_BIN is read when the
+/// fleet spawns). A malformed --workers value clears `*ok`.
+DistOptions DistOptionsFromArgs(int& argc, char** argv, bool* ok);
 
 /// Fleet telemetry on top of the familiar robust accounting. All of
 /// it is TIMING-channel material (scheduling-dependent): the

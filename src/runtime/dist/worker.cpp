@@ -14,6 +14,7 @@
 #include <thread>
 #include <vector>
 
+#include "runtime/checkpoint.h"
 #include "runtime/dist/registry.h"
 #include "runtime/dist/wire.h"
 
@@ -62,21 +63,6 @@ std::vector<ChaosDirective> ParseChaos(const char* spec, int worker_index) {
   return out;
 }
 
-/// Write the whole buffer, retrying short writes and EINTR. False on
-/// any hard error (coordinator gone).
-bool WriteAll(int fd, const std::string& bytes) {
-  std::size_t off = 0;
-  while (off < bytes.size()) {
-    const ssize_t n = ::write(fd, bytes.data() + off, bytes.size() - off);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return false;
-    }
-    off += static_cast<std::size_t>(n);
-  }
-  return true;
-}
-
 /// Blocking read of the next whole frame. False on EOF/error/corrupt
 /// (the coordinator-to-worker direction is a trusted local pipe; any
 /// damage there means the coordinator is gone or broken — exit).
@@ -94,14 +80,6 @@ bool ReadFrame(int fd, FrameStream& stream, std::string* payload) {
     if (n == 0) return false;  // EOF
     stream.Feed(buf, static_cast<std::size_t>(n));
   }
-}
-
-double HeartbeatIntervalS() {
-  if (const char* env = std::getenv("FREERIDER_DIST_HEARTBEAT_S")) {
-    const double v = std::strtod(env, nullptr);
-    if (v > 0.0) return v;
-  }
-  return 0.5;
 }
 
 }  // namespace
@@ -147,7 +125,8 @@ int RunWorkerServe(int read_fd, int write_fd, int worker_index) {
   // ---- heartbeat beacon --------------------------------------------
   std::atomic<bool> stop_heartbeat{false};
   std::thread heartbeat([&] {
-    const double interval_s = HeartbeatIntervalS();
+    const double interval_s =
+        EnvPositiveDouble("FREERIDER_DIST_HEARTBEAT_S", 0.5);
     std::uint64_t seq = 0;
     while (!stop_heartbeat.load(std::memory_order_acquire)) {
       WireMsg beat;

@@ -1,10 +1,9 @@
 #include "runtime/executor.h"
 
 #include <chrono>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 
+#include "common/cli.h"
 #include "obs/metrics.h"
 #include "obs/profile.h"
 
@@ -261,24 +260,9 @@ bool SetDefaultThreads(std::size_t threads) {
   return true;
 }
 
-std::size_t InitThreadsFromArgs(int& argc, char** argv) {
-  std::size_t threads = 0;
-  if (const char* env = std::getenv("FREERIDER_THREADS")) {
-    threads = static_cast<std::size_t>(std::strtoull(env, nullptr, 10));
-  }
-  int out = 1;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
-      threads = static_cast<std::size_t>(
-          std::strtoull(argv[++i], nullptr, 10));
-    } else if (std::strncmp(argv[i], "--threads=", 10) == 0) {
-      threads =
-          static_cast<std::size_t>(std::strtoull(argv[i] + 10, nullptr, 10));
-    } else {
-      argv[out++] = argv[i];
-    }
-  }
-  argc = out;
+std::size_t InitThreadsFromArgs(int& argc, char** argv, bool* ok) {
+  std::size_t threads = cli::EnvSize("FREERIDER_THREADS", 0);
+  cli::ConsumeSize(argc, argv, "--threads", &threads, ok);
   SetDefaultThreads(threads);
   return threads;
 }

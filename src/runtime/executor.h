@@ -130,7 +130,8 @@ bool SetDefaultThreads(std::size_t threads);
 /// Bench-main helper: consumes `--threads N` / `--threads=N` from
 /// argv (compacting it) and falls back to the FREERIDER_THREADS
 /// environment variable, then applies SetDefaultThreads. Returns the
-/// configured count (0 = hardware).
-std::size_t InitThreadsFromArgs(int& argc, char** argv);
+/// configured count (0 = hardware). A malformed value clears `*ok`
+/// (cli::ConsumeSize).
+std::size_t InitThreadsFromArgs(int& argc, char** argv, bool* ok);
 
 }  // namespace freerider::runtime

@@ -12,6 +12,7 @@
 #include <sstream>
 #include <thread>
 
+#include "common/cli.h"
 #include "obs/profile.h"
 #include "runtime/checkpoint.h"
 
@@ -45,22 +46,22 @@ struct WorkerSlot {
 
 }  // namespace
 
-RobustSweepOptions RobustOptionsFromArgs(int& argc, char** argv) {
+RobustSweepOptions RobustOptionsFromArgs(int& argc, char** argv, bool* ok) {
   RobustSweepOptions options;
   if (const char* env = std::getenv("FREERIDER_WATCHDOG_S")) {
     options.watchdog_warn_s = std::strtod(env, nullptr);
   }
+  // The valued flags go first, so none of their values can pass for
+  // the optional PATH after --resume.
+  cli::ConsumeSize(argc, argv, "--checkpoint-every", &options.checkpoint_every,
+                   ok);
+  cli::ConsumeDouble(argc, argv, "--watchdog-s", &options.watchdog_warn_s, ok);
   int out = 1;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--checkpoint") == 0 && i + 1 < argc) {
       options.checkpoint_path = argv[++i];
     } else if (std::strncmp(argv[i], "--checkpoint=", 13) == 0) {
       options.checkpoint_path = argv[i] + 13;
-    } else if (std::strcmp(argv[i], "--checkpoint-every") == 0 &&
-               i + 1 < argc) {
-      options.checkpoint_every = std::strtoull(argv[++i], nullptr, 10);
-    } else if (std::strncmp(argv[i], "--checkpoint-every=", 19) == 0) {
-      options.checkpoint_every = std::strtoull(argv[i] + 19, nullptr, 10);
     } else if (std::strcmp(argv[i], "--resume") == 0) {
       options.resume = true;
       if (i + 1 < argc && argv[i + 1][0] != '-') {
@@ -69,10 +70,6 @@ RobustSweepOptions RobustOptionsFromArgs(int& argc, char** argv) {
     } else if (std::strncmp(argv[i], "--resume=", 9) == 0) {
       options.resume = true;
       options.checkpoint_path = argv[i] + 9;
-    } else if (std::strcmp(argv[i], "--watchdog-s") == 0 && i + 1 < argc) {
-      options.watchdog_warn_s = std::strtod(argv[++i], nullptr);
-    } else if (std::strncmp(argv[i], "--watchdog-s=", 13) == 0) {
-      options.watchdog_warn_s = std::strtod(argv[i] + 13, nullptr);
     } else {
       argv[out++] = argv[i];
     }
@@ -116,9 +113,7 @@ TaskLedger::TaskLedger(const SweepGrid& grid,
     report_.tasks[i].point = i / grid.trials;
     report_.tasks[i].trial = i % grid.trials;
   }
-  if (const char* env = std::getenv("FREERIDER_CRASH_AFTER_N_TASKS")) {
-    crash_after_ = std::strtoull(env, nullptr, 10);
-  }
+  crash_after_ = cli::EnvSize("FREERIDER_CRASH_AFTER_N_TASKS", 0);
 }
 
 void TaskLedger::Resume(const TaskRestore& restore) {

@@ -79,7 +79,8 @@ struct RobustSweepOptions {
 ///   --checkpoint-every N
 ///   --resume [PATH]   (PATH also sets --checkpoint)
 ///   --watchdog-s X    (fallback: FREERIDER_WATCHDOG_S)
-RobustSweepOptions RobustOptionsFromArgs(int& argc, char** argv);
+/// A malformed --checkpoint-every or --watchdog-s value clears `*ok`.
+RobustSweepOptions RobustOptionsFromArgs(int& argc, char** argv, bool* ok);
 
 enum class RobustTaskState : std::uint8_t {
   kOk,           ///< Body ran and succeeded in this process.

@@ -554,8 +554,10 @@ TEST(RobustOptions, ParsesAndCompactsArgv) {
   std::vector<char*> argv;
   for (const char* a : raw) argv.push_back(const_cast<char*>(a));
   int argc = static_cast<int>(argv.size());
+  bool ok = true;
   const RobustSweepOptions options =
-      RobustOptionsFromArgs(argc, argv.data());
+      RobustOptionsFromArgs(argc, argv.data(), &ok);
+  EXPECT_TRUE(ok);
   EXPECT_EQ(options.checkpoint_path, "a.ckpt");
   EXPECT_TRUE(options.resume);
   EXPECT_EQ(options.checkpoint_every, 4u);
@@ -570,8 +572,10 @@ TEST(RobustOptions, ResumeWithInlinePathSetsCheckpoint) {
   std::vector<char*> argv;
   for (const char* a : raw) argv.push_back(const_cast<char*>(a));
   int argc = static_cast<int>(argv.size());
+  bool ok = true;
   const RobustSweepOptions options =
-      RobustOptionsFromArgs(argc, argv.data());
+      RobustOptionsFromArgs(argc, argv.data(), &ok);
+  EXPECT_TRUE(ok);
   EXPECT_TRUE(options.resume);
   EXPECT_EQ(options.checkpoint_path, "ckpt.bin");
   EXPECT_EQ(argc, 1);

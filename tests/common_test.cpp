@@ -3,10 +3,13 @@
 #include <algorithm>
 #include <cmath>
 #include <cstddef>
+#include <string>
 #include <vector>
 
 #include "common/bits.h"
+#include "common/cli.h"
 #include "common/crc.h"
+#include "common/json.h"
 #include "common/ring_buffer.h"
 #include "common/rng.h"
 #include "common/stats.h"
@@ -351,6 +354,94 @@ TEST(Units, DbmWatts) {
 TEST(Units, AmplitudeDb) {
   EXPECT_NEAR(AmplitudeToDb(10.0), 20.0, 1e-12);
   EXPECT_NEAR(DbToAmplitude(6.0206), 2.0, 1e-4);
+}
+
+// Runs one numeric Consume* over `--x VALUE`: whether the flag was
+// taken, whether the value was accepted, and what was stored.
+template <class T, class Consume>
+bool ConsumeOne(const char* raw, T* value, bool* ok, Consume consume) {
+  std::string flag = "--x";
+  std::string arg = raw;
+  char* argv[] = {flag.data(), flag.data(), arg.data()};
+  int argc = 3;
+  *ok = true;
+  const bool found = consume(argc, argv, "--x", value, ok);
+  EXPECT_EQ(argc, 1) << raw;  // consumed either way
+  return found;
+}
+
+TEST(Cli, ConsumeSizeTakesOnlyAWholeUnsignedDecimal) {
+  std::size_t v = 7;
+  bool ok = true;
+  EXPECT_TRUE(ConsumeOne("42", &v, &ok, cli::ConsumeSize));
+  EXPECT_TRUE(ok);
+  EXPECT_EQ(v, 42u);
+  // strtoull alone would read "-1" as 2^64-1 and " 5" as 5.
+  for (const char* bad : {"abc", "4x", "", "-1", " 5", "+5", "1.5",
+                          "99999999999999999999"}) {
+    v = 7;
+    EXPECT_FALSE(ConsumeOne(bad, &v, &ok, cli::ConsumeSize)) << bad;
+    EXPECT_FALSE(ok) << bad;
+    EXPECT_EQ(v, 7u) << bad;
+  }
+}
+
+TEST(Cli, ConsumeDoubleTakesOnlyAWholeFiniteNumber) {
+  double v = 1.0;
+  bool ok = true;
+  EXPECT_TRUE(ConsumeOne("2.5", &v, &ok, cli::ConsumeDouble));
+  EXPECT_TRUE(ok);
+  EXPECT_EQ(v, 2.5);
+  EXPECT_TRUE(ConsumeOne("-0.25", &v, &ok, cli::ConsumeDouble));
+  EXPECT_EQ(v, -0.25);
+  for (const char* bad : {"xyz", "2.5s", "", "inf", "nan", "1e999"}) {
+    v = 1.0;
+    EXPECT_FALSE(ConsumeOne(bad, &v, &ok, cli::ConsumeDouble)) << bad;
+    EXPECT_FALSE(ok) << bad;
+    EXPECT_EQ(v, 1.0) << bad;
+  }
+}
+
+TEST(Json, ParsesNestedValuesKeepingNumberTokens) {
+  JsonValue root;
+  std::string error;
+  ASSERT_TRUE(ParseJson(
+      "{\"a\": [1, 18446744073709551615, -2.5e-3], \"b\": {\"c\": true},"
+      " \"s\": \"q\\\"\\n\\u0001\", \"n\": null}",
+      &root, &error))
+      << error;
+  ASSERT_EQ(root.kind, JsonValue::Kind::kObject);
+  const JsonValue* a = root.Find("a");
+  ASSERT_NE(a, nullptr);
+  ASSERT_EQ(a->items.size(), 3u);
+  EXPECT_EQ(a->items[1].raw, "18446744073709551615");
+  EXPECT_EQ(a->items[2].raw, "-2.5e-3");
+  EXPECT_TRUE(root.Find("b")->Find("c")->boolean);
+  EXPECT_EQ(root.Find("s")->raw, "q\"\n\x01");
+  EXPECT_EQ(root.Find("n")->kind, JsonValue::Kind::kNull);
+  EXPECT_EQ(root.Find("missing"), nullptr);
+}
+
+TEST(Json, RejectsWhatALenientParserWouldGuessAt) {
+  struct Case {
+    const char* text;
+    const char* error;
+  };
+  const Case cases[] = {
+      {"{\"k\": 1, \"k\": 2}", "duplicate key \"k\""},
+      {"{} {}", "trailing bytes after JSON value"},
+      {"{\"k\": 1,}", "malformed JSON"},
+      {"\"\\u00e9\"", "malformed JSON"},  // records are ASCII
+      {"[[[[[[[[[[[[[[[[[[1]]]]]]]]]]]]]]]]]", "malformed JSON"},
+      {"1.2.3", "malformed JSON"},
+      {"", "malformed JSON"},
+  };
+  for (const Case& c : cases) {
+    JsonValue root;
+    std::string error;
+    EXPECT_FALSE(ParseJson(c.text, &root, &error)) << c.text;
+    EXPECT_EQ(error, c.error) << c.text;
+  }
 }
 
 }  // namespace

@@ -82,10 +82,10 @@ int main(int argc, char** argv) {
   cli::ConsumeSize(argc, argv, "--trials", &trials, &args_ok);
   cli::ConsumeSize(argc, argv, "--rounds", &rounds, &args_ok);
   cli::ConsumeU64(argc, argv, "--seed", &seed, &args_ok);
-  std::string lease_str;
-  if (cli::ConsumeValue(argc, argv, "--lease-s", &lease_str)) {
-    lease_s = std::strtod(lease_str.c_str(), nullptr);
-    if (lease_s <= 0.0) args_ok = false;
+  if (cli::ConsumeDouble(argc, argv, "--lease-s", &lease_s, &args_ok) &&
+      lease_s <= 0.0) {
+    std::fprintf(stderr, "error: --lease-s must be positive\n");
+    args_ok = false;
   }
   cli::ConsumeValue(argc, argv, "--scenario", &only);
   if (!args_ok) return cli::kUsageError;

@@ -11,12 +11,10 @@
 // Exit codes: 0 = reproduced bit-for-bit, 1 = digest mismatch
 // (non-determinism — itself a bug), 2 = unreadable/malformed record.
 #include <cstdio>
-#include <cstring>
-#include <fstream>
-#include <sstream>
 #include <string>
 
 #include "common/cli.h"
+#include "runtime/checkpoint.h"
 #include "sim/soak.h"
 
 using namespace freerider;
@@ -24,29 +22,20 @@ using namespace freerider;
 int main(int argc, char** argv) {
   constexpr const char* kUsage = "replay_soak [--print] <record.json>";
   const bool print = cli::ConsumeFlag(argc, argv, "--print");
-  // Exactly one positional (the record path) may remain; any unknown
-  // flag or extra operand is a usage error, not a silent default.
-  if (argc >= 2 && argv[1][0] == '-') {
-    std::fprintf(stderr, "error: unknown argument '%s'\n", argv[1]);
-    std::fprintf(stderr, "usage: %s\n", kUsage);
-    return cli::kUsageError;
-  }
-  if (argc != 2) {
-    std::fprintf(stderr, "usage: %s\n", kUsage);
-    return cli::kUsageError;
+  // Exactly one positional (the record path) may remain.
+  if (const int rc = cli::RejectUnlessOneOperand(argc, argv, kUsage)) {
+    return rc;
   }
   const char* path = argv[1];
 
-  std::ifstream in(path);
-  if (!in) {
+  std::string record;
+  if (!runtime::ReadFileBytes(path, &record)) {
     std::fprintf(stderr, "replay_soak: cannot read %s\n", path);
     return 2;
   }
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
 
   std::string parse_error;
-  const auto replay = sim::ParseSoakReplay(buffer.str(), &parse_error);
+  const auto replay = sim::ParseSoakReplay(record, &parse_error);
   if (!replay.has_value()) {
     std::fprintf(stderr, "replay_soak: %s is not a valid replay record: %s\n",
                  path, parse_error.c_str());

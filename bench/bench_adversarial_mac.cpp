@@ -39,9 +39,9 @@
 // byte-identical at every --threads value and across a SIGKILL +
 // --resume cycle.
 //
-//   bench_adversarial_mac [--rounds N] [--out-dir DIR] [--threads N]
-//                         [--checkpoint PATH] [--resume [PATH]]
-//                         [--watchdog-s X]
+//   bench_adversarial_mac [--rounds N] [--threads N] [--out-dir DIR]
+//                         [--checkpoint PATH] [--checkpoint-every N]
+//                         [--resume [PATH]] [--watchdog-s X]
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -106,15 +106,12 @@ int main(int argc, char** argv) {
   runtime::RobustSweepOptions robust =
       runtime::RobustOptionsFromArgs(argc, argv, &args_ok);
   std::size_t rounds = 600;
-  std::string out_dir = ".";
   cli::ConsumeSize(argc, argv, "--rounds", &rounds, &args_ok);
-  cli::ConsumeValue(argc, argv, "--out-dir", &out_dir);
+  const std::string out_dir = bench::OutDirFromArgs(argc, argv);
   if (!args_ok) return cli::kUsageError;
-  if (const int rc = cli::RejectUnknownArgs(
-          argc, argv,
-          "bench_adversarial_mac [--rounds N] [--out-dir DIR]"
-          " [--threads N] [--checkpoint PATH] [--checkpoint-every N]"
-          " [--resume [PATH]] [--watchdog-s X]")) {
+  const std::string usage = std::string("bench_adversarial_mac [--rounds N] ") +
+                            bench::kRuntimeUsage;
+  if (const int rc = cli::RejectUnknownArgs(argc, argv, usage.c_str())) {
     return rc;
   }
   // The thresholds are calibrated for 600 offered rounds: shorter runs
@@ -134,11 +131,9 @@ int main(int argc, char** argv) {
   const runtime::RobustSweepReport report = runner.Run(
       {num_seeds, 2},
       [&](std::size_t p, std::size_t t) {
-        const bool on = t == 0;
-        sim::AdversarialResult& slot = on ? on_results[p] : off_results[p];
-        slot = sim::RunAdversarial(MakeConfig(p, on, rounds));
         runtime::RobustTaskResult out;
-        out.payload = sim::SerializeAdversarialResult(slot);
+        out.payload = sim::SerializeAdversarialResult(
+            sim::RunAdversarial(MakeConfig(p, t == 0, rounds)));
         return out;
       },
       [&](std::size_t p, std::size_t t, const std::string& payload) {
@@ -241,7 +236,7 @@ int main(int argc, char** argv) {
 
   // Deterministic observability artifacts (see bench_harness.h): byte-
   // diffed by CI across --threads and kill/resume alongside BENCH.
-  obs::MetricsRegistry metrics(1);
+  obs::MetricsRegistry metrics;
   std::vector<obs::NamedTrace> traces;
   for (std::size_t p = 0; p < num_seeds; ++p) {
     for (int t = 0; t < 2; ++t) {

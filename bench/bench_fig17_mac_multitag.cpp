@@ -98,12 +98,13 @@ int main(int argc, char** argv) {
         mac::FramedSlottedAlohaSimulator sim(config);
         Rng campaign_rng(seeds_a[p]);
         obs::TraceRing ring;
-        results_a[p].stats =
+        Fig17aPoint point;
+        point.stats =
             sim.RunCampaign(tag_counts_a[p], rounds, campaign_rng, &ring);
-        results_a[p].trace = obs::SerializeTrace(
+        point.trace = obs::SerializeTrace(
             "tags" + std::to_string(tag_counts_a[p]), ring);
         runtime::PayloadWriter w;
-        Fig17aPointFields(w, results_a[p]);
+        Fig17aPointFields(w, point);
         runtime::RobustTaskResult out;
         out.payload = w.Take();
         return out;
@@ -147,10 +148,8 @@ int main(int argc, char** argv) {
       [&](std::size_t p, std::size_t rep) {
         mac::FramedSlottedAlohaSimulator sim(config);
         Rng campaign_rng(seeds_b[p * reps + rep]);
-        fairness_samples[p * reps + rep] =
-            sim.RunCampaign(tag_counts_b[p], 15, campaign_rng).jain_fairness;
         runtime::PayloadWriter w;
-        w.F64(fairness_samples[p * reps + rep]);
+        w.F64(sim.RunCampaign(tag_counts_b[p], 15, campaign_rng).jain_fairness);
         runtime::RobustTaskResult out;
         out.payload = w.Take();
         return out;
@@ -188,11 +187,11 @@ int main(int argc, char** argv) {
                     report_a.SummaryJson("fig17a_throughput") +
                         report_b.SummaryJson("fig17b_fairness"));
 
-  // Deterministic observability artifacts: a single-shard registry
-  // folded in point order from the (restored-or-recomputed) campaign
+  // Deterministic observability artifacts: a registry filled after the
+  // barrier, in point order, from the (restored-or-recomputed) campaign
   // stats and flight recordings — byte-diffed by CI across --threads
   // values and kill/resume alongside BENCH.
-  obs::MetricsRegistry metrics(1);
+  obs::MetricsRegistry metrics;
   std::vector<obs::NamedTrace> traces;
   for (const Fig17aPoint& point : results_a) {
     metrics.Observe("fig17a.throughput_kbps",

@@ -19,8 +19,9 @@
 // BENCH_soak_arq.json (TablePrinter::ToJson) for CI artifact
 // collection.
 //
-//   bench_soak_arq [--rounds N] [--out-dir DIR] [--threads N]
-//                  [--checkpoint PATH] [--resume [PATH]] [--watchdog-s X]
+//   bench_soak_arq [--rounds N] [--threads N] [--out-dir DIR]
+//                  [--checkpoint PATH] [--checkpoint-every N]
+//                  [--resume [PATH]] [--watchdog-s X]
 //
 // Default 2000 chaos rounds (+drain); CI's sanitizer job uses fewer.
 // The three acceptance seeds (and their legacy comparison runs) execute
@@ -29,9 +30,6 @@
 // across a SIGKILL + --resume cycle (each soak is a pure function of
 // its config, and checkpoint payloads round-trip bit-exactly).
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <fstream>
 #include <string>
 #include <vector>
 
@@ -136,15 +134,12 @@ int main(int argc, char** argv) {
   runtime::RobustSweepOptions robust =
       runtime::RobustOptionsFromArgs(argc, argv, &args_ok);
   std::size_t rounds = 2000;
-  std::string out_dir = ".";
   cli::ConsumeSize(argc, argv, "--rounds", &rounds, &args_ok);
-  cli::ConsumeValue(argc, argv, "--out-dir", &out_dir);
+  const std::string out_dir = bench::OutDirFromArgs(argc, argv);
   if (!args_ok) return cli::kUsageError;
-  if (const int rc = cli::RejectUnknownArgs(
-          argc, argv,
-          "bench_soak_arq [--rounds N] [--out-dir DIR] [--threads N]"
-          " [--checkpoint PATH] [--checkpoint-every N] [--resume [PATH]]"
-          " [--watchdog-s X]")) {
+  const std::string usage =
+      std::string("bench_soak_arq [--rounds N] ") + bench::kRuntimeUsage;
+  if (const int rc = cli::RejectUnknownArgs(argc, argv, usage.c_str())) {
     return rc;
   }
 
@@ -183,7 +178,9 @@ int main(int argc, char** argv) {
   // fire-and-forget comparison under the identical schedule. Both are
   // pure functions of the config, so any interleaving is safe — and
   // both checkpoint/restore bit-exactly (SerializeSoakResult carries
-  // the full stats + digest; a legacy outcome is two counters).
+  // the full stats + digest; a legacy outcome is two counters). The
+  // restore callback fills the result tables, for computed and
+  // resumed tasks alike.
   std::vector<sim::SoakResult> results(num_seeds);
   std::vector<LegacyOutcome> legacy_outcomes(num_seeds);
   robust.campaign = runtime::CampaignId("soak_arq", rounds);
@@ -193,13 +190,12 @@ int main(int argc, char** argv) {
       [&](std::size_t p, std::size_t t) {
         runtime::RobustTaskResult out;
         if (t == 0) {
-          results[p] = sim::RunSoak(soaks[p]);
-          out.payload = sim::SerializeSoakResult(results[p]);
+          out.payload = sim::SerializeSoakResult(sim::RunSoak(soaks[p]));
         } else {
-          legacy_outcomes[p] = RunLegacy(soaks[p]);
+          const LegacyOutcome legacy = RunLegacy(soaks[p]);
           runtime::PayloadWriter w;
-          w.U64(legacy_outcomes[p].fired);
-          w.U64(legacy_outcomes[p].received);
+          w.U64(legacy.fired);
+          w.U64(legacy.received);
           out.payload = w.Take();
         }
         return out;
@@ -286,11 +282,9 @@ int main(int argc, char** argv) {
   verdict.AddRow({"soak invariants", all_passed ? "pass" : "VIOLATED"});
   verdict.AddRow({"replay self-check", replay_ok ? "pass" : "FAIL"});
   std::printf("%s\n", verdict.ToString().c_str());
-  bench::WriteTextFile(out_dir + "/BENCH_soak_arq.json", table.ToJson("soak_arq") +
-                                                  verdict.ToJson("verdict"));
-  bench::WriteTextFile(out_dir + "/TIMING_soak_arq.json",
-            report.SummaryJson("soak_arq"));
-  std::fprintf(stderr, "[runtime] %s", report.SummaryJson("soak_arq").c_str());
+  bench::EmitBench(out_dir, "soak_arq",
+                   table.ToJson("soak_arq") + verdict.ToJson("verdict"));
+  bench::EmitTiming(out_dir, "soak_arq", report.SummaryJson("soak_arq"));
   std::printf(
       "Reading: under regime-switching loss the ARQ delivers everything it\n"
       "accepted (zero duplicates, zero reorders) by retransmitting and\n"

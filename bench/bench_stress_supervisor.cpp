@@ -25,9 +25,10 @@
 // --threads value and across a SIGKILL + --resume cycle (checkpoint
 // payloads carry the full StressResult bit-exactly).
 //
-//   bench_stress_supervisor [--rounds N] [--out-dir DIR] [--threads N]
-//                           [--workers N] [--checkpoint PATH]
+//   bench_stress_supervisor [--rounds N] [--threads N] [--out-dir DIR]
+//                           [--checkpoint PATH] [--checkpoint-every N]
 //                           [--resume [PATH]] [--watchdog-s X]
+//                           [--workers N]
 //
 // Default 600 offered rounds + drain (also the minimum — the
 // acceptance thresholds are calibrated for this schedule); --rounds
@@ -63,15 +64,13 @@ int main(int argc, char** argv) {
   runtime::dist::DistOptions dist =
       runtime::dist::DistOptionsFromArgs(argc, argv, &args_ok);
   std::size_t rounds = 600;
-  std::string out_dir = ".";
   cli::ConsumeSize(argc, argv, "--rounds", &rounds, &args_ok);
-  cli::ConsumeValue(argc, argv, "--out-dir", &out_dir);
+  const std::string out_dir = bench::OutDirFromArgs(argc, argv);
   if (!args_ok) return cli::kUsageError;
-  if (const int rc = cli::RejectUnknownArgs(
-          argc, argv,
-          "bench_stress_supervisor [--rounds N] [--out-dir DIR]"
-          " [--threads N] [--workers N] [--checkpoint PATH]"
-          " [--checkpoint-every N] [--resume [PATH]] [--watchdog-s X]")) {
+  const std::string usage =
+      std::string("bench_stress_supervisor [--rounds N] ") +
+      bench::kRuntimeUsage + " [--workers N]";
+  if (const int rc = cli::RejectUnknownArgs(argc, argv, usage.c_str())) {
     return rc;
   }
   // The acceptance thresholds are calibrated for the 600-round
@@ -193,12 +192,12 @@ int main(int argc, char** argv) {
   bench::EmitTiming(out_dir, "stress_supervisor",
                     dist_report.SummaryJson("stress_supervisor"));
 
-  // Deterministic observability artifacts: a single-shard registry
-  // folded from the (restored-or-recomputed) results plus the flight
+  // Deterministic observability artifacts: a registry filled after the
+  // barrier from the (restored-or-recomputed) results plus the flight
   // recordings each campaign carried in its payload. Everything here
   // is a pure function of the configs, so CI byte-diffs these across
   // --threads values and kill/resume alongside BENCH.
-  obs::MetricsRegistry metrics(1);
+  obs::MetricsRegistry metrics;
   std::vector<obs::NamedTrace> traces;
   for (std::size_t p = 0; p < num_seeds; ++p) {
     for (int t = 0; t < 2; ++t) {

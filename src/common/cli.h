@@ -64,12 +64,12 @@ inline bool RejectValue(const char* name, const char* expects,
   return false;
 }
 
-/// Consume an unsigned decimal integer flag. strtoull alone would read
-/// "-1" as 2^64-1, so the value must start with a digit and fit.
-inline bool ConsumeSize(int& argc, char** argv, const char* name,
-                        std::size_t* value, bool* ok) {
-  std::string raw;
-  if (!ConsumeValue(argc, argv, name, &raw)) return false;
+/// Parse an unsigned decimal integer, the rule of every unsigned flag
+/// and environment variable. strtoull alone would read "-1" as
+/// 2^64-1, so the value must start with a digit and fit. A malformed
+/// value is rejected (see RejectValue) and leaves *value untouched.
+inline bool ParseSize(const char* name, const std::string& raw,
+                      std::size_t* value, bool* ok) {
   char* end = nullptr;
   errno = 0;
   const unsigned long long parsed = std::strtoull(raw.c_str(), &end, 10);
@@ -78,6 +78,14 @@ inline bool ConsumeSize(int& argc, char** argv, const char* name,
   }
   *value = static_cast<std::size_t>(parsed);
   return true;
+}
+
+/// Consume an unsigned decimal integer flag (ParseSize's rule).
+inline bool ConsumeSize(int& argc, char** argv, const char* name,
+                        std::size_t* value, bool* ok) {
+  std::string raw;
+  if (!ConsumeValue(argc, argv, name, &raw)) return false;
+  return ParseSize(name, raw, value, ok);
 }
 
 /// Consume a finite floating-point flag.
@@ -102,11 +110,25 @@ inline bool ConsumeU64(int& argc, char** argv, const char* name,
   return found;
 }
 
-/// The environment fallback of an unsigned flag; `fallback` when unset.
-inline std::size_t EnvSize(const char* name, std::size_t fallback) {
+/// The environment fallback of an unsigned flag: `fallback` when
+/// unset; a malformed value (ParseSize's rule) clears `*ok`, naming the
+/// variable, and yields `fallback`.
+inline std::size_t EnvSize(const char* name, std::size_t fallback, bool* ok) {
   const char* env = std::getenv(name);
-  return env ? static_cast<std::size_t>(std::strtoull(env, nullptr, 10))
-             : fallback;
+  std::size_t value = fallback;
+  if (env != nullptr) ParseSize(name, env, &value, ok);
+  return value;
+}
+
+/// Reject a parsed count above `cap`: a usage error raised before
+/// anything is sized from it.
+inline bool RejectAboveCap(const char* name, std::size_t value,
+                           std::size_t cap, bool* ok) {
+  if (value <= cap) return true;
+  std::fprintf(stderr, "error: %s is %zu, above the cap of %zu\n", name,
+               value, cap);
+  *ok = false;
+  return false;
 }
 
 /// Consume a bare `--name` switch from argv (compacting it).

@@ -112,10 +112,4 @@ IqBuffer FftCopy(std::span<const Cplx> data) {
   return out;
 }
 
-IqBuffer IfftCopy(std::span<const Cplx> data) {
-  IqBuffer out(data.begin(), data.end());
-  Ifft(out);
-  return out;
-}
-
 }  // namespace freerider::dsp

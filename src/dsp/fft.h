@@ -21,9 +21,8 @@ void Fft(std::span<Cplx> data);
 /// Ifft(Fft(x)) == x.
 void Ifft(std::span<Cplx> data);
 
-/// Out-of-place conveniences.
+/// Out-of-place convenience.
 IqBuffer FftCopy(std::span<const Cplx> data);
-IqBuffer IfftCopy(std::span<const Cplx> data);
 
 /// True iff n is a power of two (and nonzero).
 constexpr bool IsPowerOfTwo(std::size_t n) {

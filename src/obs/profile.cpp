@@ -27,23 +27,12 @@ double Profiler::NowUs() const {
 void Profiler::RecordSpan(std::string_view name, std::string_view category,
                           int tid, double ts_us, double dur_us) {
   std::lock_guard<std::mutex> lock(mu_);
-  if (spans_.size() + instants_.size() >= kMaxEvents) {
+  if (spans_.size() >= kMaxEvents) {
     ++dropped_;
     return;
   }
   spans_.push_back(ProfileSpan{std::string(name), std::string(category), tid,
                                ts_us, dur_us});
-}
-
-void Profiler::RecordInstant(std::string_view name, std::string_view category,
-                             int tid, double ts_us) {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (spans_.size() + instants_.size() >= kMaxEvents) {
-    ++dropped_;
-    return;
-  }
-  instants_.push_back(
-      ProfileInstant{std::string(name), std::string(category), tid, ts_us});
 }
 
 std::uint64_t* Profiler::CounterSlot(std::string_view name) {
@@ -64,11 +53,6 @@ std::vector<ProfileSpan> Profiler::Spans() const {
   return spans_;
 }
 
-std::vector<ProfileInstant> Profiler::Instants() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return instants_;
-}
-
 std::vector<std::pair<std::string, std::uint64_t>> Profiler::Counters()
     const {
   std::lock_guard<std::mutex> lock(mu_);
@@ -85,7 +69,6 @@ std::uint64_t Profiler::dropped_events() const {
 void Profiler::Reset() {
   std::lock_guard<std::mutex> lock(mu_);
   spans_.clear();
-  instants_.clear();
   counters_.clear();
   dropped_ = 0;
   epoch_ns_ = MonotonicNowNs();
@@ -110,20 +93,6 @@ std::string Profiler::ChromeTraceJson() const {
                   span.ts_us, span.dur_us, span.tid);
     out += buf;
     last_ts = std::max(last_ts, span.ts_us + span.dur_us);
-  }
-  for (const ProfileInstant& instant : instants_) {
-    if (!first) out.push_back(',');
-    first = false;
-    out += "{\"name\":";
-    AppendJsonString(out, instant.name);
-    out += ",\"cat\":";
-    AppendJsonString(out, instant.category);
-    std::snprintf(buf, sizeof buf,
-                  ",\"ph\":\"i\",\"ts\":%.3f,\"s\":\"t\",\"pid\":1,"
-                  "\"tid\":%d}",
-                  instant.ts_us, instant.tid);
-    out += buf;
-    last_ts = std::max(last_ts, instant.ts_us);
   }
   auto counters = counters_;
   std::sort(counters.begin(), counters.end());

@@ -26,13 +26,6 @@ struct ProfileSpan {
   double dur_us = 0;
 };
 
-struct ProfileInstant {
-  std::string name;
-  std::string category;
-  int tid = 0;
-  double ts_us = 0;
-};
-
 class Profiler {
  public:
   Profiler();
@@ -42,30 +35,26 @@ class Profiler {
 
   void RecordSpan(std::string_view name, std::string_view category, int tid,
                   double ts_us, double dur_us);
-  void RecordInstant(std::string_view name, std::string_view category,
-                     int tid, double ts_us);
   void AddCount(std::string_view name, std::uint64_t delta = 1);
 
   std::vector<ProfileSpan> Spans() const;
-  std::vector<ProfileInstant> Instants() const;
   // Sorted by name.
   std::vector<std::pair<std::string, std::uint64_t>> Counters() const;
   std::uint64_t dropped_events() const;
 
   void Reset();
 
-  // {"traceEvents":[...]} — spans as ph:"X", instants as ph:"i", counters
-  // as ph:"C" samples at the end of the recording.
+  // {"traceEvents":[...]} — spans as ph:"X", counters as ph:"C" samples
+  // at the end of the recording.
   std::string ChromeTraceJson() const;
 
-  // Bounded memory: spans/instants beyond the cap are dropped (counted).
+  // Bounded memory: spans beyond the cap are dropped (counted).
   static constexpr std::size_t kMaxEvents = 1u << 16;
 
  private:
   mutable std::mutex mu_;
   std::int64_t epoch_ns_ = 0;
   std::vector<ProfileSpan> spans_;
-  std::vector<ProfileInstant> instants_;
   std::vector<std::pair<std::string, std::uint64_t>> counters_;
   std::uint64_t dropped_ = 0;
 

@@ -203,19 +203,6 @@ void DepunctureInto(std::span<const Bit> punctured, CodingRate rate,
   }
 }
 
-std::size_t CodedLength(std::size_t info_bits, CodingRate rate) {
-  const std::size_t mother = info_bits * 2;
-  switch (rate) {
-    case CodingRate::kHalf:
-      return mother;
-    case CodingRate::kTwoThirds:
-      return mother * 3 / 4;
-    case CodingRate::kThreeQuarters:
-      return mother * 4 / 6;
-  }
-  return mother;
-}
-
 std::vector<double> DepunctureSoft(std::span<const double> punctured,
                                    CodingRate rate,
                                    std::size_t num_mother_bits) {

@@ -55,9 +55,6 @@ std::vector<double> DepunctureSoft(std::span<const double> punctured,
                                    CodingRate rate,
                                    std::size_t num_mother_bits);
 
-/// Number of coded (punctured) bits produced for n info bits at `rate`.
-std::size_t CodedLength(std::size_t info_bits, CodingRate rate);
-
 // --- Workspace variants ------------------------------------------------
 //
 // The kernels below are bit-identical to the scalar reference trellises:

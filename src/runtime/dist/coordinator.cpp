@@ -92,8 +92,9 @@ bool SpawnWorker(const std::string& bin, int index, WorkerProc* w) {
 
 DistOptions DistOptionsFromArgs(int& argc, char** argv, bool* ok) {
   DistOptions options;
-  options.workers = cli::EnvSize("FREERIDER_WORKERS", options.workers);
+  options.workers = cli::EnvSize("FREERIDER_WORKERS", options.workers, ok);
   cli::ConsumeSize(argc, argv, "--workers", &options.workers, ok);
+  cli::RejectAboveCap("--workers", options.workers, kMaxWorkers, ok);
   options.lease_timeout_s =
       EnvPositiveDouble("FREERIDER_DIST_LEASE_S", options.lease_timeout_s);
   options.spawn_grace_s = EnvPositiveDouble("FREERIDER_DIST_SPAWN_GRACE_S",
@@ -101,7 +102,7 @@ DistOptions DistOptionsFromArgs(int& argc, char** argv, bool* ok) {
   options.speculate_after_s = EnvPositiveDouble(
       "FREERIDER_DIST_SPECULATE_S", options.speculate_after_s);
   options.max_respawns =
-      cli::EnvSize("FREERIDER_DIST_RESPAWNS", options.max_respawns);
+      cli::EnvSize("FREERIDER_DIST_RESPAWNS", options.max_respawns, ok);
   return options;
 }
 
@@ -510,35 +511,14 @@ bool DistRunner::RunFleet(const SweepGrid& grid, const TaskBody& body,
     }
   }
 
-  // ---------------- fold (grid-index order) -------------------------
-  // Worker-computed and degraded results fold through the caller's
-  // restore serially in index order: the reduction the single-process
-  // path performs, regardless of arrival order.
-  for (std::size_t i = 0; i < n; ++i) {
-    if (robust.tasks[i].state != RobustTaskState::kOk) continue;
-    const std::size_t point = i / grid.trials;
-    const std::size_t trial = i % grid.trials;
-    if (restore(point, trial, ledger.payload(i))) continue;
-    // A payload the CRC accepted but the caller rejects can only be a
-    // worker-side serialization bug; recompute in-process rather than
-    // ship a silently wrong campaign.
-    std::fprintf(stderr,
-                 "[dist] task %zu payload rejected by restore; "
-                 "recomputing in-process\n",
-                 i);
-    TaskCall call = CallTask(body, point, trial, 0);
-    if (call.threw || !call.result.ok) {
-      ledger.Quarantine(i);
-      continue;
-    }
-    ++report.degraded_tasks;
-    ledger.Commit(i, std::move(call.result.payload));
-  }
+  // Worker-computed and degraded results fold in grid-index order,
+  // whatever order they arrived in.
+  report.degraded_tasks += ledger.Fold(body, restore);
   ledger.Finish();
 
   // ---------------- report ------------------------------------------
   for (std::size_t i = 0; i < n; ++i) {
-    robust.tasks[i].attempts = lease.attempts(i);
+    robust.tasks[i].attempts += lease.attempts(i);
   }
   robust.task_retries += lease.retries();
   report.lease_expiries += lease.expiries();

@@ -14,9 +14,10 @@
 //      (PayloadWriter hex-float grammar), and a corrupt frame is
 //      killed at the CRC, never folded;
 //   3. accepted results fold through the caller's restore callback
-//      serially in grid-index order — arrival order, duplicate
-//      results, retries and respawns can reorder *work*, never
-//      *reduction*.
+//      serially in grid-index order, after the barrier (TaskLedger's
+//      fold, the same one RecoveryRunner runs) — arrival order,
+//      duplicate results, retries and respawns can reorder *work*,
+//      never *reduction*.
 //
 // Failure handling: worker heartbeats renew lease deadlines on the
 // coordinator's monotonic clock; a silent worker (SIGKILL, SIGSTOP,
@@ -29,11 +30,12 @@
 // respawn budget — the runner degrades to in-process execution, so a
 // campaign always completes with the same bytes.
 //
-// Checkpointing is not the coordinator's: resume, the snapshot
-// cadence, the crash hook and the final accounting are the same
-// runtime::TaskLedger RecoveryRunner uses (runtime/recovery.h). The
-// coordinator owns dispatch (LeaseTable), the fleet and the late
-// grid-order fold of worker results.
+// Checkpointing and reduction are not the coordinator's: resume, the
+// snapshot cadence, the crash hook, the grid-order fold (a payload
+// restore rejects is recomputed once in-process, then quarantined) and
+// the final accounting are the same runtime::TaskLedger RecoveryRunner
+// uses (runtime/recovery.h). The coordinator owns dispatch
+// (LeaseTable) and the fleet.
 //
 // stdout belongs to the bench: the coordinator writes only to stderr.
 #pragma once
@@ -70,10 +72,16 @@ struct DistOptions {
   std::size_t max_respawns = 8;
 };
 
+/// The most worker subprocesses `--workers N` or FREERIDER_WORKERS may
+/// ask for; a larger count is a usage error.
+inline constexpr std::size_t kMaxWorkers = 256;
+
 /// Consume `--workers N` / `--workers=N` from argv (compacting it),
 /// with FREERIDER_WORKERS as the environment fallback, plus the
 /// FREERIDER_DIST_* tunables (FREERIDER_WORKER_BIN is read when the
-/// fleet spawns). A malformed --workers value clears `*ok`.
+/// fleet spawns). A malformed --workers, FREERIDER_WORKERS or
+/// FREERIDER_DIST_RESPAWNS value (cli::ParseSize), or a worker count
+/// above kMaxWorkers, clears `*ok`.
 DistOptions DistOptionsFromArgs(int& argc, char** argv, bool* ok);
 
 /// Fleet telemetry on top of the familiar robust accounting. All of
@@ -100,12 +108,12 @@ struct DistReport {
 };
 
 /// Drop-in distributed sibling of RecoveryRunner::Run. `body` is the
-/// in-process implementation (used verbatim when workers == 0 and for
-/// degraded execution); workers build theirs from
-/// (body_name, params). `restore` must be idempotent and
-/// index-addressed: it folds every completed payload — restored from
-/// checkpoint or computed by a worker — into caller state, and is
-/// called serially in grid-index order.
+/// in-process implementation (used verbatim when workers == 0, for
+/// degraded execution and for recomputing a rejected payload); workers
+/// build theirs from (body_name, params). Neither writes caller state.
+/// `restore` is the one writer: it sees every settled payload —
+/// restored from checkpoint, computed by a worker or in-process —
+/// once, serially, in grid-index order.
 class DistRunner {
  public:
   DistRunner(DistOptions dist, RobustSweepOptions robust);

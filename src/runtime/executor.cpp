@@ -4,7 +4,6 @@
 #include <string>
 
 #include "common/cli.h"
-#include "obs/metrics.h"
 #include "obs/profile.h"
 
 namespace freerider::runtime {
@@ -105,10 +104,6 @@ bool Executor::PopOrSteal(std::size_t worker_id, std::size_t* task) {
 void Executor::RunBatchAsWorker(std::size_t worker_id) {
   const int previous_id = tls_worker_id;
   tls_worker_id = static_cast<int>(worker_id);
-  // Point any metrics recorded by tasks on this thread at the worker's
-  // own shard: contention-free writes, deterministic u64 merge later.
-  const int previous_shard = obs::CurrentShard();
-  obs::SetCurrentShard(static_cast<int>(worker_id));
   std::size_t task = 0;
   while (PopOrSteal(worker_id, &task)) {
     const bool skip = cancel_ != nullptr && cancel_->cancelled();
@@ -123,7 +118,6 @@ void Executor::RunBatchAsWorker(std::size_t worker_id) {
       done_cv_.notify_all();
     }
   }
-  obs::SetCurrentShard(previous_shard);
   tls_worker_id = previous_id;
 }
 
@@ -142,8 +136,6 @@ RunTelemetry Executor::ParallelFor(
     // anchor for the parallel path.
     const int previous_id = tls_worker_id;
     tls_worker_id = 0;
-    const int previous_shard = obs::CurrentShard();
-    obs::SetCurrentShard(0);
     std::size_t executed = 0;
     for (std::size_t i = 0; i < n; ++i) {
       if (cancel != nullptr && cancel->cancelled()) {
@@ -153,7 +145,6 @@ RunTelemetry Executor::ParallelFor(
       body(i);
       ++executed;
     }
-    obs::SetCurrentShard(previous_shard);
     tls_worker_id = previous_id;
     telemetry.tasks_executed = executed;
     telemetry.per_worker_executed[0] = executed + telemetry.tasks_skipped;
@@ -261,9 +252,11 @@ bool SetDefaultThreads(std::size_t threads) {
 }
 
 std::size_t InitThreadsFromArgs(int& argc, char** argv, bool* ok) {
-  std::size_t threads = cli::EnvSize("FREERIDER_THREADS", 0);
+  std::size_t threads = cli::EnvSize("FREERIDER_THREADS", 0, ok);
   cli::ConsumeSize(argc, argv, "--threads", &threads, ok);
-  SetDefaultThreads(threads);
+  if (cli::RejectAboveCap("--threads", threads, kMaxThreads, ok)) {
+    SetDefaultThreads(threads);
+  }
   return threads;
 }
 

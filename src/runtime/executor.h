@@ -117,6 +117,11 @@ class Executor {
   std::atomic<std::size_t> skipped_{0};
 };
 
+/// The most threads a `--threads N` or FREERIDER_THREADS value may ask
+/// for; a larger one is a usage error. 0 (one per hardware thread) is
+/// not capped.
+inline constexpr std::size_t kMaxThreads = 1024;
+
 /// Process-wide executor shared by the sweep engine and the ported
 /// drivers. Thread count is fixed at first use: call SetDefaultThreads
 /// (or InitFromArgs in bench mains) before the first sweep.
@@ -130,8 +135,8 @@ bool SetDefaultThreads(std::size_t threads);
 /// Bench-main helper: consumes `--threads N` / `--threads=N` from
 /// argv (compacting it) and falls back to the FREERIDER_THREADS
 /// environment variable, then applies SetDefaultThreads. Returns the
-/// configured count (0 = hardware). A malformed value clears `*ok`
-/// (cli::ConsumeSize).
+/// configured count (0 = hardware). A malformed value (cli::ParseSize)
+/// or one above kMaxThreads clears `*ok` and is not applied.
 std::size_t InitThreadsFromArgs(int& argc, char** argv, bool* ok);
 
 }  // namespace freerider::runtime

@@ -113,7 +113,9 @@ TaskLedger::TaskLedger(const SweepGrid& grid,
     report_.tasks[i].point = i / grid.trials;
     report_.tasks[i].trial = i % grid.trials;
   }
-  crash_after_ = cli::EnvSize("FREERIDER_CRASH_AFTER_N_TASKS", 0);
+  // A test hook, not a setting: off when unset or malformed.
+  bool hook_ok = true;
+  crash_after_ = cli::EnvSize("FREERIDER_CRASH_AFTER_N_TASKS", 0, &hook_ok);
 }
 
 void TaskLedger::Resume(const TaskRestore& restore) {
@@ -228,6 +230,34 @@ void TaskLedger::Cancel(std::size_t i) {
 
 bool TaskLedger::cancelled() const {
   return first_failure_.load(std::memory_order_relaxed) < payloads_.size();
+}
+
+std::size_t TaskLedger::Fold(const TaskBody& body,
+                             const TaskRestore& restore) {
+  std::size_t recomputed = 0;
+  for (std::size_t i = 0; i < payloads_.size(); ++i) {
+    if (report_.tasks[i].state != RobustTaskState::kOk) continue;
+    const std::size_t point = i / grid_.trials;
+    const std::size_t trial = i % grid_.trials;
+    if (restore(point, trial, payloads_[i])) continue;
+    // A settled payload the caller cannot read is a Serialize/Deserialize
+    // mismatch or a corrupted result: recompute once rather than ship a
+    // silently wrong campaign, and quarantine what still does not fold.
+    std::fprintf(stderr,
+                 "[recovery] task %zu payload rejected by restore; "
+                 "recomputing in-process\n",
+                 i);
+    TaskCall call = CallTask(body, point, trial, 0);
+    report_.tasks[i].attempts += call.attempts;
+    if (call.threw || !call.result.ok ||
+        !restore(point, trial, call.result.payload)) {
+      Quarantine(i);
+      continue;
+    }
+    ++recomputed;
+    Commit(i, std::move(call.result.payload));
+  }
+  return recomputed;
 }
 
 void TaskLedger::WriteSnapshot() {
@@ -429,6 +459,7 @@ RobustSweepReport RecoveryRunner::Run(const SweepGrid& grid,
   report.task_retries = retries_total.load(std::memory_order_relaxed);
   report.watchdog_flags = watchdog_flags.load(std::memory_order_relaxed);
   profiler.AddCount("runner.watchdog_flags", report.watchdog_flags);
+  ledger.Fold(body, restore);
   ledger.Finish();
   return report;
 }

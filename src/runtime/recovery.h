@@ -12,8 +12,13 @@
 //     campaign loses only un-snapshotted tasks;
 //   * on `resume`, loads the checkpoint (salvaging a torn/corrupt
 //     tail), replays completed payloads through the caller's restore
-//     callback in grid-index order, and runs only the remainder —
-//     because task results are pure functions of (seed, point, trial)
+//     callback in grid-index order, and runs only the remainder;
+//   * after the barrier, folds every payload computed in this run
+//     through the same restore callback, serially in grid-index order.
+//     The body returns its payload and writes no caller state, so
+//     restore is the one writer of results, and a fresh run, a resumed
+//     run and a fleet run fill them from the same decoded bytes.
+//     Because task results are pure functions of (seed, point, trial),
 //     the final output is byte-identical to an uninterrupted run at
 //     any --threads value;
 //   * watches a monotonic clock over running tasks and flags (on
@@ -29,10 +34,10 @@
 // distributed runner (runtime/dist/coordinator.h); CallTask is the one
 // guarded body call both runners and the dist worker use.
 //
-// Crash-injection hook: when FREERIDER_CRASH_AFTER_N_TASKS=N is set,
-// the process raises SIGKILL the moment the N-th task of this run
-// settles — tools/crash_campaign uses this to prove resume
-// convergence under randomized kills.
+// Crash-injection hook: when FREERIDER_CRASH_AFTER_N_TASKS=N is set
+// (off when unset or malformed), the process raises SIGKILL the moment
+// the N-th task of this run settles — tools/crash_campaign uses this to
+// prove resume convergence under randomized kills.
 #pragma once
 
 #include <atomic>
@@ -135,9 +140,13 @@ struct RobustTaskResult {
   std::string payload;
 };
 
-/// One task: body(point, trial).
+/// One task: body(point, trial). Returns its payload and writes no
+/// caller state; it may run on any worker, process or retry.
 using TaskBody = std::function<RobustTaskResult(std::size_t, std::size_t)>;
-/// Folds a completed payload into caller state; false rejects it.
+/// Folds a settled payload into caller state; false rejects it. The
+/// only writer of results: called once per settled payload, serially,
+/// in grid-index order (restored ones before the run, computed ones
+/// after the barrier).
 using TaskRestore =
     std::function<bool(std::size_t, std::size_t, const std::string&)>;
 
@@ -166,6 +175,10 @@ TaskCall CallTask(const TaskBody& body, std::size_t point, std::size_t trial,
 ///     try_lock'ed so a snapshot in flight is never waited on;
 ///   * the FREERIDER_CRASH_AFTER_N_TASKS kill, fired after the N-th
 ///     settle is visible to snapshots;
+///   * the fold: after the barrier, every task settled in this
+///     process goes through `restore` in grid-index order; a payload
+///     `restore` rejects is recomputed once in-process, then
+///     quarantined;
 ///   * the final snapshot and the ok + restored + quarantined +
 ///     drained == total tally.
 ///
@@ -197,7 +210,11 @@ class TaskLedger {
   void Cancel(std::size_t i);
   bool cancelled() const;
 
-  const std::string& payload(std::size_t i) const { return payloads_[i]; }
+  /// After the barrier (single-threaded): pass every kOk task's
+  /// payload to `restore` in grid-index order. A rejected payload is
+  /// recomputed once with `body` and folded again; if that fails too,
+  /// the task is quarantined. Returns the tasks recomputed and folded.
+  std::size_t Fold(const TaskBody& body, const TaskRestore& restore);
 
   /// Final snapshot, checkpoint_error, cancellation and the per-state
   /// tallies.
@@ -227,10 +244,11 @@ class RecoveryRunner {
   RecoveryRunner(Executor& executor, RobustSweepOptions options);
 
   /// Run body(point, trial) over the grid with checkpoint/resume,
-  /// watchdog, retry and quarantine per the options. `restore` is
-  /// invoked serially, in grid-index order, before any task runs, for
-  /// each completed payload recovered from the checkpoint; returning
-  /// false rejects the record (the task re-runs).
+  /// watchdog, retry and quarantine per the options. `restore` sees
+  /// every settled payload once, serially, in grid-index order: the
+  /// ones recovered from the checkpoint before any task runs (false
+  /// rejects the record and the task re-runs), then the ones computed
+  /// here after the barrier (TaskLedger::Fold).
   RobustSweepReport Run(const SweepGrid& grid, const TaskBody& body,
                         const TaskRestore& restore);
 

@@ -56,9 +56,8 @@ runtime::dist::DistBody MakeStressBody(std::size_t rounds) {
 }
 
 runtime::dist::DistBody MakeChaosProbeBody(std::uint64_t seed,
-                                           std::size_t rounds,
-                                           runtime::SweepGrid grid) {
-  return [seed, rounds, grid](std::size_t p, std::size_t t) {
+                                           std::size_t rounds) {
+  return [seed, rounds](std::size_t p, std::size_t t) {
     // Counter-derived per-task stream: pure in (seed, p, t), so the
     // same task recomputed on any worker — or in-process after fleet
     // loss — yields the same bytes.
@@ -73,7 +72,6 @@ runtime::dist::DistBody MakeChaosProbeBody(std::uint64_t seed,
     w.F64(stats.mean_slots);
     runtime::RobustTaskResult out;
     out.payload = w.Take();
-    (void)grid;
     return out;
   };
 }
@@ -129,8 +127,7 @@ void RegisterDistBodies() {
             rounds == 0 || grid.trials == 0 || grid.tasks() == 0) {
           return nullptr;
         }
-        return MakeChaosProbeBody(seed, static_cast<std::size_t>(rounds),
-                                  grid);
+        return MakeChaosProbeBody(seed, static_cast<std::size_t>(rounds));
       });
 }
 
@@ -144,7 +141,6 @@ std::vector<RangePoint> RangeSweepDistributed(
   dist.body_name = "fig14_range";
   dist.params = preset.slug;
 
-  const runtime::dist::DistBody pure = MakeFig14Body(preset);
   auto restore = [&](std::size_t p, std::size_t, const std::string& payload) {
     runtime::PayloadReader r(payload);
     double max_m = 0.0;
@@ -152,17 +148,9 @@ std::vector<RangePoint> RangeSweepDistributed(
     points[p] = {distances[p], max_m};
     return true;
   };
-  // In-process body = pure body + inline restore fold: the slot is
-  // filled from decode(encode(x)) in every mode, so `--workers N` and
-  // `--workers 0` print the same bytes.
-  auto body = [&](std::size_t p, std::size_t t) {
-    runtime::RobustTaskResult out = pure(p, t);
-    if (out.ok) restore(p, t, out.payload);
-    return out;
-  };
   runtime::dist::DistRunner runner(std::move(dist), std::move(robust));
-  runtime::dist::DistReport local = runner.Run({distances.size(), 1}, body,
-                                               restore);
+  runtime::dist::DistReport local =
+      runner.Run({distances.size(), 1}, MakeFig14Body(preset), restore);
   if (report != nullptr) *report = std::move(local);
   return points;
 }
@@ -180,20 +168,14 @@ void StressSweepDistributed(std::size_t rounds,
   dist.body_name = "stress_supervisor";
   dist.params = std::to_string(rounds);
 
-  const runtime::dist::DistBody pure = MakeStressBody(rounds);
   auto restore = [&](std::size_t p, std::size_t t,
                      const std::string& payload) {
     StressResult& slot = t == 0 ? (*on)[p] : (*off)[p];
     return DeserializeStressResult(payload, &slot);
   };
-  auto body = [&](std::size_t p, std::size_t t) {
-    runtime::RobustTaskResult out = pure(p, t);
-    if (out.ok) restore(p, t, out.payload);
-    return out;
-  };
   runtime::dist::DistRunner runner(std::move(dist), std::move(robust));
-  runtime::dist::DistReport local = runner.Run({seeds.size(), 2}, body,
-                                               restore);
+  runtime::dist::DistReport local =
+      runner.Run({seeds.size(), 2}, MakeStressBody(rounds), restore);
   if (report != nullptr) *report = std::move(local);
 }
 
@@ -210,7 +192,6 @@ runtime::dist::DistReport ChaosProbeDistributed(
   dist.body_name = "chaos_probe";
   dist.params = std::to_string(seed) + ":" + std::to_string(rounds);
 
-  const runtime::dist::DistBody pure = MakeChaosProbeBody(seed, rounds, grid);
   auto restore = [&](std::size_t p, std::size_t t,
                      const std::string& payload) {
     runtime::PayloadReader r(payload);
@@ -225,13 +206,9 @@ runtime::dist::DistReport ChaosProbeDistributed(
     have[i] = 1;
     return true;
   };
-  auto body = [&](std::size_t p, std::size_t t) {
-    runtime::RobustTaskResult out = pure(p, t);
-    if (out.ok) restore(p, t, out.payload);
-    return out;
-  };
   runtime::dist::DistRunner runner(std::move(dist), std::move(robust));
-  runtime::dist::DistReport report = runner.Run(grid, body, restore);
+  runtime::dist::DistReport report =
+      runner.Run(grid, MakeChaosProbeBody(seed, rounds), restore);
   if (digest != nullptr) {
     std::string s;
     char line[192];

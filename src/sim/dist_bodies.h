@@ -7,11 +7,12 @@
 // factories that rebuild each body from its (name, params, grid)
 // triple, plus the coordinator-side wrappers the benches call.
 //
-// The wrappers enforce the byte-identity contract: the in-process body
-// handed to DistRunner is the pure registry body *plus an inline
-// restore fold*, so a result slot is always filled from
-// decode(encode(x)) — bit-exact by the hex-float payload grammar — in
-// every mode (`--workers 0`, `--workers N`, degraded, resumed).
+// The wrappers hand DistRunner the same pure registry body the workers
+// build, and a restore callback that is the one writer of results: the
+// runner's ledger folds every settled payload through it in grid
+// order, so a result slot is always filled from decode(encode(x)) —
+// bit-exact by the hex-float payload grammar — in every mode
+// (`--workers 0`, `--workers N`, degraded, resumed).
 //
 // Every coordinating or serving binary (bench_fig14_range,
 // bench_stress_supervisor, tools/sweep_worker, tools/chaos_fleet)

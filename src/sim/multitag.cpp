@@ -730,18 +730,4 @@ FullStackStats RunFullStackCampaign(const FullStackConfig& config, Rng& rng) {
   return sim.Stats();
 }
 
-std::vector<FullStackStats> RunFullStackCampaignBatch(
-    const std::vector<CampaignSpec>& specs, runtime::SweepReport* report) {
-  std::vector<FullStackStats> results(specs.size());
-  runtime::SweepEngine engine(runtime::DefaultExecutor());
-  runtime::SweepReport local_report =
-      engine.Run({specs.size(), 1}, [&](std::size_t p, std::size_t) {
-        Rng rng(specs[p].seed);
-        results[p] = RunFullStackCampaign(specs[p].config, rng);
-        return true;
-      });
-  if (report != nullptr) *report = std::move(local_report);
-  return results;
-}
-
 }  // namespace freerider::sim

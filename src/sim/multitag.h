@@ -44,7 +44,6 @@
 #include "mac/slotted_aloha.h"
 #include "mac/tag_mac.h"
 #include "obs/trace.h"
-#include "runtime/sweep_engine.h"
 #include "transport/arq.h"
 
 namespace freerider::sim {
@@ -287,22 +286,5 @@ class FullStackSim {
 };
 
 FullStackStats RunFullStackCampaign(const FullStackConfig& config, Rng& rng);
-
-/// One campaign of a parallel batch: the config plus the seed of the
-/// campaign's master stream (each campaign owns its Rng — the batched
-/// equivalent of `Rng rng(seed); RunFullStackCampaign(config, rng)`).
-struct CampaignSpec {
-  FullStackConfig config;
-  std::uint64_t seed = 1;
-};
-
-/// Run independent campaigns as parallel tasks on the default
-/// executor (runtime::SweepEngine). Results land in spec order and
-/// each equals the corresponding serial RunFullStackCampaign run bit
-/// for bit, at every --threads value. `report` (optional) receives
-/// scheduling telemetry.
-std::vector<FullStackStats> RunFullStackCampaignBatch(
-    const std::vector<CampaignSpec>& specs,
-    runtime::SweepReport* report = nullptr);
 
 }  // namespace freerider::sim

@@ -62,9 +62,9 @@ std::vector<DistancePoint> DistanceSweepRobust(
         config.num_packets = packets;
         config.profile = DefaultProfile(radio);
         Rng point_rng(point_seeds[p]);
-        points[p] = {distances[p], SimulateTagLinkAdaptive(config, point_rng)};
         runtime::RobustTaskResult out;
-        out.payload = SerializeLinkStats(points[p].stats);
+        out.payload =
+            SerializeLinkStats(SimulateTagLinkAdaptive(config, point_rng));
         return out;
       },
       [&](std::size_t p, std::size_t, const std::string& payload) {

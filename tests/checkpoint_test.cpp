@@ -345,8 +345,7 @@ TEST(RecoveryRunner, ResumeSkipsCompletedTasksAndReplaysInGridOrder) {
       {4, 2},
       [&](std::size_t p, std::size_t t) {
         body_runs.fetch_add(1);
-        values[p * 2 + t] = p * 2 + t;  // recomputed value == index
-        return U64Result(p * 2 + t);
+        return U64Result(p * 2 + t);  // recomputed value == index
       },
       [&](std::size_t p, std::size_t t, const std::string& payload) {
         PayloadReader r(payload);
@@ -360,11 +359,96 @@ TEST(RecoveryRunner, ResumeSkipsCompletedTasksAndReplaysInGridOrder) {
   EXPECT_EQ(report.tasks_restored, 3u);
   EXPECT_EQ(report.tasks_ok, 5u);
   EXPECT_EQ(body_runs.load(), 5u);
-  // Restore replays serially in ascending grid-index order.
-  EXPECT_EQ(restored_order, (std::vector<std::size_t>{0, 2, 5}));
-  EXPECT_EQ(values[0], 0u);
-  EXPECT_EQ(values[2], 200u);
-  EXPECT_EQ(values[5], 500u);
+  // Restore replays the checkpoint serially in ascending grid-index
+  // order, then folds the tasks computed here, in grid order too.
+  EXPECT_EQ(restored_order,
+            (std::vector<std::size_t>{0, 2, 5, 1, 3, 4, 6, 7}));
+  EXPECT_EQ(values,
+            (std::vector<std::uint64_t>{0, 1, 200, 3, 4, 500, 6, 7}));
+}
+
+TEST(RecoveryRunner, FreshRunFoldsEveryTaskOnceInGridOrderAfterTheBarrier) {
+  Executor executor(4);
+  RecoveryRunner runner(executor, {});
+  std::atomic<std::size_t> bodies_returned{0};
+  std::vector<std::size_t> folded;
+  bool folded_before_barrier = false;
+  const RobustSweepReport report = runner.Run(
+      {6, 2},
+      [&](std::size_t p, std::size_t t) {
+        const RobustTaskResult result = U64Result(p * 2 + t);
+        bodies_returned.fetch_add(1);
+        return result;
+      },
+      [&](std::size_t p, std::size_t t, const std::string& payload) {
+        folded_before_barrier |= bodies_returned.load() != 12;
+        PayloadReader r(payload);
+        std::uint64_t v = 0;
+        if (!r.U64(v) || !r.AtEnd() || v != p * 2 + t) return false;
+        folded.push_back(p * 2 + t);
+        return true;
+      });
+  EXPECT_FALSE(folded_before_barrier);
+  EXPECT_EQ(folded, (std::vector<std::size_t>{0, 1, 2, 3, 4, 5, 6, 7, 8, 9,
+                                              10, 11}));
+  EXPECT_EQ(report.tasks_ok, 12u);
+}
+
+TEST(RecoveryRunner, RejectedFreshPayloadIsRecomputedOnceThenQuarantined) {
+  ScratchFile f("checkpoint_test_reject_fresh.ckpt");
+  Executor executor(2);
+  RobustSweepOptions options;
+  options.checkpoint_path = f.path;
+  options.campaign = CampaignId("reject_fresh", 3);
+  RecoveryRunner runner(executor, options);
+  std::vector<std::atomic<std::size_t>> body_runs(3);
+  const RobustSweepReport report = runner.Run(
+      {3, 1},
+      [&](std::size_t p, std::size_t) {
+        body_runs[p].fetch_add(1);
+        return U64Result(p);
+      },
+      // A reader that cannot read task 1's payload: a codec mismatch.
+      [](std::size_t p, std::size_t, const std::string&) { return p != 1; });
+  EXPECT_EQ(body_runs[0].load(), 1u);
+  EXPECT_EQ(body_runs[1].load(), 2u);  // computed, then recomputed once
+  EXPECT_EQ(body_runs[2].load(), 1u);
+  EXPECT_EQ(report.tasks_ok, 2u);
+  EXPECT_EQ(report.tasks_quarantined, 1u);
+  EXPECT_EQ(report.quarantined, std::vector<std::size_t>{1});
+  EXPECT_EQ(report.tasks_ok + report.tasks_restored +
+                report.tasks_quarantined + report.tasks_drained,
+            report.tasks_total);
+  // The final checkpoint records the quarantine, not the bad payload.
+  std::string bytes;
+  ASSERT_TRUE(ReadFileBytes(f.path, &bytes));
+  const CheckpointDecodeResult decoded = DecodeCheckpoint(bytes);
+  ASSERT_TRUE(decoded.ok);
+  ASSERT_EQ(decoded.records.size(), 3u);
+  EXPECT_EQ(decoded.records[1].index, 1u);
+  EXPECT_EQ(decoded.records[1].state, TaskState::kQuarantined);
+}
+
+TEST(RecoveryRunner, RejectedFreshPayloadFoldsAfterARecompute) {
+  Executor executor(2);
+  RecoveryRunner runner(executor, {});
+  std::atomic<bool> corrupted{false};
+  std::vector<std::uint64_t> values(4, 0);
+  const RobustSweepReport report = runner.Run(
+      {4, 1},
+      [&](std::size_t p, std::size_t) -> RobustTaskResult {
+        // Task 2's first result arrives damaged; its recompute does not.
+        if (p == 2 && !corrupted.exchange(true)) return {true, "garbage"};
+        return U64Result(p + 10);
+      },
+      [&](std::size_t p, std::size_t, const std::string& payload) {
+        PayloadReader r(payload);
+        return r.U64(values[p]) && r.AtEnd();
+      });
+  EXPECT_EQ(report.tasks_ok, 4u);
+  EXPECT_EQ(report.tasks_quarantined, 0u);
+  EXPECT_EQ(report.tasks[2].attempts, 2u);
+  EXPECT_EQ(values, (std::vector<std::uint64_t>{10, 11, 12, 13}));
 }
 
 TEST(RecoveryRunner, MismatchedCampaignIsIgnoredAndEverythingReruns) {
@@ -534,13 +618,11 @@ TEST(RecoveryRunner, ResultsAreThreadCountInvariant) {
     std::vector<std::uint64_t> values(24, 0);
     runner.Run(
         {12, 2},
-        [&](std::size_t p, std::size_t t) {
-          values[p * 2 + t] = p * 1000 + t;
-          PayloadWriter w;
-          w.U64(values[p * 2 + t]);
-          return RobustTaskResult{true, w.Take()};
-        },
-        [](std::size_t, std::size_t, const std::string&) { return true; });
+        [](std::size_t p, std::size_t t) { return U64Result(p * 1000 + t); },
+        [&](std::size_t p, std::size_t t, const std::string& payload) {
+          PayloadReader r(payload);
+          return r.U64(values[p * 2 + t]) && r.AtEnd();
+        });
     return values;
   };
   EXPECT_EQ(run(1), run(4));

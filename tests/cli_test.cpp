@@ -204,6 +204,30 @@ TEST(CliContractTest, MalformedWorkersValueExitsTwo) {
   ExpectMalformedValueRejected(CLI_BENCH_FIG14, "--workers", "two");
 }
 
+// An environment fallback follows its flag's parse rule: a malformed
+// FREERIDER_THREADS is a usage error naming the variable, never a run
+// on every core (`abc`) or a huge thread count (`-1`).
+void ExpectMalformedEnvRejected(const char* binary, const char* name,
+                                const char* value) {
+  const std::string env = std::string(name) + "='" + value + "' ";
+  const CliResult result =
+      RunCli(env + binary, "--out-dir " + testing::TempDir());
+  EXPECT_EQ(result.exit_code, 2) << env;
+  EXPECT_NE(result.stderr_text.find(name), std::string::npos)
+      << result.stderr_text;
+  EXPECT_NE(result.stderr_text.find(std::string("'") + value + "'"),
+            std::string::npos)
+      << result.stderr_text;
+}
+
+TEST(CliContractTest, NegativeThreadsEnvExitsTwo) {
+  ExpectMalformedEnvRejected(CLI_BENCH_FIG15, "FREERIDER_THREADS", "-1");
+}
+
+TEST(CliContractTest, NonNumericThreadsEnvExitsTwo) {
+  ExpectMalformedEnvRejected(CLI_BENCH_FIG15, "FREERIDER_THREADS", "abc");
+}
+
 TEST(CliContractTest, MetricsCheckReadsEachEntryOnItsOwn) {
   // The gate reads `a`; its neighbour `b` carries a value a substring
   // scan could borrow.

@@ -707,5 +707,44 @@ TEST(DistRunnerTest, PartialTornCheckpointResumesOnTheFleet) {
   std::remove((path + ".tmp").c_str());
 }
 
+// ------------------------------------------------------ flag parser
+//
+// Parser only: an over-cap or malformed count is rejected before any
+// worker could be spawned from it, so no fleet is ever launched here.
+
+DistOptions ParseDistArgs(std::vector<std::string> args, bool* ok) {
+  std::vector<char*> argv;
+  for (std::string& a : args) argv.push_back(a.data());
+  int argc = static_cast<int>(argv.size());
+  return DistOptionsFromArgs(argc, argv.data(), ok);
+}
+
+TEST(DistOptionsTest, WorkerCountAboveTheCapIsAUsageError) {
+  bool ok = true;
+  ParseDistArgs({"prog", "--workers", std::to_string(kMaxWorkers)}, &ok);
+  EXPECT_TRUE(ok);
+  ParseDistArgs({"prog", "--workers", std::to_string(kMaxWorkers + 1)}, &ok);
+  EXPECT_FALSE(ok);
+  ok = true;
+  ScopedEnv env("FREERIDER_WORKERS", "100000");
+  ParseDistArgs({"prog"}, &ok);
+  EXPECT_FALSE(ok);
+}
+
+TEST(DistOptionsTest, MalformedEnvironmentCountsAreUsageErrors) {
+  for (const char* name : {"FREERIDER_WORKERS", "FREERIDER_DIST_RESPAWNS"}) {
+    for (const char* value : {"-1", "abc", "3x", ""}) {
+      ScopedEnv env(name, value);
+      bool ok = true;
+      ParseDistArgs({"prog"}, &ok);
+      EXPECT_FALSE(ok) << name << "=" << value;
+    }
+  }
+  ScopedEnv env("FREERIDER_DIST_RESPAWNS", "3");
+  bool ok = true;
+  EXPECT_EQ(ParseDistArgs({"prog"}, &ok).max_respawns, 3u);
+  EXPECT_TRUE(ok);
+}
+
 }  // namespace
 }  // namespace freerider::runtime::dist

@@ -1,11 +1,11 @@
 // Golden framing test: every [u32 len][payload][u32 crc32] byte stream
-// the repo writes (campaign checkpoints, TRACE and METRICS .bin files,
-// the distributed sweep's pipe frames) and every outcome of decoding it.
+// the repo writes (campaign checkpoints, TRACE .bin files, the
+// distributed sweep's pipe frames) and every outcome of decoding it.
 //
 // Each case pins two 64-bit FNV-1a hashes: one of a fixed encoded image,
 // and one of the decoder's full outcome at every truncation offset and
 // every single-bit flip of that image (ok / salvaged / frames kept /
-// dropped bytes / decoded records, rings and metrics / the FrameStream
+// dropped bytes / decoded records and rings / the FrameStream
 // status sequence). A change to the frame writer, the frame parser, its
 // payload cap or any salvage rule therefore fails here by stream name,
 // and an unchanged hash is the proof that a refactor of the framing kept
@@ -14,12 +14,10 @@
 
 #include <cstdint>
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <string_view>
 #include <vector>
 
-#include "obs/metrics.h"
 #include "obs/trace.h"
 #include "runtime/checkpoint.h"
 #include "runtime/dist/wire.h"
@@ -182,51 +180,6 @@ TEST(FrameGoldenTest, TraceImageAndSalvage) {
   EXPECT_EQ(outcomes, 0xdcc3dc2b44caae14ull) << Hex(outcomes);
 }
 
-// --------------------------------------------------------------- metrics
-
-std::string MetricsImage() {
-  obs::MetricsRegistry registry(1);
-  registry.Count("golden.count", 5);
-  registry.Count("golden.count", 2);
-  registry.SetGauge("golden.gauge", -1.5);
-  registry.Observe("golden.hist", 0);
-  registry.Observe("golden.hist", 3);
-  registry.Observe("golden.hist", 1000);
-  return obs::SerializeMetrics("golden label", registry.Merge());
-}
-
-void FoldMetrics(Fnv& h, std::string_view bytes) {
-  const obs::MetricsDecodeResult r = obs::DecodeMetrics(bytes);
-  h.U64(r.ok);
-  h.U64(r.salvaged);
-  h.U64(r.dropped_bytes);
-  h.Str(r.error);
-  h.Str(r.label);
-  h.U64(r.metrics.size());
-  for (const obs::MergedMetric& m : r.metrics) {
-    h.Str(m.name);
-    h.U64(static_cast<std::uint64_t>(m.kind));
-    h.U64(m.value);
-    std::uint64_t gauge_bits = 0;
-    std::memcpy(&gauge_bits, &m.gauge, sizeof gauge_bits);
-    h.U64(gauge_bits);
-    h.U64(m.sum);
-    h.U64(m.min);
-    h.U64(m.max);
-    h.U64(m.buckets.size());
-    for (std::uint64_t b : m.buckets) h.U64(b);
-  }
-}
-
-TEST(FrameGoldenTest, MetricsImageAndSalvage) {
-  const std::string image = MetricsImage();
-  const std::uint64_t bytes = HashBytes(image);
-  const std::uint64_t outcomes = HashOutcomes(image, FoldMetrics);
-  EXPECT_EQ(image.size(), 774u);
-  EXPECT_EQ(bytes, 0x2de7ac84c76ebe29ull) << Hex(bytes);
-  EXPECT_EQ(outcomes, 0xcd388900710777b8ull) << Hex(outcomes);
-}
-
 // ------------------------------------------------------------------ wire
 
 std::string WireImage() {
@@ -318,7 +271,7 @@ TEST(FrameGoldenTest, WireStreamAndSalvage) {
 
 // A frame whose CRC checks but whose fields are impossible stops the
 // salvage just like a torn one. The checkpoint decoder drops that frame
-// with the tail; the obs decoders count only the bytes after it.
+// with the tail; the trace decoder counts only the bytes after it.
 TEST(FrameGoldenTest, SemanticallyInvalidFramesStopTheSalvage) {
   using runtime::dist::EncodeFrame;
   Fnv h;
@@ -331,11 +284,8 @@ TEST(FrameGoldenTest, SemanticallyInvalidFramesStopTheSalvage) {
   FoldTrace(h, trace + EncodeFrame("X") + trace);
   FoldTrace(h, EncodeFrame("E") + trace);
   FoldTrace(h, trace + EncodeFrame("") + trace);
-  const std::string metrics = MetricsImage();
-  FoldMetrics(h, metrics + metrics);
-  FoldMetrics(h, metrics + EncodeFrame("V") + metrics);
   FoldWire(h, EncodeFrame("99 ") + WireImage());
-  EXPECT_EQ(h.value(), 0x7826be5f1ba27a17ull) << Hex(h.value());
+  EXPECT_EQ(h.value(), 0xbaf5c1d820cf3e07ull) << Hex(h.value());
 }
 
 }  // namespace

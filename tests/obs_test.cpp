@@ -22,30 +22,30 @@ namespace {
 // ---- Metrics registry -------------------------------------------------
 
 TEST(MetricsTest, CounterGaugeHistogramMerge) {
-  obs::MetricsRegistry registry(4);
-  obs::SetCurrentShard(0);
+  obs::MetricsRegistry registry;
   registry.Count("frames", 3);
   registry.SetGauge("ratio", 0.25);
   registry.Observe("latency", 5);
-  obs::SetCurrentShard(2);
   registry.Count("frames", 7);
   registry.Observe("latency", 9);
-  obs::SetCurrentShard(-1);  // restore the unset-thread default
+  // A name keeps the kind it was first recorded under.
+  registry.Observe("frames", 100);
+  registry.Count("ratio", 1);
 
-  const std::vector<obs::MergedMetric> merged = registry.Merge();
-  ASSERT_EQ(merged.size(), 3u);  // sorted: frames, latency, ratio
-  EXPECT_EQ(merged[0].name, "frames");
-  EXPECT_EQ(merged[0].kind, obs::MetricKind::kCounter);
-  EXPECT_EQ(merged[0].value, 10u);
-  EXPECT_EQ(merged[1].name, "latency");
-  EXPECT_EQ(merged[1].kind, obs::MetricKind::kHistogram);
-  EXPECT_EQ(merged[1].value, 2u);
-  EXPECT_EQ(merged[1].sum, 14u);
-  EXPECT_EQ(merged[1].min, 5u);
-  EXPECT_EQ(merged[1].max, 9u);
-  EXPECT_EQ(merged[2].name, "ratio");
-  EXPECT_EQ(merged[2].kind, obs::MetricKind::kGauge);
-  EXPECT_DOUBLE_EQ(merged[2].gauge, 0.25);
+  const std::vector<obs::Metric> metrics = registry.Snapshot();
+  ASSERT_EQ(metrics.size(), 3u);  // sorted: frames, latency, ratio
+  EXPECT_EQ(metrics[0].name, "frames");
+  EXPECT_EQ(metrics[0].kind, obs::MetricKind::kCounter);
+  EXPECT_EQ(metrics[0].value, 10u);
+  EXPECT_EQ(metrics[1].name, "latency");
+  EXPECT_EQ(metrics[1].kind, obs::MetricKind::kHistogram);
+  EXPECT_EQ(metrics[1].value, 2u);
+  EXPECT_EQ(metrics[1].sum, 14u);
+  EXPECT_EQ(metrics[1].min, 5u);
+  EXPECT_EQ(metrics[1].max, 9u);
+  EXPECT_EQ(metrics[2].name, "ratio");
+  EXPECT_EQ(metrics[2].kind, obs::MetricKind::kGauge);
+  EXPECT_DOUBLE_EQ(metrics[2].gauge, 0.25);
 }
 
 // The determinism claim itself: the identical deterministic workload,
@@ -92,31 +92,9 @@ TEST(MetricsTest, HistogramBucketBoundaries) {
   EXPECT_EQ(obs::HistogramBucketLow(63), std::uint64_t{1} << 62);
 }
 
-TEST(MetricsTest, BinaryCodecRoundTrips) {
-  obs::MetricsRegistry registry(2);
-  obs::SetCurrentShard(0);
-  registry.Count("a.count", 41);
-  registry.SetGauge("b.gauge", -0.125);
-  registry.Observe("c.hist", 0);
-  registry.Observe("c.hist", 1023);
-  obs::SetCurrentShard(-1);
-
-  const std::vector<obs::MergedMetric> merged = registry.Merge();
-  const std::string bytes = obs::SerializeMetrics("lbl", merged);
-  const obs::MetricsDecodeResult decoded = obs::DecodeMetrics(bytes);
-  ASSERT_TRUE(decoded.ok) << decoded.error;
-  EXPECT_FALSE(decoded.salvaged);
-  EXPECT_EQ(decoded.label, "lbl");
-  EXPECT_EQ(decoded.metrics, merged);
-  // Re-encoding the decode is the identity: the codec is canonical.
-  EXPECT_EQ(obs::SerializeMetrics(decoded.label, decoded.metrics), bytes);
-}
-
 TEST(MetricsTest, JsonExportEscapesAndIsStable) {
-  obs::MetricsRegistry registry(1);
-  obs::SetCurrentShard(0);
+  obs::MetricsRegistry registry;
   registry.Count("weird\"name\\with\njunk", 1);
-  obs::SetCurrentShard(-1);
   const std::string json = obs::MetricsToJson("l", registry);
   EXPECT_NE(json.find("weird\\\"name\\\\with\\u000ajunk"), std::string::npos)
       << json;
@@ -262,26 +240,6 @@ TEST(TraceFuzzTest, BitFlipsAreSafe) {
   }
 }
 
-TEST(MetricsFuzzTest, TruncationAndBitFlipsAreSafe) {
-  obs::MetricsRegistry registry(2);
-  obs::SetCurrentShard(0);
-  registry.Count("c", 3);
-  registry.SetGauge("g", 2.5);
-  for (std::uint64_t v : {0ull, 1ull, 1024ull, ~0ull}) {
-    registry.Observe("h", v);
-  }
-  obs::SetCurrentShard(-1);
-  const std::string bytes = obs::SerializeMetrics("fz", registry.Merge());
-  for (std::size_t cut = 0; cut < bytes.size(); ++cut) {
-    (void)obs::DecodeMetrics(std::string_view(bytes).substr(0, cut));
-  }
-  for (std::size_t i = 0; i < bytes.size(); ++i) {
-    std::string mutated = bytes;
-    mutated[i] = static_cast<char>(mutated[i] ^ 0x40);
-    (void)obs::DecodeMetrics(mutated);
-  }
-}
-
 // A hostile header must not make the decoder allocate or loop on
 // attacker-chosen sizes: capacity is bounded by kMaxCapacity and the
 // phantom-drop count is restored arithmetically, not replayed.
@@ -304,7 +262,6 @@ TEST(TraceFuzzTest, HostileHeaderCountsAreRejectedOrBounded) {
 TEST(ProfilerTest, ChromeTraceJsonShape) {
   obs::Profiler profiler;
   profiler.RecordSpan("span_a", "cat", 0, 10.0, 5.0);
-  profiler.RecordInstant("mark", "cat", 1, 12.0);
   profiler.AddCount("things", 3);
   const std::string json = profiler.ChromeTraceJson();
   // Minimal trace_event schema: a traceEvents array whose entries all
@@ -313,7 +270,6 @@ TEST(ProfilerTest, ChromeTraceJsonShape) {
   EXPECT_NE(json.find("\"name\":\"span_a\""), std::string::npos);
   EXPECT_NE(json.find("\"ph\":\"X\""), std::string::npos);
   EXPECT_NE(json.find("\"dur\":"), std::string::npos);
-  EXPECT_NE(json.find("\"ph\":\"i\""), std::string::npos);
   EXPECT_NE(json.find("\"ph\":\"C\""), std::string::npos);
   EXPECT_NE(json.find("\"args\":{\"value\":3}"), std::string::npos) << json;
   EXPECT_NE(json.find("\"pid\":1"), std::string::npos);

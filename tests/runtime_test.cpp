@@ -6,7 +6,9 @@
 #include <atomic>
 #include <cmath>
 #include <cstdint>
+#include <cstdlib>
 #include <numeric>
+#include <string>
 #include <vector>
 
 #include "common/rng.h"
@@ -272,6 +274,34 @@ TEST(Reduce, RunningStatsMergeEmptySides) {
   b.Merge(a);  // Merging into empty copies.
   EXPECT_EQ(b.count(), 2u);
   EXPECT_EQ(b.mean(), 2.0);
+}
+
+// ------------------------------------------------------ flag parser
+//
+// Parser only: an over-cap or malformed count is rejected and never
+// applied, so no executor is sized from it here.
+
+bool ThreadsParse(std::vector<std::string> args) {
+  std::vector<char*> argv;
+  for (std::string& a : args) argv.push_back(a.data());
+  int argc = static_cast<int>(argv.size());
+  bool ok = true;
+  InitThreadsFromArgs(argc, argv.data(), &ok);
+  return ok;
+}
+
+TEST(InitThreadsFromArgs, CountAboveTheCapIsAUsageError) {
+  EXPECT_FALSE(ThreadsParse({"prog", "--threads",
+                             std::to_string(kMaxThreads + 1)}));
+  EXPECT_FALSE(ThreadsParse({"prog", "--threads=100000"}));
+}
+
+TEST(InitThreadsFromArgs, MalformedOrOverCapEnvironmentIsAUsageError) {
+  for (const char* value : {"-1", "abc", "2x", "", "100000"}) {
+    ::setenv("FREERIDER_THREADS", value, 1);
+    EXPECT_FALSE(ThreadsParse({"prog"})) << "FREERIDER_THREADS=" << value;
+  }
+  ::unsetenv("FREERIDER_THREADS");
 }
 
 }  // namespace

@@ -78,6 +78,8 @@ int main(int argc, char** argv) {
   std::string only;
   bool args_ok = true;
   cli::ConsumeSize(argc, argv, "--workers", &workers, &args_ok);
+  cli::RejectAboveCap("--workers", workers, runtime::dist::kMaxWorkers,
+                      &args_ok);
   cli::ConsumeSize(argc, argv, "--points", &points, &args_ok);
   cli::ConsumeSize(argc, argv, "--trials", &trials, &args_ok);
   cli::ConsumeSize(argc, argv, "--rounds", &rounds, &args_ok);

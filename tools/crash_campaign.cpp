@@ -111,9 +111,8 @@ CampaignResult RunSoakCampaign(const runtime::RobustSweepOptions& robust) {
   runtime::RobustSweepReport report = runner.Run(
       {num_seeds, 1},
       [&](std::size_t p, std::size_t) {
-        results[p] = sim::RunSoak(soaks[p]);
         runtime::RobustTaskResult out;
-        out.payload = sim::SerializeSoakResult(results[p]);
+        out.payload = sim::SerializeSoakResult(sim::RunSoak(soaks[p]));
         return out;
       },
       [&](std::size_t p, std::size_t, const std::string& payload) {
@@ -145,10 +144,8 @@ CampaignResult RunMultitagCampaign(const runtime::RobustSweepOptions& robust) {
       [&](std::size_t p, std::size_t rep) {
         mac::FramedSlottedAlohaSimulator sim(config);
         Rng campaign_rng(seeds[p * reps + rep]);
-        fairness[p * reps + rep] =
-            sim.RunCampaign(tag_counts[p], 15, campaign_rng).jain_fairness;
         runtime::PayloadWriter w;
-        w.F64(fairness[p * reps + rep]);
+        w.F64(sim.RunCampaign(tag_counts[p], 15, campaign_rng).jain_fairness);
         runtime::RobustTaskResult out;
         out.payload = w.Take();
         return out;

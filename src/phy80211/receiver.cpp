@@ -173,8 +173,9 @@ void ReceiveFrame(const IqBuffer& raw_rx, const RxConfig& config,
   if (config.cfo_correction) {
     IqBuffer& mixed = ws.rx_work;
     double cfo = 0.0;
-    std::span<const Cplx> ltf_region =
-        rx.subspan(result.start_index, 2 * kFftSize);
+    const std::size_t fine_start =
+        result.start_index - std::min(kFftWindowBackoff, result.start_index);
+    std::span<const Cplx> ltf_region = rx.subspan(fine_start, 2 * kFftSize);
     // Coarse: STF region (160 samples ending 160 before the LTF). Only
     // the LTF region is read before the fine mix rewrites the buffer, so
     // only the prefix up to it is mixed; the oscillator runs from
@@ -184,9 +185,10 @@ void ReceiveFrame(const IqBuffer& raw_rx, const RxConfig& config,
       dsp::MixFrequencyInto(rx.first(result.start_index + 2 * kFftSize), -cfo,
                             kSampleRateHz, 0.0, mixed);
       ltf_region =
-          std::span<const Cplx>(mixed).subspan(result.start_index, 2 * kFftSize);
+          std::span<const Cplx>(mixed).subspan(fine_start, 2 * kFftSize);
     }
-    // Fine: the two LTF symbols, period 64.
+    // Fine: the two LTF symbols, period 64, read from kFftWindowBackoff
+    // samples into their guard interval like the FFT windows below.
     cfo += EstimateCfoHz(ltf_region, 64);
     dsp::MixFrequencyInto(raw_rx, -cfo, kSampleRateHz, 0.0, mixed);
     result.cfo_hz = cfo;
@@ -197,15 +199,24 @@ void ReceiveFrame(const IqBuffer& raw_rx, const RxConfig& config,
     rx = mixed;
   }
 
+  // Every window below starts `backoff` samples before its nominal
+  // start (kFftWindowBackoff), so a frame that ends with the capture
+  // still fits when the lock is late.
+  const std::size_t backoff = std::min(kFftWindowBackoff, result.start_index);
+  const auto fits = [&](std::size_t nominal_end) {
+    return nominal_end - backoff <= rx.size();
+  };
+  const auto window = [&](std::size_t nominal, std::size_t len) {
+    return std::span<const Cplx>(rx).subspan(nominal - backoff, len);
+  };
+
   // Channel estimation over both long training symbols.
   ws.chan.assign(kFftSize, Cplx{0.0, 0.0});
   {
-    ws.ltf_y1.assign(
-        rx.begin() + static_cast<std::ptrdiff_t>(result.start_index),
-        rx.begin() + static_cast<std::ptrdiff_t>(result.start_index) + 64);
-    ws.ltf_y2.assign(
-        rx.begin() + static_cast<std::ptrdiff_t>(det.second_ltf_start),
-        rx.begin() + static_cast<std::ptrdiff_t>(det.second_ltf_start) + 64);
+    const auto y1 = window(result.start_index, kFftSize);
+    const auto y2 = window(det.second_ltf_start, kFftSize);
+    ws.ltf_y1.assign(y1.begin(), y1.end());
+    ws.ltf_y2.assign(y2.begin(), y2.end());
     dsp::Fft(ws.ltf_y1);
     dsp::Fft(ws.ltf_y2);
     for (int s = -26; s <= 26; ++s) {
@@ -220,10 +231,9 @@ void ReceiveFrame(const IqBuffer& raw_rx, const RxConfig& config,
 
   // SIGNAL symbol.
   const std::size_t signal_start = det.second_ltf_start + 64;
-  if (signal_start + kSymbolLen > rx.size()) return;
-  DemodSymbolBitsWs(std::span<const Cplx>(rx).subspan(signal_start, kSymbolLen),
-                    ws.chan, ParamsFor(Rate::k6Mbps), 0, RxConfig{}, ws,
-                    ws.sym_deint);
+  if (!fits(signal_start + kSymbolLen)) return;
+  DemodSymbolBitsWs(window(signal_start, kSymbolLen), ws.chan,
+                    ParamsFor(Rate::k6Mbps), 0, RxConfig{}, ws, ws.sym_deint);
   ViterbiDecodeInto(ws.sym_deint, ws.vit_decisions, ws.decoded);
   const SignalInfo info = ParseSignal(ws.decoded);
   if (!info.ok) return;
@@ -239,15 +249,16 @@ void ReceiveFrame(const IqBuffer& raw_rx, const RxConfig& config,
   result.num_data_symbols = num_symbols;
 
   const std::size_t data_start = signal_start + kSymbolLen;
-  if (data_start + num_symbols * kSymbolLen > rx.size()) {
+  const std::size_t frame_end = data_start + num_symbols * kSymbolLen;
+  if (!fits(frame_end)) {
     result.signal_ok = false;  // truncated capture
     return;
   }
 
-  // RSSI over the frame extent.
+  // RSSI over the frame extent, clipped to the capture.
   result.rssi_dbm = dsp::PowerDbm(std::span<const Cplx>(rx).subspan(
       result.start_index,
-      data_start + num_symbols * kSymbolLen - result.start_index));
+      std::min(frame_end, rx.size()) - result.start_index));
 
   // Demodulate all data symbols, then depuncture and Viterbi-decode
   // (hard or soft per the configuration).
@@ -260,10 +271,8 @@ void ReceiveFrame(const IqBuffer& raw_rx, const RxConfig& config,
     ws.soft_coded.clear();
     ws.soft_coded.reserve(num_symbols * params.coded_bits_per_symbol);
     for (std::size_t s = 0; s < num_symbols; ++s) {
-      DemodSymbolPointsWs(
-          std::span<const Cplx>(rx).subspan(data_start + s * kSymbolLen,
-                                            kSymbolLen),
-          ws.chan, s + 1, config, constellation, &tracker, ws);
+      DemodSymbolPointsWs(window(data_start + s * kSymbolLen, kSymbolLen),
+                          ws.chan, s + 1, config, constellation, &tracker, ws);
       DemapSoftInto(ws.sym_data, params.modulation, ws.sym_llrs);
       DeinterleaveSymbolSoftInto(ws.sym_llrs, params, ws.sym_soft_deint);
       ws.soft_coded.insert(ws.soft_coded.end(), ws.sym_soft_deint.begin(),
@@ -276,10 +285,8 @@ void ReceiveFrame(const IqBuffer& raw_rx, const RxConfig& config,
     ws.coded.clear();
     ws.coded.reserve(num_symbols * params.coded_bits_per_symbol);
     for (std::size_t s = 0; s < num_symbols; ++s) {
-      DemodSymbolPointsWs(
-          std::span<const Cplx>(rx).subspan(data_start + s * kSymbolLen,
-                                            kSymbolLen),
-          ws.chan, s + 1, config, constellation, &tracker, ws);
+      DemodSymbolPointsWs(window(data_start + s * kSymbolLen, kSymbolLen),
+                          ws.chan, s + 1, config, constellation, &tracker, ws);
       DemapSymbolsInto(ws.sym_data, params.modulation, ws.sym_hard);
       DeinterleaveSymbolInto(ws.sym_hard, params, ws.sym_deint);
       ws.coded.insert(ws.coded.end(), ws.sym_deint.begin(), ws.sym_deint.end());

@@ -21,6 +21,16 @@
 
 namespace freerider::phy80211 {
 
+/// Samples every FFT window and the fine-CFO span start before the
+/// detected timing, inside the guard interval. The LTF correlation peaks
+/// on the strongest path, which under multipath can be a delayed tap; a
+/// window at that peak then reads the next symbol's first samples (ISI).
+/// Pulled back by half the 16-sample data CP, a window stays inside one
+/// symbol while the lock is at most 8 samples late and the channel's
+/// taps span at most 8 samples past it. The shift is a linear phase per
+/// subcarrier, which the LTF channel estimate absorbs.
+inline constexpr std::size_t kFftWindowBackoff = 8;
+
 struct RxConfig {
   /// Normalized LTF correlation threshold in [0,1]; packets whose
   /// preamble correlates below this are not detected.

@@ -406,9 +406,13 @@ RxResult ReceiveFrameScalar(const IqBuffer& raw_rx,
           std::span<const Cplx>(rx).subspan(result.start_index - 184, 144), 16);
       rx = dsp::MixFrequency(rx, -cfo, kSampleRateHz);
     }
-    // Fine: the two LTF symbols, period 64.
+    // Fine: the two LTF symbols, period 64, from the backed-off start.
     cfo += EstimateCfoHz(
-        std::span<const Cplx>(rx).subspan(result.start_index, 128), 64);
+        std::span<const Cplx>(rx).subspan(
+            result.start_index -
+                std::min(kFftWindowBackoff, result.start_index),
+            128),
+        64);
     rx = dsp::MixFrequency(raw_rx, -cfo, kSampleRateHz);
     result.cfo_hz = cfo;
     det = DetectPreambleScalar(rx, config.detection_threshold);
@@ -416,13 +420,19 @@ RxResult ReceiveFrameScalar(const IqBuffer& raw_rx,
     result.start_index = det.second_ltf_start - 64;
   }
 
+  // Every FFT window starts kFftWindowBackoff samples early.
+  const std::size_t backoff = std::min(kFftWindowBackoff, result.start_index);
+  const auto window = [&](std::size_t nominal, std::size_t len) {
+    return std::span<const Cplx>(rx).subspan(nominal - backoff, len);
+  };
+
   // Channel estimation over both long training symbols.
   IqBuffer h(kFftSize, Cplx{0.0, 0.0});
   {
-    IqBuffer y1(rx.begin() + static_cast<std::ptrdiff_t>(result.start_index),
-                rx.begin() + static_cast<std::ptrdiff_t>(result.start_index) + 64);
-    IqBuffer y2(rx.begin() + static_cast<std::ptrdiff_t>(det.second_ltf_start),
-                rx.begin() + static_cast<std::ptrdiff_t>(det.second_ltf_start) + 64);
+    const auto w1 = window(result.start_index, 64);
+    const auto w2 = window(det.second_ltf_start, 64);
+    IqBuffer y1(w1.begin(), w1.end());
+    IqBuffer y2(w2.begin(), w2.end());
     dsp::Fft(y1);
     dsp::Fft(y2);
     for (int s = -26; s <= 26; ++s) {
@@ -437,9 +447,9 @@ RxResult ReceiveFrameScalar(const IqBuffer& raw_rx,
 
   // SIGNAL symbol.
   const std::size_t signal_start = det.second_ltf_start + 64;
-  if (signal_start + kSymbolLen > rx.size()) return result;
+  if (signal_start - backoff + kSymbolLen > rx.size()) return result;
   const BitVector signal_coded = DemodSymbolBits(
-      std::span<const Cplx>(rx).subspan(signal_start, kSymbolLen), h,
+      window(signal_start, kSymbolLen), h,
       ParamsFor(Rate::k6Mbps), 0, RxConfig{}, nullptr);
   const BitVector signal_bits = ViterbiDecodeScalar(signal_coded);
   const SignalInfo info = ParseSignal(signal_bits);
@@ -456,14 +466,16 @@ RxResult ReceiveFrameScalar(const IqBuffer& raw_rx,
   result.num_data_symbols = num_symbols;
 
   const std::size_t data_start = signal_start + kSymbolLen;
-  if (data_start + num_symbols * kSymbolLen > rx.size()) {
+  const std::size_t frame_end = data_start + num_symbols * kSymbolLen;
+  if (frame_end - backoff > rx.size()) {
     result.signal_ok = false;  // truncated capture
     return result;
   }
 
-  // RSSI over the frame extent.
+  // RSSI over the frame extent, clipped to the capture.
   result.rssi_dbm = dsp::PowerDbm(std::span<const Cplx>(rx).subspan(
-      result.start_index, data_start + num_symbols * kSymbolLen - result.start_index));
+      result.start_index,
+      std::min(frame_end, rx.size()) - result.start_index));
 
   // Demodulate all data symbols, then depuncture and Viterbi-decode
   // (hard or soft per the configuration).
@@ -477,9 +489,8 @@ RxResult ReceiveFrameScalar(const IqBuffer& raw_rx,
     coded.reserve(num_symbols * params.coded_bits_per_symbol);
     for (std::size_t s = 0; s < num_symbols; ++s) {
       const IqBuffer points = DemodSymbolPoints(
-          std::span<const Cplx>(rx).subspan(data_start + s * kSymbolLen,
-                                            kSymbolLen),
-          h, s + 1, config, constellation, &tracker);
+          window(data_start + s * kSymbolLen, kSymbolLen), h, s + 1, config,
+          constellation, &tracker);
       std::vector<double> llrs;
       DemapSoftInto(points, params.modulation, llrs);
       std::vector<double> deint;
@@ -494,9 +505,8 @@ RxResult ReceiveFrameScalar(const IqBuffer& raw_rx,
     coded.reserve(num_symbols * params.coded_bits_per_symbol);
     for (std::size_t s = 0; s < num_symbols; ++s) {
       const IqBuffer points = DemodSymbolPoints(
-          std::span<const Cplx>(rx).subspan(data_start + s * kSymbolLen,
-                                            kSymbolLen),
-          h, s + 1, config, constellation, &tracker);
+          window(data_start + s * kSymbolLen, kSymbolLen), h, s + 1, config,
+          constellation, &tracker);
       const BitVector hard = DemapSymbols(points, params.modulation);
       const BitVector sym_bits = DeinterleaveSymbol(hard, params);
       coded.insert(coded.end(), sym_bits.begin(), sym_bits.end());

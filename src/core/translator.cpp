@@ -190,6 +190,9 @@ void TranslateInto(std::span<const Cplx> excitation,
   const double window_eff =
       std::max(1e-3, static_cast<double>(window) * rate_factor);
   thread_local std::vector<double> sample_phases;
+  // Capacity for the whole excitation, whatever this frame's slip: a
+  // warm slot of the same length then never regrows the plan.
+  sample_phases.reserve(excitation.size());
   sample_phases.assign(
       excitation.size() > start_eff ? excitation.size() - start_eff : 0, 0.0);
   for (std::size_t i = 0; i < sample_phases.size(); ++i) {

@@ -412,7 +412,7 @@ void ExpectStress(bool supervisor_on, const char* digest_hash,
 }
 
 TEST(CampaignGoldenDigestTest, StressSupervisorOn) {
-  ExpectStress(true, "a19cda4177d94d70", "36685eda7ed1b8ce");
+  ExpectStress(true, "8b4541fbbbc52acc", "b5aedda88200b9c1");
 }
 
 TEST(CampaignGoldenDigestTest, StressSupervisorOff) {
@@ -495,7 +495,7 @@ TEST(CampaignGoldenDigestTest, AdversarialCloneDefended) {
 
 TEST(CampaignGoldenDigestTest, AdversarialCloneUndefended) {
   ExpectAdversarial(impair::RogueModel::kClone, false,
-                    "e7193f03c591f231", "9c88b2b2ec6aa225");
+                    "a2f7ab5666308f96", "f4f0c1277b067c56");
 }
 
 // --------------------------------------------------------------- soak
@@ -559,7 +559,7 @@ void ExpectSoak(const sim::SoakConfig& config, const char* digest_hash,
 }
 
 TEST(CampaignGoldenDigestTest, SoakSurvivable) {
-  ExpectSoak(SurvivableConfig(11), "4791b518f3501b28", "0a61db3f4413892a");
+  ExpectSoak(SurvivableConfig(11), "b5b552d417ad80ad", "102996619409a2dc");
 }
 
 TEST(CampaignGoldenDigestTest, SoakBrokenStrict) {

@@ -88,11 +88,12 @@ inline bool ConsumeSize(int& argc, char** argv, const char* name,
   return ParseSize(name, raw, value, ok);
 }
 
-/// Consume a finite floating-point flag.
-inline bool ConsumeDouble(int& argc, char** argv, const char* name,
-                          double* value, bool* ok) {
-  std::string raw;
-  if (!ConsumeValue(argc, argv, name, &raw)) return false;
+/// Parse a finite floating-point number, the rule of every float flag
+/// and environment variable: strtod must read the whole value, and an
+/// infinity or NaN is refused. A malformed value is rejected (see
+/// RejectValue) and leaves *value untouched.
+inline bool ParseDouble(const char* name, const std::string& raw,
+                        double* value, bool* ok) {
   char* end = nullptr;
   const double parsed = std::strtod(raw.c_str(), &end);
   if (end == raw.c_str() || *end != '\0' || !std::isfinite(parsed)) {
@@ -100,6 +101,14 @@ inline bool ConsumeDouble(int& argc, char** argv, const char* name,
   }
   *value = parsed;
   return true;
+}
+
+/// Consume a finite floating-point flag (ParseDouble's rule).
+inline bool ConsumeDouble(int& argc, char** argv, const char* name,
+                          double* value, bool* ok) {
+  std::string raw;
+  if (!ConsumeValue(argc, argv, name, &raw)) return false;
+  return ParseDouble(name, raw, value, ok);
 }
 
 inline bool ConsumeU64(int& argc, char** argv, const char* name,
@@ -117,6 +126,29 @@ inline std::size_t EnvSize(const char* name, std::size_t fallback, bool* ok) {
   const char* env = std::getenv(name);
   std::size_t value = fallback;
   if (env != nullptr) ParseSize(name, env, &value, ok);
+  return value;
+}
+
+/// The environment fallback of a float flag: `fallback` when unset; a
+/// malformed value (ParseDouble's rule) clears `*ok`, naming the
+/// variable, and yields `fallback`.
+inline double EnvDouble(const char* name, double fallback, bool* ok) {
+  const char* env = std::getenv(name);
+  double value = fallback;
+  if (env != nullptr) ParseDouble(name, env, &value, ok);
+  return value;
+}
+
+/// EnvDouble for a quantity that must be positive (a timeout, an
+/// interval): zero or a negative value is rejected like a malformed
+/// one and yields `fallback`.
+inline double EnvPositiveDouble(const char* name, double fallback, bool* ok) {
+  const char* env = std::getenv(name);
+  double value = fallback;
+  if (env != nullptr && ParseDouble(name, env, &value, ok) && !(value > 0.0)) {
+    RejectValue(name, "a positive number", env, ok);
+    value = fallback;
+  }
   return value;
 }
 

@@ -95,12 +95,12 @@ DistOptions DistOptionsFromArgs(int& argc, char** argv, bool* ok) {
   options.workers = cli::EnvSize("FREERIDER_WORKERS", options.workers, ok);
   cli::ConsumeSize(argc, argv, "--workers", &options.workers, ok);
   cli::RejectAboveCap("--workers", options.workers, kMaxWorkers, ok);
-  options.lease_timeout_s =
-      EnvPositiveDouble("FREERIDER_DIST_LEASE_S", options.lease_timeout_s);
-  options.spawn_grace_s = EnvPositiveDouble("FREERIDER_DIST_SPAWN_GRACE_S",
-                                            options.spawn_grace_s);
-  options.speculate_after_s = EnvPositiveDouble(
-      "FREERIDER_DIST_SPECULATE_S", options.speculate_after_s);
+  options.lease_timeout_s = cli::EnvPositiveDouble(
+      "FREERIDER_DIST_LEASE_S", options.lease_timeout_s, ok);
+  options.spawn_grace_s = cli::EnvPositiveDouble(
+      "FREERIDER_DIST_SPAWN_GRACE_S", options.spawn_grace_s, ok);
+  options.speculate_after_s = cli::EnvPositiveDouble(
+      "FREERIDER_DIST_SPECULATE_S", options.speculate_after_s, ok);
   options.max_respawns =
       cli::EnvSize("FREERIDER_DIST_RESPAWNS", options.max_respawns, ok);
   return options;

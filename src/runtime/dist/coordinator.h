@@ -80,8 +80,9 @@ inline constexpr std::size_t kMaxWorkers = 256;
 /// with FREERIDER_WORKERS as the environment fallback, plus the
 /// FREERIDER_DIST_* tunables (FREERIDER_WORKER_BIN is read when the
 /// fleet spawns). A malformed --workers, FREERIDER_WORKERS or
-/// FREERIDER_DIST_RESPAWNS value (cli::ParseSize), or a worker count
-/// above kMaxWorkers, clears `*ok`.
+/// FREERIDER_DIST_RESPAWNS value (cli::ParseSize), a worker count above
+/// kMaxWorkers, or a FREERIDER_DIST_*_S time that is malformed
+/// (cli::ParseDouble) or not positive clears `*ok`.
 DistOptions DistOptionsFromArgs(int& argc, char** argv, bool* ok);
 
 /// Fleet telemetry on top of the familiar robust accounting. All of

@@ -1,7 +1,5 @@
 #include "runtime/dist/wire.h"
 
-#include <cstdlib>
-
 #include "runtime/checkpoint.h"
 
 namespace freerider::runtime::dist {
@@ -50,14 +48,6 @@ std::string EncodeFrame(std::string_view payload) {
   out.reserve(payload.size() + 8);
   AppendFrame(out, payload);
   return out;
-}
-
-double EnvPositiveDouble(const char* name, double fallback) {
-  if (const char* env = std::getenv(name)) {
-    const double v = std::strtod(env, nullptr);
-    if (v > 0.0) return v;
-  }
-  return fallback;
 }
 
 FrameStatus FrameStream::Next(std::string* payload) {

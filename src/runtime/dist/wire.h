@@ -74,11 +74,6 @@ bool DecodeMsg(std::string_view payload, WireMsg* msg);
 /// Wrap a payload in the outer [len][payload][crc32] frame.
 std::string EncodeFrame(std::string_view payload);
 
-/// The positive number in environment variable `name`; `fallback` when
-/// it is unset, unparsable or not positive (the FREERIDER_DIST_*
-/// timing tunables).
-double EnvPositiveDouble(const char* name, double fallback);
-
 /// FrameStream::Next reports ParseFrame's outcome for the next frame.
 using ::freerider::FrameStatus;
 

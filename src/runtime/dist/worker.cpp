@@ -14,6 +14,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/cli.h"
 #include "runtime/checkpoint.h"
 #include "runtime/dist/registry.h"
 #include "runtime/dist/wire.h"
@@ -125,8 +126,11 @@ int RunWorkerServe(int read_fd, int write_fd, int worker_index) {
   // ---- heartbeat beacon --------------------------------------------
   std::atomic<bool> stop_heartbeat{false};
   std::thread heartbeat([&] {
+    // A worker has no usage-error path: a malformed or non-positive
+    // value is reported on stderr and the default kept.
+    bool reported = true;
     const double interval_s =
-        EnvPositiveDouble("FREERIDER_DIST_HEARTBEAT_S", 0.5);
+        cli::EnvPositiveDouble("FREERIDER_DIST_HEARTBEAT_S", 0.5, &reported);
     std::uint64_t seq = 0;
     while (!stop_heartbeat.load(std::memory_order_acquire)) {
       WireMsg beat;

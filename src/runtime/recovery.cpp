@@ -48,9 +48,8 @@ struct WorkerSlot {
 
 RobustSweepOptions RobustOptionsFromArgs(int& argc, char** argv, bool* ok) {
   RobustSweepOptions options;
-  if (const char* env = std::getenv("FREERIDER_WATCHDOG_S")) {
-    options.watchdog_warn_s = std::strtod(env, nullptr);
-  }
+  options.watchdog_warn_s =
+      cli::EnvDouble("FREERIDER_WATCHDOG_S", options.watchdog_warn_s, ok);
   // The valued flags go first, so none of their values can pass for
   // the optional PATH after --resume.
   cli::ConsumeSize(argc, argv, "--checkpoint-every", &options.checkpoint_every,

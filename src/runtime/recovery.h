@@ -84,7 +84,8 @@ struct RobustSweepOptions {
 ///   --checkpoint-every N
 ///   --resume [PATH]   (PATH also sets --checkpoint)
 ///   --watchdog-s X    (fallback: FREERIDER_WATCHDOG_S)
-/// A malformed --checkpoint-every or --watchdog-s value clears `*ok`.
+/// A malformed --checkpoint-every, --watchdog-s or FREERIDER_WATCHDOG_S
+/// value clears `*ok`.
 RobustSweepOptions RobustOptionsFromArgs(int& argc, char** argv, bool* ok);
 
 enum class RobustTaskState : std::uint8_t {

@@ -228,6 +228,19 @@ TEST(CliContractTest, NonNumericThreadsEnvExitsTwo) {
   ExpectMalformedEnvRejected(CLI_BENCH_FIG15, "FREERIDER_THREADS", "abc");
 }
 
+// The float variables follow --watchdog-s's rule (cli::ParseDouble): a
+// malformed FREERIDER_WATCHDOG_S is a usage error, never a run with the
+// watchdog silently off, and a FREERIDER_DIST_*_S time must also be
+// positive.
+TEST(CliContractTest, MalformedFloatEnvExitsTwo) {
+  ExpectMalformedEnvRejected(CLI_BENCH_FIG12, "FREERIDER_WATCHDOG_S", "abc");
+  ExpectMalformedEnvRejected(CLI_BENCH_FIG14, "FREERIDER_DIST_LEASE_S", "20s");
+  ExpectMalformedEnvRejected(CLI_BENCH_FIG14, "FREERIDER_DIST_SPAWN_GRACE_S",
+                             "inf");
+  ExpectMalformedEnvRejected(CLI_BENCH_FIG14, "FREERIDER_DIST_SPECULATE_S",
+                             "0");
+}
+
 TEST(CliContractTest, MetricsCheckReadsEachEntryOnItsOwn) {
   // The gate reads `a`; its neighbour `b` carries a value a substring
   // scan could borrow.

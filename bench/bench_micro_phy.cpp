@@ -1,6 +1,7 @@
 // Microbenchmarks of the PHY substrate kernels (google-benchmark):
-// FFT, preamble detection, Viterbi (hard + soft), interleaver, the
-// tag's phase translation, full TX/RX chains for all three radios.
+// Gaussian draws and the AWGN pass, FFT, preamble detection, Viterbi
+// (hard + soft), interleaver, the tag's phase translation, full TX/RX
+// chains for all three radios.
 // These bound how fast the figure benches can sweep.
 //
 // BM_WifiRx400B, BM_WifiRx800B and BM_ZigbeeRx80B additionally report
@@ -87,6 +88,15 @@ void BM_Fft2048(benchmark::State& state) {
 }
 BENCHMARK(BM_Fft2048);
 
+// One standard-normal draw, the unit of every noise pass (AWGN,
+// interferer bursts, shadowing, phase drift).
+void BM_NextGaussian(benchmark::State& state) {
+  Rng rng(1);
+  for (auto _ : state) benchmark::DoNotOptimize(rng.NextGaussian());
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_NextGaussian);
+
 // Preamble scan over a 4096-sample noisy capture with one frame in it —
 // the per-position correlation kernel is the dominant cost of RX.
 void BM_DetectPreamble(benchmark::State& state) {
@@ -126,6 +136,25 @@ IqBuffer WifiCapture800B(Rng& rng, double cfo_hz = 0.0) {
   padded.insert(padded.end(), 150, Cplx{0.0, 0.0});
   return channel::ApplyLink(padded, -80.0, fe, rng);
 }
+
+// The AWGN pass of a wifi_link slot: two Gaussian draws per sample of
+// the ~22k-sample capture, added in place (the noise accumulates across
+// iterations, which the timing does not see).
+void BM_AddThermalNoise22k(benchmark::State& state) {
+  Rng rng(13);
+  IqBuffer capture = WifiCapture800B(rng);
+  channel::ReceiverFrontEnd fe;
+  fe.sample_rate_hz = phy80211::kSampleRateHz;
+  fe.noise_figure_db = 5.0;
+  for (auto _ : state) {
+    channel::AddThermalNoiseInPlace(capture, fe, rng);
+    benchmark::DoNotOptimize(capture.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(capture.size()));
+}
+BENCHMARK(BM_AddThermalNoise22k);
 
 // Preamble scan over the 800-byte capture: ReceiveFrame's first scan.
 // Its second, after CFO correction, is DetectPreambleAfterMix.

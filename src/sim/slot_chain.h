@@ -58,6 +58,11 @@ struct SlotWorkspace {
 /// The calling thread's lazily-constructed slot workspace.
 SlotWorkspace& ThreadLocalSlotWorkspace();
 
+/// The receiver's random-walk phase drift (LO wander), in place: sample
+/// n turns by the sum of sigma_per_sample * g over samples 0..n, one
+/// rng.NextGaussian() g per sample. Nothing is drawn for sigma <= 0.
+void ApplyPhaseDrift(std::span<Cplx> wave, double sigma_per_sample, Rng& rng);
+
 /// 802.11g OFDM: 6 Mb/s excitation, 150 samples of silence each side.
 struct WifiSlot {
   using Frame = phy80211::TxFrame;

@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+
 #include "sim/link.h"
+#include "sim/slot_chain.h"
 #include "sim/sweep.h"
 
 namespace freerider::sim {
@@ -15,6 +19,36 @@ LinkConfig MakeConfig(core::RadioType radio, double distance,
   config.num_packets = packets;
   config.profile = DefaultProfile(radio);
   return config;
+}
+
+TEST(PhaseDrift, RotorTracksTheExactPhaseSum) {
+  // Against cos/sin of the running sum of the same draws, per sample:
+  // at the ZigBee profile's sigma (series steps between resyncs), and at
+  // sigmas whose steps leave the series' range.
+  for (const double sigma : {0.0045, 0.05, 0.5}) {
+    Rng data(3);
+    IqBuffer wave(5000);
+    for (auto& x : wave) x = data.NextComplexGaussian();
+    IqBuffer ref = wave;
+    Rng a(17);
+    Rng b(17);
+    sim::ApplyPhaseDrift(wave, sigma, a);
+    double phase = 0.0;
+    double worst = 0.0;
+    for (std::size_t n = 0; n < ref.size(); ++n) {
+      phase += sigma * b.NextGaussian();
+      ref[n] *= Cplx{std::cos(phase), std::sin(phase)};
+      worst = std::max(worst, std::abs(wave[n] - ref[n]) / std::abs(ref[n]));
+    }
+    EXPECT_LT(worst, 1e-12) << "sigma " << sigma;
+    EXPECT_EQ(a.NextU64(), b.NextU64()) << "one draw per sample";
+  }
+  IqBuffer wave(64, Cplx{1.0, -1.0});
+  Rng a(5);
+  Rng b(5);
+  sim::ApplyPhaseDrift(wave, 0.0, a);
+  EXPECT_EQ(wave, IqBuffer(64, Cplx(1.0, -1.0)));
+  EXPECT_EQ(a.NextU64(), b.NextU64()) << "no draws at sigma 0";
 }
 
 TEST(Link, BudgetMonotoneInDistance) {

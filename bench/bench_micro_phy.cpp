@@ -7,11 +7,12 @@
 // BM_WifiRx400B, BM_WifiRx800B and BM_ZigbeeRx80B additionally report
 // allocs_per_iter — heap allocations
 // per steady-state frame decode, counted by the operator new/delete
-// overrides below. The WiFi fast path's contract is 0, and so is
-// BM_WifiTx800B's for BuildFrameInto (into:1).
+// overrides below. The contract of both receivers' into-forms is 0, and
+// so is BM_WifiTx800B's for BuildFrameInto (into:1).
 #include <benchmark/benchmark.h>
 
 #include <atomic>
+#include <cmath>
 #include <cstdlib>
 #include <new>
 #include <sstream>
@@ -59,34 +60,39 @@ namespace {
 
 using namespace freerider;
 
-void BM_Fft64(benchmark::State& state) {
+// One transform of n Gaussian points per iteration. The input is
+// copied into a preallocated buffer, so no iteration allocates.
+template <void (*Transform)(std::span<Cplx>)>
+void RunTransform(benchmark::State& state, std::size_t n) {
   Rng rng(1);
-  IqBuffer data(64);
-  for (auto& x : data) x = rng.NextComplexGaussian();
-  for (auto _ : state) {
-    IqBuffer copy = data;
-    dsp::Fft(copy);
-    benchmark::DoNotOptimize(copy.data());
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 64);
-}
-BENCHMARK(BM_Fft64);
-
-// The block size of the 802.15.4 SHR search's overlap-save filter.
-void BM_Fft2048(benchmark::State& state) {
-  Rng rng(1);
-  IqBuffer data(2048);
+  IqBuffer data(n);
   for (auto& x : data) x = rng.NextComplexGaussian();
   IqBuffer copy(data.size());
   for (auto _ : state) {
     copy = data;
-    dsp::Fft(copy);
+    Transform(copy);
     benchmark::DoNotOptimize(copy.data());
     benchmark::ClobberMemory();
   }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 2048);
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(n));
+}
+
+// The OFDM symbol size.
+void BM_Fft64(benchmark::State& state) { RunTransform<dsp::Fft>(state, 64); }
+BENCHMARK(BM_Fft64);
+
+// The block size of the 802.15.4 SHR search's overlap-save filter, which
+// runs one forward and one inverse transform per block.
+void BM_Fft2048(benchmark::State& state) {
+  RunTransform<dsp::Fft>(state, 2048);
 }
 BENCHMARK(BM_Fft2048);
+
+void BM_Ifft2048(benchmark::State& state) {
+  RunTransform<dsp::Ifft>(state, 2048);
+}
+BENCHMARK(BM_Ifft2048);
 
 // One standard-normal draw, the unit of every noise pass (AWGN,
 // interferer bursts, shadowing, phase drift).
@@ -363,7 +369,8 @@ BENCHMARK(BM_ZigbeeTxRx60B);
 
 // 802.15.4 receive of a noisy 80-byte frame padded with 200 samples on
 // each side, the capture shape of the zigbee_link perfbench workload
-// (~23k samples). Reports allocs_per_iter like BM_WifiRx400B.
+// (~23k samples), through the into-form and a warm result. Reports
+// allocs_per_iter like BM_WifiRx400B; the contract is 0.
 void BM_ZigbeeRx80B(benchmark::State& state) {
   Rng rng(9);
   const phy802154::TxFrame frame = phy802154::BuildFrame(RandomBytes(rng, 80));
@@ -375,12 +382,13 @@ void BM_ZigbeeRx80B(benchmark::State& state) {
   padded.insert(padded.end(), 200, Cplx{0.0, 0.0});
   const IqBuffer rx = channel::ApplyLink(padded, -95.0, fe, rng);
 
-  phy802154::RxResult result = phy802154::ReceiveFrame(rx);  // warm-up
+  phy802154::RxResult result;
+  phy802154::ReceiveFrame(rx, {}, result);  // warm-up
   if (!result.fcs_ok) state.SkipWithError("capture did not decode");
   const std::int64_t allocs_before =
       g_alloc_count.load(std::memory_order_relaxed);
   for (auto _ : state) {
-    result = phy802154::ReceiveFrame(rx);
+    phy802154::ReceiveFrame(rx, {}, result);
     benchmark::DoNotOptimize(&result);
   }
   const std::int64_t allocs_after =
@@ -422,7 +430,15 @@ class CapturingReporter : public benchmark::ConsoleReporter {
         << " \"real_time_ns\": " << run.GetAdjustedRealTime() << ","
         << " \"cpu_time_ns\": " << run.GetAdjustedCPUTime();
       for (const auto& [name, counter] : run.counters) {
-        e << ", \"" << name << "\": " << static_cast<double>(counter);
+        // A zero counter's coefficient of variation is 0/0; JSON has no
+        // NaN, so a non-finite value is written as null.
+        const double value = static_cast<double>(counter);
+        e << ", \"" << name << "\": ";
+        if (std::isfinite(value)) {
+          e << value;
+        } else {
+          e << "null";
+        }
       }
       e << "}";
       entries_.push_back(e.str());

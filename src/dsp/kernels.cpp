@@ -113,12 +113,6 @@ void NormalizedCorrelationX8Baseline(const double* x_re, const double* x_im,
                                   p_energy, out8);
 }
 
-#if defined(__x86_64__) || defined(__i386__)
-#define FREERIDER_TARGET_AVX2 __attribute__((target("avx2")))
-#else
-#define FREERIDER_TARGET_AVX2
-#endif
-
 FREERIDER_TARGET_AVX2 void NormalizedCorrelationX8Avx2(
     const double* x_re, const double* x_im, const double* p_re,
     const double* p_im, std::size_t len, const double* energy8,

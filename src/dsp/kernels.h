@@ -67,6 +67,14 @@ void NormalizedCorrelationX8Avx2(const double* x_re, const double* x_im,
                                  double p_energy, double* out8);
 bool CpuHasAvx2();
 
+/// Marks a function definition as the AVX2 build of a kernel (a no-op
+/// off x86). The avx2 target does not enable FMA.
+#if defined(__x86_64__) || defined(__i386__)
+#define FREERIDER_TARGET_AVX2 __attribute__((target("avx2")))
+#else
+#define FREERIDER_TARGET_AVX2
+#endif
+
 /// Sliding 64-sample window energy over SoA inputs: out[n] holds
 /// sum_{k<64} |x[n+k]|^2 computed with the same add/subtract recurrence
 /// as the legacy scalar scan (so the doubles match it bit-for-bit).

@@ -94,16 +94,21 @@ std::vector<std::uint8_t> BytesToSymbols(std::span<const std::uint8_t> bytes) {
 }
 
 Bytes SymbolsToBytes(std::span<const std::uint8_t> symbols) {
+  Bytes bytes;
+  SymbolsToBytesInto(symbols, bytes);
+  return bytes;
+}
+
+void SymbolsToBytesInto(std::span<const std::uint8_t> symbols, Bytes& bytes) {
   if (symbols.size() % 2 != 0) {
     throw std::invalid_argument("SymbolsToBytes: odd symbol count");
   }
-  Bytes bytes;
+  bytes.clear();
   bytes.reserve(symbols.size() / 2);
   for (std::size_t i = 0; i < symbols.size(); i += 2) {
     bytes.push_back(static_cast<std::uint8_t>((symbols[i] & 0x0F) |
                                               ((symbols[i + 1] & 0x0F) << 4)));
   }
-  return bytes;
 }
 
 std::uint8_t TranslatedSymbol(std::uint8_t symbol) {

@@ -39,6 +39,9 @@ std::vector<std::uint8_t> BytesToSymbols(std::span<const std::uint8_t> bytes);
 /// Inverse of BytesToSymbols; symbol count must be even.
 Bytes SymbolsToBytes(std::span<const std::uint8_t> symbols);
 
+/// SymbolsToBytes into a reused vector: `bytes` is cleared and refilled.
+void SymbolsToBytesInto(std::span<const std::uint8_t> symbols, Bytes& bytes);
+
 /// The deterministic symbol a coherent receiver decodes when a tag has
 /// inverted all 32 chips of `symbol` — the translated codeword.
 std::uint8_t TranslatedSymbol(std::uint8_t symbol);

@@ -21,18 +21,56 @@ std::vector<std::uint8_t> ShrSymbols() {
   return symbols;
 }
 
+// Decoder scratch, per thread: the phase-locked samples, the chips,
+// the decoded symbols (PHR then PSDU) and the PHR byte.
+struct RxScratch {
+  IqBuffer locked;
+  BitVector chips;
+  std::vector<std::uint8_t> symbols;
+  Bytes phr;
+};
+
+RxScratch& ThreadLocalRxScratch() {
+  thread_local RxScratch scratch;
+  return scratch;
+}
+
 // Coherently demodulates `num_chips` chips from `start` after
-// derotating by `theta`. Only the samples DemodulateChips reads are
-// rotated, into `locked`; the product is per sample, so the chips equal
-// those of a whole-capture RotatePhase.
-BitVector DemodulateLocked(std::span<const Cplx> rx, std::size_t start,
-                           std::size_t num_chips, double theta,
-                           IqBuffer& locked) {
+// derotating by `theta`, into `scratch.chips`. Only the samples
+// DemodulateChips reads are rotated, into `scratch.locked`; the product
+// is per sample, so the chips equal those of a whole-capture
+// RotatePhase.
+void DemodulateLocked(std::span<const Cplx> rx, std::size_t start,
+                      std::size_t num_chips, double theta,
+                      RxScratch& scratch) {
   const std::size_t end =
       std::min(rx.size(), start + WaveformLength(num_chips));
   const std::size_t from = std::min(start, end);
-  dsp::RotatePhaseInto(rx.subspan(from, end - from), theta, locked);
-  return DemodulateChips(locked, 0, num_chips);
+  dsp::RotatePhaseInto(rx.subspan(from, end - from), theta, scratch.locked);
+  DemodulateChipsInto(scratch.locked, 0, num_chips, scratch.chips);
+}
+
+// Appends the despread symbols of scratch.chips to scratch.symbols and
+// adds their chip distances to `distance_sum`, symbol by symbol.
+void DespreadInto(RxScratch& scratch, double& distance_sum) {
+  const std::span<const Bit> chips = scratch.chips;
+  for (std::size_t s = 0; s + kChipsPerSymbol <= chips.size();
+       s += kChipsPerSymbol) {
+    const DespreadResult d = DespreadChips(chips.subspan(s, kChipsPerSymbol));
+    scratch.symbols.push_back(d.symbol);
+    distance_sum += d.distance;
+  }
+}
+
+void ResetResult(RxResult& r) {
+  r.detected = false;
+  r.fcs_ok = false;
+  r.psdu_len = 0;
+  r.psdu.clear();
+  r.data_symbols.clear();
+  r.mean_chip_distance = 0.0;
+  r.rssi_dbm = -300.0;
+  r.start_index = 0;
 }
 
 }  // namespace
@@ -72,57 +110,51 @@ double FrameDurationS(const TxFrame& frame) {
 
 RxResult ReceiveFrame(const IqBuffer& rx, const RxConfig& config) {
   RxResult result;
-  if (rx.size() < kShrRefSamples + kSamplesPerSymbol) return result;
+  ReceiveFrame(rx, config, result);
+  return result;
+}
+
+void ReceiveFrame(const IqBuffer& rx, const RxConfig& config,
+                  RxResult& result) {
+  ResetResult(result);
+  if (rx.size() < kShrRefSamples + kSamplesPerSymbol) return;
 
   // Normalized cross-correlation against the SHR tail.
   const ShrPeak peak = FindShr(rx, config.detection_threshold);
-  if (peak.ncorr < config.detection_threshold) return result;
+  if (peak.ncorr < config.detection_threshold) return;
   result.detected = true;
   const std::size_t best_pos = peak.position;
   result.start_index = best_pos;
 
   // Phase lock: derotate by the correlation phase.
   const double theta = -std::arg(peak.corr);
-  thread_local IqBuffer locked;
+  RxScratch& scratch = ThreadLocalRxScratch();
+  scratch.symbols.clear();
 
   // PHR starts right after the SFD. The detection reference covers 4
   // symbols; its start is 2 preamble symbols before the SFD.
   const std::size_t phr_start = best_pos + 4 * kSamplesPerSymbol;
 
   // Decode PHR (2 symbols = 1 byte).
-  const BitVector phr_chips =
-      DemodulateLocked(rx, phr_start, 2 * kChipsPerSymbol, theta, locked);
-  if (phr_chips.size() < 2 * kChipsPerSymbol) return result;
-  std::vector<std::uint8_t> symbols;
+  DemodulateLocked(rx, phr_start, 2 * kChipsPerSymbol, theta, scratch);
+  if (scratch.chips.size() < 2 * kChipsPerSymbol) return;
   double chip_distance_sum = 0.0;
-  for (std::size_t s = 0; s < 2; ++s) {
-    const DespreadResult d = DespreadChips(
-        std::span<const Bit>(phr_chips).subspan(s * kChipsPerSymbol,
-                                                kChipsPerSymbol));
-    symbols.push_back(d.symbol);
-    chip_distance_sum += d.distance;
-  }
-  const std::size_t psdu_len = SymbolsToBytes(symbols)[0] & 0x7Fu;
-  if (psdu_len < 2 || psdu_len > kMaxPsduBytes) return result;
+  DespreadInto(scratch, chip_distance_sum);
+  SymbolsToBytesInto(scratch.symbols, scratch.phr);
+  const std::size_t psdu_len = scratch.phr[0] & 0x7Fu;
+  if (psdu_len < 2 || psdu_len > kMaxPsduBytes) return;
   result.psdu_len = psdu_len;
 
   // Decode PSDU symbols.
   const std::size_t psdu_symbols = psdu_len * 2;
   const std::size_t psdu_start = phr_start + 2 * kSamplesPerSymbol;
-  const BitVector chips = DemodulateLocked(
-      rx, psdu_start, psdu_symbols * kChipsPerSymbol, theta, locked);
-  if (chips.size() < psdu_symbols * kChipsPerSymbol) return result;
-  std::vector<std::uint8_t> payload_symbols;
-  for (std::size_t s = 0; s < psdu_symbols; ++s) {
-    const DespreadResult d = DespreadChips(std::span<const Bit>(chips).subspan(
-        s * kChipsPerSymbol, kChipsPerSymbol));
-    payload_symbols.push_back(d.symbol);
-    chip_distance_sum += d.distance;
-  }
-  result.psdu = SymbolsToBytes(payload_symbols);
-  result.data_symbols = symbols;
-  result.data_symbols.insert(result.data_symbols.end(), payload_symbols.begin(),
-                             payload_symbols.end());
+  DemodulateLocked(rx, psdu_start, psdu_symbols * kChipsPerSymbol, theta,
+                   scratch);
+  if (scratch.chips.size() < psdu_symbols * kChipsPerSymbol) return;
+  DespreadInto(scratch, chip_distance_sum);
+  const std::span<const std::uint8_t> symbols = scratch.symbols;
+  SymbolsToBytesInto(symbols.subspan(2), result.psdu);
+  result.data_symbols.assign(symbols.begin(), symbols.end());
   result.mean_chip_distance =
       chip_distance_sum / static_cast<double>(2 + psdu_symbols);
 
@@ -141,7 +173,6 @@ RxResult ReceiveFrame(const IqBuffer& rx, const RxConfig& config) {
         result.psdu.data(), result.psdu.size() - 2));
     result.fcs_ok = (fcs == computed);
   }
-  return result;
 }
 
 }  // namespace freerider::phy802154

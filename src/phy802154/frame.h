@@ -48,7 +48,15 @@ struct RxResult {
   std::size_t start_index = 0;
 };
 
+/// Attempt to find and decode one frame in `rx`. Runs the form below.
 RxResult ReceiveFrame(const IqBuffer& rx, const RxConfig& config = {});
+
+/// ReceiveFrame into a reused result: its vectors are cleared and
+/// refilled, and chips and symbols live in thread-local scratch, so a
+/// warm decode makes no heap allocation. The result is byte-equal to the
+/// allocating form's.
+void ReceiveFrame(const IqBuffer& rx, const RxConfig& config,
+                  RxResult& result);
 
 /// Airtime of a frame in seconds.
 double FrameDurationS(const TxFrame& frame);

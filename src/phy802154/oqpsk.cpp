@@ -61,9 +61,16 @@ void ModulateChipsInto(std::span<const Bit> chips, IqBuffer& out) {
 
 BitVector DemodulateChips(std::span<const Cplx> rx, std::size_t start,
                           std::size_t num_chips) {
-  const auto& pulse = HalfSinePulse();
   BitVector chips;
   chips.reserve(num_chips);
+  DemodulateChipsInto(rx, start, num_chips, chips);
+  return chips;
+}
+
+void DemodulateChipsInto(std::span<const Cplx> rx, std::size_t start,
+                         std::size_t num_chips, BitVector& chips) {
+  const auto& pulse = HalfSinePulse();
+  chips.clear();
   for (std::size_t k = 0; k < num_chips; ++k) {
     const std::size_t pulse_start = start + k * kSamplesPerChip;
     if (pulse_start + pulse.size() > rx.size()) break;
@@ -74,7 +81,6 @@ BitVector DemodulateChips(std::span<const Cplx> rx, std::size_t start,
     }
     chips.push_back(static_cast<Bit>(acc >= 0.0));
   }
-  return chips;
 }
 
 }  // namespace freerider::phy802154

@@ -28,4 +28,8 @@ std::size_t WaveformLength(std::size_t num_chips);
 BitVector DemodulateChips(std::span<const Cplx> rx, std::size_t start,
                           std::size_t num_chips);
 
+/// DemodulateChips into a reused vector: `chips` is cleared and refilled.
+void DemodulateChipsInto(std::span<const Cplx> rx, std::size_t start,
+                         std::size_t num_chips, BitVector& chips);
+
 }  // namespace freerider::phy802154

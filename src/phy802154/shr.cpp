@@ -30,7 +30,10 @@ constexpr double kRoundUp = 1.0 + 0x1p-40;
 constexpr double kRoundDown = 1.0 - 0x1p-40;
 
 struct FilterTables {
-  IqBuffer ref_spectrum_conj;  ///< conj(FFT(ref zero-padded to kShrBlock)).
+  /// conj(FFT(ref zero-padded to kShrBlock)), split, in bit-reversed
+  /// order: entry i is bin BitReversal(kShrBlock)[i].
+  std::vector<double> spectrum_re;
+  std::vector<double> spectrum_im;
   double ref_energy = 0.0;     ///< R, summed in the exact scan's order.
   /// K in A = K * ||block||_2 + kUnderflowSlack (docs/phy_fast_path.md).
   double allowance_per_norm = 0.0;
@@ -41,13 +44,17 @@ const FilterTables& Tables() {
     FilterTables t;
     const IqBuffer& ref = ShrReference();
     for (const Cplx& x : ref) t.ref_energy += std::norm(x);
-    t.ref_spectrum_conj.assign(kShrBlock, Cplx{0.0, 0.0});
-    std::copy(ref.begin(), ref.end(), t.ref_spectrum_conj.begin());
-    dsp::Fft(t.ref_spectrum_conj);
+    IqBuffer spectrum(kShrBlock, Cplx{0.0, 0.0});
+    std::copy(ref.begin(), ref.end(), spectrum.begin());
+    dsp::Fft(spectrum);
     double r_max = 0.0;  // ||computed reference spectrum||_inf
-    for (Cplx& x : t.ref_spectrum_conj) {
+    for (Cplx& x : spectrum) {
       x = std::conj(x);
       r_max = std::max(r_max, std::abs(x));
+    }
+    for (const std::uint32_t k : dsp::BitReversal(kShrBlock)) {
+      t.spectrum_re.push_back(spectrum[k].real());
+      t.spectrum_im.push_back(spectrum[k].imag());
     }
     // Radix-2 FFT, relative 2-norm error (Higham, Accuracy and
     // Stability, Thm 24.2): alpha = t eta / (1 - t eta), t = log2 N,
@@ -86,7 +93,7 @@ struct Candidate {
 };
 
 struct ShrWorkspace {
-  IqBuffer block;
+  ShrBlock block;
   std::vector<Candidate> candidates;
 };
 
@@ -106,28 +113,70 @@ const IqBuffer& ShrReference() {
 }
 
 double EstimateShrBlock(std::span<const Cplx> rx, std::size_t first,
-                        IqBuffer& block) {
+                        ShrBlock& block) {
   const FilterTables& t = Tables();
   const std::span<const Cplx> src =
       first < rx.size()
           ? rx.subspan(first, std::min(kShrBlock, rx.size() - first))
           : std::span<const Cplx>{};
-  block.assign(kShrBlock, Cplx{0.0, 0.0});
-  std::copy(src.begin(), src.end(), block.begin());
-  double* y = reinterpret_cast<double*>(block.data());
-  double energy = 0.0;
-  for (std::size_t i = 0; i < 2 * src.size(); ++i) energy += y[i] * y[i];
+  block.re.resize(kShrBlock);
+  block.im.resize(kShrBlock);
+  block.spectrum_re.resize(kShrBlock);
+  block.spectrum_im.resize(kShrBlock);
+  double* yr = block.spectrum_re.data();
+  double* yi = block.spectrum_im.data();
+  double* zr = block.re.data();
+  double* zi = block.im.data();
 
-  dsp::Fft(block);
-  const double* s = reinterpret_cast<const double*>(t.ref_spectrum_conj.data());
-  for (std::size_t k = 0; k < 2 * kShrBlock; k += 2) {
-    const double a = y[k];
-    const double b = y[k + 1];
-    y[k] = a * s[k] - b * s[k + 1];
-    y[k + 1] = a * s[k + 1] + b * s[k];
+  // Y = FFT(block zero-padded to kShrBlock). Only a capture's last block
+  // is short; it is padded in scratch.
+  if (src.size() == kShrBlock) {
+    dsp::FftSplit(src, yr, yi);
+  } else {
+    block.padded.assign(kShrBlock, Cplx{0.0, 0.0});
+    std::copy(src.begin(), src.end(), block.padded.begin());
+    dsp::FftSplit(block.padded, yr, yi);
   }
-  dsp::Ifft(block);
+
+  // Spectral product Y·S, conjugated and written in bit-reversed order:
+  // the input the inverse transform's butterflies expect. conj(Y·S)
+  // negates the product's imaginary part exactly. The same loop sums
+  // ||block||^2 over the interleaved doubles, re then im, in order; its
+  // chain of dependent adds overlaps the product's loads.
+  const std::span<const std::uint32_t> rev = dsp::BitReversal(kShrBlock);
+  const double* sr = t.spectrum_re.data();
+  const double* si = t.spectrum_im.data();
+  double energy = 0.0;
+  for (std::size_t i = 0; i < kShrBlock; ++i) {
+    const std::size_t k = rev[i];
+    const double a = yr[k];
+    const double b = yi[k];
+    zr[i] = a * sr[i] - b * si[i];
+    zi[i] = -(a * si[i] + b * sr[i]);
+    if (i < src.size()) {
+      energy += src[i].real() * src[i].real();
+      energy += src[i].imag() * src[i].imag();
+    }
+  }
+  dsp::FftSplit(zr, zi, kShrBlock);
+  // Ifft's last conj and 1/N scaling: (re·s, (−im)·s).
+  const double inv_n = 1.0 / static_cast<double>(kShrBlock);
+  for (std::size_t i = 0; i < kShrBlock; ++i) {
+    zr[i] = zr[i] * inv_n;
+    zi[i] = -zi[i] * inv_n;
+  }
   return t.allowance_per_norm * std::sqrt(energy) + kUnderflowSlack;
+}
+
+double EstimateShrBlock(std::span<const Cplx> rx, std::size_t first,
+                        IqBuffer& block) {
+  thread_local ShrBlock split;
+  const double allowance = EstimateShrBlock(rx, first, split);
+  block.resize(kShrBlock);
+  for (std::size_t i = 0; i < kShrBlock; ++i) {
+    block[i] = Cplx{split.re[i], split.im[i]};
+  }
+  return allowance;
 }
 
 ShrPeak FindShr(std::span<const Cplx> rx, double threshold) {
@@ -157,8 +206,8 @@ ShrPeak FindShr(std::span<const Cplx> rx, double threshold) {
       }
       if (!(window_energy > 0.0)) continue;
       const double den = std::sqrt(window_energy * t.ref_energy);
-      const double re = ws.block[i].real();
-      const double im = ws.block[i].imag();
+      const double re = ws.block.re[i];
+      const double im = ws.block.im[i];
       const double mag = std::sqrt(re * re + im * im);
       const double upper = (mag + allowance) / den * kRoundUp;
       const double low = (mag - allowance) / den * kRoundDown;

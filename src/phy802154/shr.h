@@ -19,6 +19,7 @@
 
 #include <cstddef>
 #include <span>
+#include <vector>
 
 #include "common/types.h"
 #include "phy802154/params.h"
@@ -39,13 +40,29 @@ inline constexpr std::size_t kShrBlockPositions =
 /// The detection reference waveform (kShrRefSamples long).
 const IqBuffer& ShrReference();
 
-/// Filter stage. Writes FFT estimates of c(first + i) to block[i] for
-/// i < kShrBlockPositions (`block` is resized to kShrBlock; samples past
-/// the end of `rx` read as zero) and returns the allowance A: for every
-/// such position whose window lies inside `rx`,
-/// |block[i] - chain(first + i)| <= A, where chain(n) is c(n) as the
+/// One filter block, split: re[i] + j·im[i] is the estimate of
+/// c(first + i). The other members are the block's scratch.
+struct ShrBlock {
+  std::vector<double> re;
+  std::vector<double> im;
+  std::vector<double> spectrum_re;
+  std::vector<double> spectrum_im;
+  IqBuffer padded;  ///< A capture's short last block, zero-padded.
+};
+
+/// Filter stage. Writes FFT estimates of c(first + i) to block.re/im[i]
+/// for i < kShrBlockPositions (the arrays are resized to kShrBlock;
+/// samples past the end of `rx` read as zero) and returns the allowance
+/// A: for every such position whose window lies inside `rx`,
+/// |estimate(i) - chain(first + i)| <= A, where chain(n) is c(n) as the
 /// exact scan accumulates it. A is infinite or NaN when the block holds
-/// a non-finite sample or its energy overflows.
+/// a non-finite sample or its energy overflows. The estimates are the
+/// bytes of Ifft(Fft(block) · conj(Fft(ref))): the split form folds the
+/// permutations and conjugations into the passes it makes anyway.
+double EstimateShrBlock(std::span<const Cplx> rx, std::size_t first,
+                        ShrBlock& block);
+
+/// The same estimates interleaved into `block` (resized to kShrBlock).
 double EstimateShrBlock(std::span<const Cplx> rx, std::size_t first,
                         IqBuffer& block);
 

@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
 #include <cstring>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -9,8 +11,10 @@
 #include "common/units.h"
 #include "dsp/fft.h"
 #include "dsp/fir.h"
+#include "dsp/kernels.h"
 #include "dsp/signal_ops.h"
 #include "dsp/spectrum.h"
+#include "fft_copy.h"
 
 namespace freerider::dsp {
 namespace {
@@ -173,6 +177,116 @@ TEST(Fft, BitIdenticalToComplexTemporaryOracle) {
       EXPECT_TRUE(SameBytes(fast, oracle)) << "Ifft n=" << n << " " << name;
     }
   }
+}
+
+// The inputs BitIdenticalToComplexTemporaryOracle draws for size n,
+// drawn in the same order from the same stream.
+std::vector<std::pair<const char*, IqBuffer>> OracleInputs(Rng& rng,
+                                                           std::size_t n) {
+  std::vector<std::pair<const char*, IqBuffer>> inputs;
+  inputs.emplace_back("gaussian", RandomSignal(rng, n));
+  IqBuffer impulse(n, Cplx{0.0, 0.0});
+  impulse[n / 3] = Cplx{0.75, -1.25};
+  inputs.emplace_back("impulse", impulse);
+  inputs.emplace_back("zero", IqBuffer(n, Cplx{0.0, 0.0}));
+  for (const double scale : {1e150, 1e-150}) {
+    IqBuffer scaled = RandomSignal(rng, n);
+    for (auto& x : scaled) x *= scale;
+    inputs.emplace_back(scale > 1.0 ? "1e+150" : "1e-150", scaled);
+  }
+  return inputs;
+}
+
+using FftBuild = void (*)(const Cplx*, Cplx*, bool, double*, double*,
+                          std::size_t);
+
+// Fft or Ifft through one build, with either end interleaved (the
+// build gathers the input or writes the output) or split by the test:
+// input in bit-reversed order (conjugated for the inverse), output
+// interleaved here (conjugated and scaled by 1/N for the inverse).
+void TransformThroughBuild(FftBuild build, bool inverse, bool gather,
+                           bool interleave, IqBuffer& data) {
+  const std::size_t n = data.size();
+  std::vector<double> re(n), im(n);
+  if (!gather) {
+    const std::span<const std::uint32_t> rev = BitReversal(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      re[i] = data[rev[i]].real();
+      im[i] = inverse ? -data[rev[i]].imag() : data[rev[i]].imag();
+    }
+  }
+  build(gather ? data.data() : nullptr, interleave ? data.data() : nullptr,
+        inverse, re.data(), im.data(), n);
+  if (interleave) return;
+  const double inv_n = 1.0 / static_cast<double>(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    data[i] = inverse ? Cplx{re[i] * inv_n, -im[i] * inv_n}
+                      : Cplx{re[i], im[i]};
+  }
+}
+
+TEST(Fft, BaselineAndAvx2BuildsMatchOracle) {
+  const std::pair<const char*, FftBuild> builds[] = {
+      {"baseline", FftBaseline}, {"avx2", FftAvx2}};
+  for (const auto& [build_name, build] : builds) {
+    if (build == FftAvx2 && !CpuHasAvx2()) {
+      GTEST_SKIP() << "no AVX2 on this CPU; the baseline build passed";
+    }
+    Rng rng(2026);
+    for (std::size_t log2n = 0; log2n <= 15; ++log2n) {
+      const std::size_t n = std::size_t{1} << log2n;
+      for (const auto& [name, input] : OracleInputs(rng, n)) {
+        for (const bool inverse : {false, true}) {
+          IqBuffer oracle = input;
+          inverse ? OracleIfft(oracle) : OracleFft(oracle);
+          for (const int ends : {0, 1, 2, 3}) {
+            const bool gather = (ends & 1) != 0;
+            const bool interleave = (ends & 2) != 0;
+            IqBuffer fast = input;
+            TransformThroughBuild(build, inverse, gather, interleave, fast);
+            EXPECT_TRUE(SameBytes(fast, oracle))
+                << build_name << (inverse ? " Ifft" : " Fft")
+                << (gather ? " gathered" : " split")
+                << (interleave ? " interleaved" : " split") << " n=" << n
+                << " " << name;
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(Fft, ThreadsWithMixedSizesMatchOracle) {
+  // Plans and split scratch are per thread: four threads interleave the
+  // OFDM and SHR sizes with odd powers, so a plan or scratch buffer
+  // shared or resized under another thread would show as a mismatch.
+  static constexpr std::size_t kSizes[] = {64,  2048, 8,     64, 512,
+                                           2048, 2,   32768, 64};
+  std::atomic<int> mismatches{0};
+  std::vector<std::thread> threads;
+  for (std::uint64_t t = 0; t < 4; ++t) {
+    threads.emplace_back([t, &mismatches] {
+      Rng rng(Rng::ForTrial(2026, t, 0));
+      for (int round = 0; round < 6; ++round) {
+        for (std::size_t j = 0; j < std::size(kSizes); ++j) {
+          const std::size_t n = kSizes[(j + t) % std::size(kSizes)];
+          const IqBuffer input = RandomSignal(rng, n);
+          IqBuffer fast = input;
+          IqBuffer oracle = input;
+          Fft(fast);
+          OracleFft(oracle);
+          if (!SameBytes(fast, oracle)) ++mismatches;
+          fast = input;
+          oracle = input;
+          Ifft(fast);
+          OracleIfft(oracle);
+          if (!SameBytes(fast, oracle)) ++mismatches;
+        }
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  EXPECT_EQ(mismatches.load(), 0);
 }
 
 // ----------------------------------------------------------------- fir

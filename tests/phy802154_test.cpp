@@ -596,5 +596,33 @@ TEST(Frame, BuildFrameIntoAReusedFrameMatchesAFreshBuild) {
   }
 }
 
+TEST(Frame, ReceiveFrameIntoAReusedResultMatchesTheAllocatingForm) {
+  // One result is reused across an SNR sweep, so a field the into-form
+  // failed to reset (or a vector it failed to clear) shows up against
+  // the fresh result of the allocating form.
+  constexpr double kNoiseFloorDbm = -99.9;
+  RxResult reused;
+  int detected = 0;
+  int missed = 0;
+  int decoded = 0;
+  for (int i = 0; i < 30; ++i) {
+    Rng rng(Rng::ForTrial(2626, static_cast<std::uint64_t>(i), 0));
+    const double snr_db = -12.0 + 24.0 * ((i * 7) % 30) / 29.0;
+    const TxFrame frame = BuildFrame(RandomBytes(rng, 1 + rng.NextBelow(100)));
+    const IqBuffer rx =
+        NoisyCapture(frame.waveform, kNoiseFloorDbm + snr_db, rng);
+    RxConfig config;
+    config.detection_threshold = (i % 5 == 4) ? 0.3 : 0.5;
+    const RxResult fresh = ReceiveFrame(rx, config);
+    ReceiveFrame(rx, config, reused);
+    ExpectSameResult(reused, fresh, "case " + std::to_string(i));
+    (fresh.detected ? detected : missed) += 1;
+    decoded += fresh.fcs_ok ? 1 : 0;
+  }
+  EXPECT_GT(detected, 3);
+  EXPECT_GT(missed, 3);
+  EXPECT_GT(decoded, 3);
+}
+
 }  // namespace
 }  // namespace freerider::phy802154

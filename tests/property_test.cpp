@@ -14,6 +14,7 @@
 #include "core/xor_decoder.h"
 #include "dsp/fft.h"
 #include "dsp/signal_ops.h"
+#include "fft_copy.h"
 #include "phy80211/constellation.h"
 #include "phy80211/convolutional.h"
 #include "phy80211/interleaver.h"

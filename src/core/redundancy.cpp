@@ -23,29 +23,4 @@ std::span<const std::size_t> RedundancyLadder(RadioType radio) {
   return kWifiLadder;
 }
 
-AdaptiveRedundancy::AdaptiveRedundancy(RadioType radio,
-                                       AdaptiveRedundancyConfig config)
-    : config_(config) {
-  const auto ladder = RedundancyLadder(radio);
-  ladder_.assign(ladder.begin(), ladder.end());
-}
-
-std::size_t AdaptiveRedundancy::current() const { return ladder_[level_]; }
-
-void AdaptiveRedundancy::Report(bool success) {
-  if (success) {
-    consecutive_failures_ = 0;
-    if (++consecutive_successes_ >= config_.lower_after_successes) {
-      consecutive_successes_ = 0;
-      if (level_ > 0) --level_;
-    }
-  } else {
-    consecutive_successes_ = 0;
-    if (++consecutive_failures_ >= config_.raise_after_failures) {
-      consecutive_failures_ = 0;
-      if (level_ + 1 < ladder_.size()) ++level_;
-    }
-  }
-}
-
 }  // namespace freerider::core

@@ -1,15 +1,15 @@
-// Adaptive redundancy: the tag's rate control.
+// Redundancy ladders: the tag's rate steps.
 //
 // Tag throughput is 1/(N · T_codeword); reliability rises with N. The
 // paper's stepped throughput-vs-distance curves (Figs. 10-13) come from
-// the tag dropping to larger N as the link budget shrinks. The
-// controller raises N after consecutive bad windows (tag frames failing
-// CRC) and probes back down after a sustained clean run.
+// the tag dropping to larger N as the link budget shrinks: for each
+// link, `sim::SimulateTagLinkAdaptive` probes every rung of the radio's
+// ladder and runs at the one with the best tag goodput (the largest N
+// if no rung decodes).
 #pragma once
 
 #include <cstddef>
 #include <span>
-#include <vector>
 
 #include "core/translator.h"
 
@@ -17,33 +17,5 @@ namespace freerider::core {
 
 /// The redundancy ladder per radio (smallest = fastest).
 std::span<const std::size_t> RedundancyLadder(RadioType radio);
-
-struct AdaptiveRedundancyConfig {
-  /// Consecutive failures before stepping N up.
-  std::size_t raise_after_failures = 2;
-  /// Consecutive successes before probing N down.
-  std::size_t lower_after_successes = 16;
-};
-
-class AdaptiveRedundancy {
- public:
-  explicit AdaptiveRedundancy(RadioType radio,
-                              AdaptiveRedundancyConfig config = {});
-
-  /// Current redundancy to use for the next exchange.
-  std::size_t current() const;
-
-  /// Report the outcome of one tag exchange (e.g. tag frame CRC).
-  void Report(bool success);
-
-  std::size_t level_index() const { return level_; }
-
- private:
-  std::vector<std::size_t> ladder_;
-  AdaptiveRedundancyConfig config_;
-  std::size_t level_ = 0;
-  std::size_t consecutive_failures_ = 0;
-  std::size_t consecutive_successes_ = 0;
-};
 
 }  // namespace freerider::core

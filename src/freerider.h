@@ -43,14 +43,11 @@
 #include "mac/slotted_aloha.h"
 #include "mac/tag_mac.h"
 #include "mac/tdm.h"
-#include "phy80211/mpdu.h"
 #include "phy80211/params.h"
 #include "phy80211/receiver.h"
 #include "phy80211/transmitter.h"
 #include "phy80211b/frame11b.h"
 #include "phy802154/frame.h"
-#include "phy802154/mhr.h"
-#include "phyble/advertising.h"
 #include "phyble/frame.h"
 #include "sim/link.h"
 #include "sim/multitag.h"

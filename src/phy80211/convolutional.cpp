@@ -177,13 +177,6 @@ void PunctureInto(std::span<const Bit> coded, CodingRate rate, BitVector& out) {
   }
 }
 
-BitVector Depuncture(std::span<const Bit> punctured, CodingRate rate,
-                     std::size_t num_mother_bits) {
-  BitVector out;
-  DepunctureInto(punctured, rate, num_mother_bits, out);
-  return out;
-}
-
 void DepunctureInto(std::span<const Bit> punctured, CodingRate rate,
                     std::size_t num_mother_bits, BitVector& out) {
   out.clear();
@@ -201,14 +194,6 @@ void DepunctureInto(std::span<const Bit> punctured, CodingRate rate,
       out.push_back(Bit{2});  // erasure
     }
   }
-}
-
-std::vector<double> DepunctureSoft(std::span<const double> punctured,
-                                   CodingRate rate,
-                                   std::size_t num_mother_bits) {
-  std::vector<double> out;
-  DepunctureSoftInto(punctured, rate, num_mother_bits, out);
-  return out;
 }
 
 void DepunctureSoftInto(std::span<const double> punctured, CodingRate rate,

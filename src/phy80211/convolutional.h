@@ -29,12 +29,6 @@ BitVector Puncture(std::span<const Bit> coded, CodingRate rate);
 void ConvolutionalEncodeInto(std::span<const Bit> bits, BitVector& out);
 void PunctureInto(std::span<const Bit> coded, CodingRate rate, BitVector& out);
 
-/// Re-insert erasure markers (value 2) at punctured positions so the
-/// Viterbi decoder can skip them. `num_mother_bits` is the length of
-/// the original rate-1/2 stream.
-BitVector Depuncture(std::span<const Bit> punctured, CodingRate rate,
-                     std::size_t num_mother_bits);
-
 /// Hard-decision Viterbi decoder for the mother code. Inputs are coded
 /// bits with optional erasures (0, 1, or 2 = erased). Returns the
 /// maximum-likelihood information sequence (length = coded.size() / 2).
@@ -49,11 +43,6 @@ BitVector ViterbiDecode(std::span<const Bit> coded_with_erasures);
 /// gain than the hard decoder — what production 802.11 receivers do.
 /// Runs ViterbiDecodeSoftInto on the calling thread's workspace.
 BitVector ViterbiDecodeSoft(std::span<const double> llrs);
-
-/// Re-insert 0.0 erasures at punctured positions of a soft stream.
-std::vector<double> DepunctureSoft(std::span<const double> punctured,
-                                   CodingRate rate,
-                                   std::size_t num_mother_bits);
 
 // --- Workspace variants ------------------------------------------------
 //
@@ -77,11 +66,14 @@ void ViterbiDecodeSoftInto(std::span<const double> llrs,
                            std::vector<std::uint8_t>& decisions,
                            BitVector& out);
 
-/// Allocation-free Depuncture: writes into `out` (cleared first).
+/// Re-insert erasure markers (value 2) at punctured positions so the
+/// Viterbi decoder can skip them, into `out` (cleared first).
+/// `num_mother_bits` is the length of the original rate-1/2 stream.
 void DepunctureInto(std::span<const Bit> punctured, CodingRate rate,
                     std::size_t num_mother_bits, BitVector& out);
 
-/// Allocation-free DepunctureSoft: writes into `out` (cleared first).
+/// Re-insert 0.0 erasures at punctured positions of a soft stream,
+/// into `out` (cleared first).
 void DepunctureSoftInto(std::span<const double> punctured, CodingRate rate,
                         std::size_t num_mother_bits, std::vector<double>& out);
 

@@ -45,16 +45,10 @@ BitVector InterleaveSymbol(std::span<const Bit> bits, const RateParams& rate) {
   return out;
 }
 
-BitVector DeinterleaveSymbol(std::span<const Bit> bits, const RateParams& rate) {
-  BitVector out;
-  DeinterleaveSymbolInto(bits, rate, out);
-  return out;
-}
-
 void DeinterleaveSymbolInto(std::span<const Bit> bits, const RateParams& rate,
                             BitVector& out) {
   if (bits.size() != rate.coded_bits_per_symbol) {
-    throw std::invalid_argument("DeinterleaveSymbol: wrong symbol size");
+    throw std::invalid_argument("DeinterleaveSymbolInto: wrong symbol size");
   }
   const auto& perm = CachedPermutation(rate);
   out.resize(bits.size());
@@ -71,25 +65,6 @@ void DeinterleaveSymbolSoftInto(std::span<const double> values,
   out.resize(values.size());
   for (std::size_t k = 0; k < values.size(); ++k) out[k] = values[perm[k]];
 }
-
-namespace {
-
-BitVector ApplyPerSymbol(std::span<const Bit> bits, const RateParams& rate,
-                         BitVector (*op)(std::span<const Bit>, const RateParams&)) {
-  const std::size_t ncbps = rate.coded_bits_per_symbol;
-  if (bits.size() % ncbps != 0) {
-    throw std::invalid_argument("stream length not a multiple of N_CBPS");
-  }
-  BitVector out;
-  out.reserve(bits.size());
-  for (std::size_t off = 0; off < bits.size(); off += ncbps) {
-    const BitVector sym = op(bits.subspan(off, ncbps), rate);
-    out.insert(out.end(), sym.begin(), sym.end());
-  }
-  return out;
-}
-
-}  // namespace
 
 BitVector InterleaveStream(std::span<const Bit> bits, const RateParams& rate) {
   BitVector out;
@@ -108,10 +83,6 @@ void InterleaveStreamInto(std::span<const Bit> bits, const RateParams& rate,
   for (std::size_t off = 0; off < bits.size(); off += ncbps) {
     for (std::size_t k = 0; k < ncbps; ++k) out[off + perm[k]] = bits[off + k];
   }
-}
-
-BitVector DeinterleaveStream(std::span<const Bit> bits, const RateParams& rate) {
-  return ApplyPerSymbol(bits, rate, &DeinterleaveSymbol);
 }
 
 }  // namespace freerider::phy80211

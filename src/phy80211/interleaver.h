@@ -15,22 +15,19 @@ namespace freerider::phy80211 {
 /// rate's N_CBPS.
 BitVector InterleaveSymbol(std::span<const Bit> bits, const RateParams& rate);
 
-/// Inverse permutation.
-BitVector DeinterleaveSymbol(std::span<const Bit> bits, const RateParams& rate);
-
-/// Apply (de)interleaving across a multi-symbol stream whose length is a
-/// multiple of N_CBPS.
+/// Interleave a multi-symbol stream whose length is a multiple of
+/// N_CBPS.
 BitVector InterleaveStream(std::span<const Bit> bits, const RateParams& rate);
-BitVector DeinterleaveStream(std::span<const Bit> bits, const RateParams& rate);
 
 /// Allocation-free InterleaveStream: one pass over the whole stream
 /// (`out` must not alias `bits`; it is resized to `bits.size()`).
 void InterleaveStreamInto(std::span<const Bit> bits, const RateParams& rate,
                           BitVector& out);
 
-/// Allocation-free variants for the RX fast path (`out` must not alias
-/// the input; it is resized to N_CBPS). The soft form deinterleaves one
-/// symbol of soft metrics with the same permutation as the bits.
+/// The inverse permutation of one symbol, allocation-free for the RX
+/// fast path (`out` must not alias the input; it is resized to N_CBPS).
+/// The soft form deinterleaves one symbol of soft metrics with the same
+/// permutation as the bits.
 void DeinterleaveSymbolInto(std::span<const Bit> bits, const RateParams& rate,
                             BitVector& out);
 void DeinterleaveSymbolSoftInto(std::span<const double> values,

@@ -82,20 +82,13 @@ Cplx LtfSymbolAt(int subcarrier) {
           0.0};
 }
 
-IqBuffer ModulateSymbol(std::span<const Cplx> data_points,
-                        std::size_t symbol_index) {
-  IqBuffer symbol(kSymbolLen);
-  ModulateSymbolInto(data_points, symbol_index, symbol);
-  return symbol;
-}
-
 void ModulateSymbolInto(std::span<const Cplx> data_points,
                         std::size_t symbol_index, std::span<Cplx> out) {
   if (data_points.size() != kNumDataSubcarriers) {
-    throw std::invalid_argument("ModulateSymbol: need 48 data points");
+    throw std::invalid_argument("ModulateSymbolInto: need 48 data points");
   }
   if (out.size() != kSymbolLen) {
-    throw std::invalid_argument("ModulateSymbol: need an 80-sample output");
+    throw std::invalid_argument("ModulateSymbolInto: need an 80-sample output");
   }
   std::array<Cplx, kFftSize> bins{};
   const auto& sc = DataSubcarriers();
@@ -120,25 +113,12 @@ void ModulateSymbolInto(std::span<const Cplx> data_points,
   }
 }
 
-IqBuffer DemodulateSymbol(std::span<const Cplx> symbol80) {
-  IqBuffer bins;
-  DemodulateSymbolInto(symbol80, bins);
-  return bins;
-}
-
 void DemodulateSymbolInto(std::span<const Cplx> symbol80, IqBuffer& bins) {
   if (symbol80.size() < kSymbolLen) {
-    throw std::invalid_argument("DemodulateSymbol: need 80 samples");
+    throw std::invalid_argument("DemodulateSymbolInto: need 80 samples");
   }
   bins.assign(symbol80.begin() + kCpLen, symbol80.begin() + kSymbolLen);
   dsp::Fft(bins);
-}
-
-IqBuffer ExtractDataSubcarriers(std::span<const Cplx> bins,
-                                std::span<const Cplx> channel) {
-  IqBuffer out;
-  ExtractDataSubcarriersInto(bins, channel, out);
-  return out;
 }
 
 void ExtractDataSubcarriersInto(std::span<const Cplx> bins,

@@ -93,15 +93,9 @@ std::vector<std::uint8_t> BytesToSymbols(std::span<const std::uint8_t> bytes) {
   return symbols;
 }
 
-Bytes SymbolsToBytes(std::span<const std::uint8_t> symbols) {
-  Bytes bytes;
-  SymbolsToBytesInto(symbols, bytes);
-  return bytes;
-}
-
 void SymbolsToBytesInto(std::span<const std::uint8_t> symbols, Bytes& bytes) {
   if (symbols.size() % 2 != 0) {
-    throw std::invalid_argument("SymbolsToBytes: odd symbol count");
+    throw std::invalid_argument("SymbolsToBytesInto: odd symbol count");
   }
   bytes.clear();
   bytes.reserve(symbols.size() / 2);

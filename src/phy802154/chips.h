@@ -36,10 +36,8 @@ DespreadResult DespreadChips(std::span<const Bit> chips32);
 /// Convert bytes to 4-bit symbols, low nibble first (clause 12.2.3).
 std::vector<std::uint8_t> BytesToSymbols(std::span<const std::uint8_t> bytes);
 
-/// Inverse of BytesToSymbols; symbol count must be even.
-Bytes SymbolsToBytes(std::span<const std::uint8_t> symbols);
-
-/// SymbolsToBytes into a reused vector: `bytes` is cleared and refilled.
+/// Inverse of BytesToSymbols into a reused vector: `bytes` is cleared
+/// and refilled. The symbol count must be even.
 void SymbolsToBytesInto(std::span<const std::uint8_t> symbols, Bytes& bytes);
 
 /// The deterministic symbol a coherent receiver decodes when a tag has

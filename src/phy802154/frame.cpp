@@ -37,8 +37,8 @@ RxScratch& ThreadLocalRxScratch() {
 
 // Coherently demodulates `num_chips` chips from `start` after
 // derotating by `theta`, into `scratch.chips`. Only the samples
-// DemodulateChips reads are rotated, into `scratch.locked`; the product
-// is per sample, so the chips equal those of a whole-capture
+// DemodulateChipsInto reads are rotated, into `scratch.locked`; the
+// product is per sample, so the chips equal those of a whole-capture
 // RotatePhase.
 void DemodulateLocked(std::span<const Cplx> rx, std::size_t start,
                       std::size_t num_chips, double theta,

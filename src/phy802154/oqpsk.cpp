@@ -59,14 +59,6 @@ void ModulateChipsInto(std::span<const Bit> chips, IqBuffer& out) {
   // to 1 when each rail is a continuous stream of half-sines.
 }
 
-BitVector DemodulateChips(std::span<const Cplx> rx, std::size_t start,
-                          std::size_t num_chips) {
-  BitVector chips;
-  chips.reserve(num_chips);
-  DemodulateChipsInto(rx, start, num_chips, chips);
-  return chips;
-}
-
 void DemodulateChipsInto(std::span<const Cplx> rx, std::size_t start,
                          std::size_t num_chips, BitVector& chips) {
   const auto& pulse = HalfSinePulse();

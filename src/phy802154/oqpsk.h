@@ -23,12 +23,8 @@ void ModulateChipsInto(std::span<const Bit> chips, IqBuffer& out);
 std::size_t WaveformLength(std::size_t num_chips);
 
 /// Coherently demodulate hard chips from `rx` starting at sample
-/// `start`, assuming the carrier phase has already been removed.
-/// Returns ceil-to-even chips; stops early if the buffer runs out.
-BitVector DemodulateChips(std::span<const Cplx> rx, std::size_t start,
-                          std::size_t num_chips);
-
-/// DemodulateChips into a reused vector: `chips` is cleared and refilled.
+/// `start`, assuming the carrier phase has already been removed, into
+/// `chips` (cleared and refilled). Stops early if the buffer runs out.
 void DemodulateChipsInto(std::span<const Cplx> rx, std::size_t start,
                          std::size_t num_chips, BitVector& chips);
 

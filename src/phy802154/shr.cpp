@@ -168,17 +168,6 @@ double EstimateShrBlock(std::span<const Cplx> rx, std::size_t first,
   return t.allowance_per_norm * std::sqrt(energy) + kUnderflowSlack;
 }
 
-double EstimateShrBlock(std::span<const Cplx> rx, std::size_t first,
-                        IqBuffer& block) {
-  thread_local ShrBlock split;
-  const double allowance = EstimateShrBlock(rx, first, split);
-  block.resize(kShrBlock);
-  for (std::size_t i = 0; i < kShrBlock; ++i) {
-    block[i] = Cplx{split.re[i], split.im[i]};
-  }
-  return allowance;
-}
-
 ShrPeak FindShr(std::span<const Cplx> rx, double threshold) {
   const FilterTables& t = Tables();
   const IqBuffer& ref = ShrReference();

@@ -62,10 +62,6 @@ struct ShrBlock {
 double EstimateShrBlock(std::span<const Cplx> rx, std::size_t first,
                         ShrBlock& block);
 
-/// The same estimates interleaved into `block` (resized to kShrBlock).
-double EstimateShrBlock(std::span<const Cplx> rx, std::size_t first,
-                        IqBuffer& block);
-
 struct ShrPeak {
   double ncorr = 0.0;        ///< Best normalized correlation; 0 if none.
   std::size_t position = 0;  ///< Its sample index; 0 if none.

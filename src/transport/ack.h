@@ -25,7 +25,6 @@
 #include <span>
 #include <vector>
 
-#include "common/crc.h"
 #include "common/types.h"
 #include "mac/tag_mac.h"
 
@@ -54,11 +53,6 @@ struct AckExtension {
 
   bool operator==(const AckExtension&) const = default;
 };
-
-/// The extension's CRC-8 (common/crc.h Crc8), by its transport name.
-inline std::uint8_t CrcExtension(std::span<const Bit> bits) {
-  return Crc8(bits);
-}
 
 /// Append one ACK block to an extension body.
 void AppendAckBlock(BitVector& body, const TagAck& ack);

@@ -22,6 +22,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/crc.h"
 #include "health/wire.h"
 #include "impair/rogue.h"
 #include "mac/tag_mac.h"
@@ -250,7 +251,7 @@ BitVector HandSealed(std::uint32_t version, const BitVector& body) {
     payload.push_back((body.size() >> i) & 1u);
   }
   payload.insert(payload.end(), body.begin(), body.end());
-  const std::uint8_t crc = transport::CrcExtension(
+  const std::uint8_t crc = Crc8(
       std::span<const Bit>(payload).subspan(16));
   for (std::size_t i = 0; i < 8; ++i) payload.push_back((crc >> i) & 1u);
   return payload;

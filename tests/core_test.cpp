@@ -341,39 +341,6 @@ TEST(Redundancy, LaddersAreSorted) {
   }
 }
 
-TEST(Redundancy, RaisesOnFailures) {
-  AdaptiveRedundancy ctrl(RadioType::kWifi);
-  EXPECT_EQ(ctrl.current(), 4u);
-  ctrl.Report(false);
-  ctrl.Report(false);
-  EXPECT_EQ(ctrl.current(), 8u);
-  ctrl.Report(false);
-  ctrl.Report(false);
-  EXPECT_EQ(ctrl.current(), 16u);
-}
-
-TEST(Redundancy, LowersAfterSustainedSuccess) {
-  AdaptiveRedundancyConfig cfg;
-  cfg.lower_after_successes = 4;
-  AdaptiveRedundancy ctrl(RadioType::kWifi, cfg);
-  ctrl.Report(false);
-  ctrl.Report(false);
-  EXPECT_EQ(ctrl.current(), 8u);
-  for (int i = 0; i < 4; ++i) ctrl.Report(true);
-  EXPECT_EQ(ctrl.current(), 4u);
-}
-
-TEST(Redundancy, SaturatesAtLadderEnds) {
-  AdaptiveRedundancy ctrl(RadioType::kWifi);
-  for (int i = 0; i < 20; ++i) ctrl.Report(false);
-  EXPECT_EQ(ctrl.current(), 32u);
-  AdaptiveRedundancyConfig cfg;
-  cfg.lower_after_successes = 1;
-  AdaptiveRedundancy low(RadioType::kWifi, cfg);
-  for (int i = 0; i < 5; ++i) low.Report(true);
-  EXPECT_EQ(low.current(), 4u);
-}
-
 TEST(Translator, TranslateIntoInPlaceMatchesTranslate) {
   // The slot chain translates into (and may alias) its own buffers;
   // every radio, plain, quaternary and drifted, must match Translate.

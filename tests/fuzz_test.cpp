@@ -12,7 +12,6 @@
 #include "impair/rogue.h"
 #include "mac/plm.h"
 #include "mac/tag_mac.h"
-#include "phy80211/mpdu.h"
 #include "phy80211/receiver.h"
 #include "phy80211b/frame11b.h"
 #include "phy802154/frame.h"
@@ -32,19 +31,6 @@ IqBuffer RandomIq(Rng& rng, std::size_t n, double scale = 1.0) {
   IqBuffer out(n);
   for (auto& x : out) x = rng.NextComplexGaussian() * scale;
   return out;
-}
-
-TEST(Fuzz, MpduParserNeverCrashes) {
-  Rng rng(1);
-  int accepted = 0;
-  for (int i = 0; i < 3000; ++i) {
-    const Bytes junk = RandomBytes(rng, rng.NextBelow(64));
-    const auto parsed = phy80211::ParseMpdu(junk);
-    accepted += parsed.has_value();
-  }
-  // Random type/subtype combinations are mostly invalid; a small
-  // accept rate is fine (5/64 type-subtype pairs are recognized).
-  EXPECT_LT(accepted, 600);
 }
 
 TEST(Fuzz, WifiReceiverOnNoiseBuffers) {

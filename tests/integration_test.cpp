@@ -1,20 +1,20 @@
 // Integration tests: cross-module flows exercising the public API the
-// way the examples and benches do — multi-packet tag streams, adaptive
-// redundancy loops, the MAC-to-tag control path, and failure injection
-// (truncated captures, corrupted fields, wrong channels).
+// way the examples and benches do — multi-packet tag streams, the
+// MAC-to-tag control path, and failure injection (truncated captures,
+// corrupted fields, wrong channels).
 #include <gtest/gtest.h>
+
+#include <algorithm>
 
 #include "channel/awgn.h"
 #include "common/bits.h"
 #include "common/rng.h"
-#include "core/redundancy.h"
 #include "core/tag_frame.h"
 #include "core/translator.h"
 #include "core/xor_decoder.h"
 #include "mac/plm.h"
 #include "mac/repacketizer.h"
 #include "mac/slotted_aloha.h"
-#include "phy80211/mpdu.h"
 #include "phy80211/receiver.h"
 #include "phy80211/transmitter.h"
 #include "phy802154/frame.h"
@@ -71,51 +71,6 @@ TEST(Integration, TagFrameAcrossMultipleWifiPackets) {
   ASSERT_EQ(frames.size(), 1u);
   EXPECT_TRUE(frames[0].crc_ok);
   EXPECT_EQ(frames[0].payload, message);
-}
-
-/// The adaptive redundancy controller settles at a higher N on a noisy
-/// link and back at the base N on a clean one, end to end.
-TEST(Integration, AdaptiveControllerConvergesEndToEnd) {
-  Rng rng(2);
-  core::AdaptiveRedundancyConfig acfg;
-  acfg.lower_after_successes = 3;
-  core::AdaptiveRedundancy controller(core::RadioType::kWifi, acfg);
-
-  channel::ReceiverFrontEnd fe;
-  fe.sample_rate_hz = phy80211::kSampleRateHz;
-  fe.noise_figure_db = 5.0;
-
-  auto run_exchange = [&](double rx_dbm) {
-    const phy80211::TxFrame frame =
-        phy80211::BuildFrame(RandomBytes(rng, 300), {});
-    core::TranslateConfig tcfg;
-    tcfg.redundancy = controller.current();
-    const BitVector bits =
-        RandomBits(rng, core::TagBitCapacity(frame.waveform.size(), tcfg));
-    const IqBuffer bs = core::Translate(
-        channel::ToAbsolutePower(frame.waveform, rx_dbm), bits, tcfg);
-    IqBuffer padded(120, Cplx{0.0, 0.0});
-    padded.insert(padded.end(), bs.begin(), bs.end());
-    const phy80211::RxResult rx =
-        phy80211::ReceiveFrame(channel::AddThermalNoise(padded, fe, rng));
-    bool success = false;
-    if (rx.signal_ok) {
-      const core::TagDecodeResult decoded = core::DecodeWifi(
-          frame.data_bits, rx.data_bits,
-          phy80211::ParamsFor(frame.rate).data_bits_per_symbol,
-          tcfg.redundancy);
-      success = HammingDistance(bits, decoded.bits) == 0;
-    }
-    controller.Report(success);
-  };
-
-  // Very noisy: the controller must climb the ladder.
-  for (int i = 0; i < 12; ++i) run_exchange(-93.5);
-  EXPECT_GT(controller.current(), 4u);
-
-  // Clean link: it probes back down to the fastest setting.
-  for (int i = 0; i < 40; ++i) run_exchange(-60.0);
-  EXPECT_EQ(controller.current(), 4u);
 }
 
 // ----------------------------------------------- MAC-to-tag control path
@@ -184,9 +139,9 @@ TEST(Integration, ProductivePlmCarriesRealTraffic) {
   EXPECT_EQ(*got, payload);
 }
 
-/// The same but with real MPDU headers inside the frames: header bytes
-/// count toward the airtime budget, and the client can reassemble the
-/// user stream from the decoded frames.
+/// The same frames still decode as ordinary WiFi: every planned payload
+/// size goes through the full OFDM chain and comes back intact, so the
+/// client keeps its traffic while the frame airtimes carry the message.
 TEST(Integration, RepacketizedFramesStillDecodeAsWifi) {
   Rng rng(21);
   const mac::RepacketizerConfig config;
@@ -196,28 +151,17 @@ TEST(Integration, RepacketizedFramesStillDecodeAsWifi) {
   channel::ReceiverFrontEnd fe;
   fe.sample_rate_hz = phy80211::kSampleRateHz;
   fe.noise_figure_db = 5.0;
-  std::uint16_t seq = 0;
   for (const auto& planned : plan.frames) {
-    phy80211::MpduHeader header;
-    header.type = phy80211::FrameType::kData;
-    header.addr1 = phy80211::MakeAddress(1);
-    header.addr2 = phy80211::MakeAddress(2);
-    header.addr3 = phy80211::MakeAddress(3);
-    header.sequence = seq++;
-    const std::size_t body = planned.payload_bytes -
-                             phy80211::MpduHeaderBytes(header.type);
-    const Bytes mpdu =
-        phy80211::BuildMpdu(header, RandomBytes(rng, body));
-    const phy80211::TxFrame frame = phy80211::BuildFrame(mpdu, {});
+    const Bytes payload = RandomBytes(rng, planned.payload_bytes);
+    const phy80211::TxFrame frame = phy80211::BuildFrame(payload, {});
     IqBuffer padded(100, Cplx{0.0, 0.0});
     padded.insert(padded.end(), frame.waveform.begin(), frame.waveform.end());
     const phy80211::RxResult rx =
         phy80211::ReceiveFrame(channel::ApplyLink(padded, -60.0, fe, rng));
     ASSERT_TRUE(rx.fcs_ok);
-    const auto parsed = phy80211::ParseMpdu(std::span<const std::uint8_t>(
-        rx.psdu.data(), rx.psdu.size() - 4));
-    ASSERT_TRUE(parsed.has_value());
-    EXPECT_EQ(parsed->header.sequence, seq - 1);
+    // The PSDU is the payload followed by its 4-byte FCS.
+    ASSERT_EQ(rx.psdu.size(), payload.size() + 4);
+    EXPECT_TRUE(std::equal(payload.begin(), payload.end(), rx.psdu.begin()));
   }
 }
 

@@ -9,7 +9,9 @@
 #include "mac/ambient_traffic.h"
 #include "mac/coexistence.h"
 #include "mac/plm.h"
+#include "mac/repacketizer.h"
 #include "mac/slotted_aloha.h"
+#include "phy80211/transmitter.h"
 
 namespace freerider::mac {
 namespace {
@@ -274,6 +276,54 @@ TEST(Coexistence, LeakageOrdering) {
   EXPECT_GT(
       WifiLeakageIntoBackscatterChannelDbm(config, ExciterKind::kWifi),
       WifiLeakageIntoBackscatterChannelDbm(config, ExciterKind::kZigbee));
+}
+
+// --------------------------------------------------------- repacketizer
+
+TEST(Repacketizer, FrameAirtimesEncodeTheBits) {
+  const RepacketizerConfig config;
+  const BitVector bits = BitsFromString("0110");
+  const auto plan = PlanFrames(1 << 20, bits, config);
+  ASSERT_EQ(plan.frames.size(), 4u);
+  for (std::size_t i = 0; i < bits.size(); ++i) {
+    EXPECT_EQ(plan.frames[i].plm_bit, bits[i]);
+    // Check the airtime a frame of that size actually has.
+    const phy80211::TxFrame frame = phy80211::BuildFrame(
+        Bytes(plan.frames[i].payload_bytes, 0xAA), {});
+    const double target = bits[i] ? config.plm.l1_s : config.plm.l0_s;
+    EXPECT_NEAR(phy80211::FrameDurationS(frame), target, 6e-6) << i;
+  }
+}
+
+TEST(Repacketizer, CarriesRealTrafficWhenQueueIsDeep) {
+  const BitVector bits = BitsFromString("10101010");
+  const auto plan = PlanFrames(1 << 20, bits);
+  EXPECT_EQ(plan.pad_bytes, 0u);
+  EXPECT_GT(plan.user_bytes_carried, 4000u);
+  EXPECT_DOUBLE_EQ(ProductiveFraction(plan), 1.0);
+}
+
+TEST(Repacketizer, PadsWhenQueueRunsDry) {
+  const BitVector bits = BitsFromString("1111");
+  const auto plan = PlanFrames(100, bits);
+  EXPECT_EQ(plan.user_bytes_carried, 100u);
+  EXPECT_GT(plan.pad_bytes, 0u);
+  EXPECT_LT(ProductiveFraction(plan), 0.1);
+  // All four frames still exist — the control message must go out.
+  EXPECT_EQ(plan.frames.size(), 4u);
+}
+
+TEST(Repacketizer, BitLengthsDiffer) {
+  const RepacketizerConfig config;
+  EXPECT_GT(PayloadBytesForBit(1, config),
+            PayloadBytesForBit(0, config));
+}
+
+TEST(Repacketizer, HigherRateCarriesMoreBytesPerBit) {
+  RepacketizerConfig slow;
+  RepacketizerConfig fast;
+  fast.rate = phy80211::Rate::k54Mbps;
+  EXPECT_GT(PayloadBytesForBit(0, fast), PayloadBytesForBit(0, slow));
 }
 
 }  // namespace

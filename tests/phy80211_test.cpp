@@ -118,7 +118,8 @@ TEST_P(PunctureRoundTrip, DepunctureViterbiRecovers) {
   for (int i = 0; i < 6; ++i) data.push_back(0);
   const BitVector mother = ConvolutionalEncode(data);
   const BitVector punctured = Puncture(mother, GetParam());
-  const BitVector restored = Depuncture(punctured, GetParam(), mother.size());
+  BitVector restored;
+  DepunctureInto(punctured, GetParam(), mother.size(), restored);
   ASSERT_EQ(restored.size(), mother.size());
   EXPECT_EQ(ViterbiDecode(restored), data);
 }
@@ -155,7 +156,9 @@ TEST_P(InterleaverRoundTrip, Bijective) {
   const RateParams& params = kRateTable[GetParam()];
   Rng rng(8 + GetParam());
   const BitVector bits = RandomBits(rng, params.coded_bits_per_symbol);
-  EXPECT_EQ(DeinterleaveSymbol(InterleaveSymbol(bits, params), params), bits);
+  BitVector restored;
+  DeinterleaveSymbolInto(InterleaveSymbol(bits, params), params, restored);
+  EXPECT_EQ(restored, bits);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllRates, InterleaverRoundTrip,
@@ -268,20 +271,22 @@ TEST(Ofdm, SymbolRoundTrip) {
   Rng rng(13);
   const BitVector bits = RandomBits(rng, 48);
   const IqBuffer points = MapBits(bits, Modulation::kBpsk);
-  const IqBuffer symbol = ModulateSymbol(points, 3);
-  ASSERT_EQ(symbol.size(), kSymbolLen);
-  const IqBuffer bins = DemodulateSymbol(symbol);
+  IqBuffer symbol(kSymbolLen);
+  ModulateSymbolInto(points, 3, symbol);
+  IqBuffer bins;
+  DemodulateSymbolInto(symbol, bins);
   // Build the reference "channel" = flat TX scale.
   IqBuffer flat(kFftSize, Cplx{64.0 / std::sqrt(52.0), 0.0});
-  const IqBuffer data = ExtractDataSubcarriers(bins, flat);
+  IqBuffer data;
+  ExtractDataSubcarriersInto(bins, flat, data);
   EXPECT_EQ(DemapSymbols(data, Modulation::kBpsk), bits);
 }
 
 TEST(Ofdm, SymbolUnitPower) {
   Rng rng(14);
   const IqBuffer points = MapBits(RandomBits(rng, 96), Modulation::kQpsk);
-  const IqBuffer symbol =
-      ModulateSymbol(std::span<const Cplx>(points).subspan(0, 48), 1);
+  IqBuffer symbol(kSymbolLen);
+  ModulateSymbolInto(std::span<const Cplx>(points).subspan(0, 48), 1, symbol);
   EXPECT_NEAR(dsp::MeanPower(symbol), 1.0, 0.35);
 }
 
@@ -301,10 +306,12 @@ TEST(Ofdm, LtfIsRepeated) {
 TEST(Ofdm, PilotPhaseErrorDetectsRotation) {
   Rng rng(15);
   const IqBuffer points = MapBits(RandomBits(rng, 48), Modulation::kBpsk);
-  IqBuffer symbol = ModulateSymbol(points, 5);
+  IqBuffer symbol(kSymbolLen);
+  ModulateSymbolInto(points, 5, symbol);
   const double theta = 0.7;
   symbol = dsp::RotatePhase(symbol, theta);
-  const IqBuffer bins = DemodulateSymbol(symbol);
+  IqBuffer bins;
+  DemodulateSymbolInto(symbol, bins);
   IqBuffer flat(kFftSize, Cplx{64.0 / std::sqrt(52.0), 0.0});
   EXPECT_NEAR(PilotPhaseError(bins, flat, 5), theta, 1e-6);
 }

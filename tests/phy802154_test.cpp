@@ -111,7 +111,9 @@ TEST(Chips, TranslatedSymbolIsDeterministicAndDifferent) {
 TEST(Chips, BytesSymbolsRoundTrip) {
   Rng rng(2);
   const Bytes bytes = RandomBytes(rng, 33);
-  EXPECT_EQ(SymbolsToBytes(BytesToSymbols(bytes)), bytes);
+  Bytes restored;
+  SymbolsToBytesInto(BytesToSymbols(bytes), restored);
+  EXPECT_EQ(restored, bytes);
 }
 
 TEST(Chips, LowNibbleFirst) {
@@ -128,7 +130,8 @@ TEST(Oqpsk, RoundTripCleanChips) {
   Rng rng(3);
   BitVector chips = RandomBits(rng, 64);
   const IqBuffer wave = ModulateChips(chips);
-  const BitVector demod = DemodulateChips(wave, 0, chips.size());
+  BitVector demod;
+  DemodulateChipsInto(wave, 0, chips.size(), demod);
   EXPECT_EQ(demod, chips);
 }
 
@@ -149,7 +152,8 @@ TEST(Oqpsk, PhaseFlipInvertsChips) {
   const BitVector chips = RandomBits(rng, 64);
   IqBuffer wave = ModulateChips(chips);
   for (auto& x : wave) x = -x;
-  const BitVector demod = DemodulateChips(wave, 0, chips.size());
+  BitVector demod;
+  DemodulateChipsInto(wave, 0, chips.size(), demod);
   ASSERT_EQ(demod.size(), chips.size());
   for (std::size_t i = 0; i < chips.size(); ++i) {
     EXPECT_EQ(demod[i], chips[i] ^ 1) << i;
@@ -329,7 +333,8 @@ RxResult OracleReceiveFrame(const IqBuffer& rx, const RxConfig& config = {}) {
   result.start_index = best_pos;
   const IqBuffer locked = dsp::RotatePhase(rx, -std::arg(best_corr));
   const std::size_t phr_start = best_pos + 4 * kSamplesPerSymbol;
-  const BitVector phr_chips = DemodulateChips(locked, phr_start, 2 * kChipsPerSymbol);
+  BitVector phr_chips;
+  DemodulateChipsInto(locked, phr_start, 2 * kChipsPerSymbol, phr_chips);
   if (phr_chips.size() < 2 * kChipsPerSymbol) return result;
   std::vector<std::uint8_t> symbols;
   double chip_distance_sum = 0.0;
@@ -339,13 +344,16 @@ RxResult OracleReceiveFrame(const IqBuffer& rx, const RxConfig& config = {}) {
     symbols.push_back(d.symbol);
     chip_distance_sum += d.distance;
   }
-  const std::size_t psdu_len = SymbolsToBytes(symbols)[0] & 0x7Fu;
+  Bytes phr;
+  SymbolsToBytesInto(symbols, phr);
+  const std::size_t psdu_len = phr[0] & 0x7Fu;
   if (psdu_len < 2 || psdu_len > kMaxPsduBytes) return result;
   result.psdu_len = psdu_len;
   const std::size_t psdu_symbols = psdu_len * 2;
   const std::size_t psdu_start = phr_start + 2 * kSamplesPerSymbol;
-  const BitVector chips =
-      DemodulateChips(locked, psdu_start, psdu_symbols * kChipsPerSymbol);
+  BitVector chips;
+  DemodulateChipsInto(locked, psdu_start, psdu_symbols * kChipsPerSymbol,
+                      chips);
   if (chips.size() < psdu_symbols * kChipsPerSymbol) return result;
   std::vector<std::uint8_t> payload_symbols;
   for (std::size_t s = 0; s < psdu_symbols; ++s) {
@@ -354,7 +362,7 @@ RxResult OracleReceiveFrame(const IqBuffer& rx, const RxConfig& config = {}) {
     payload_symbols.push_back(d.symbol);
     chip_distance_sum += d.distance;
   }
-  result.psdu = SymbolsToBytes(payload_symbols);
+  SymbolsToBytesInto(payload_symbols, result.psdu);
   result.data_symbols = symbols;
   result.data_symbols.insert(result.data_symbols.end(), payload_symbols.begin(),
                              payload_symbols.end());
@@ -556,7 +564,7 @@ TEST(ShrSearch, FilterAllowanceKeepsThousandfoldMargin) {
   const IqBuffer& ref = ShrReference();
   double worst_ratio = 0.0;
   std::size_t checked = 0;
-  IqBuffer block;
+  ShrBlock block;
   for (int i = 0; i < 6; ++i) {
     Rng rng(Rng::ForTrial(77, static_cast<std::uint64_t>(i), 0));
     const TxFrame frame = BuildFrame(RandomBytes(rng, 1 + rng.NextBelow(100)));
@@ -573,7 +581,8 @@ TEST(ShrSearch, FilterAllowanceKeepsThousandfoldMargin) {
         for (std::size_t k = 0; k < ref.size(); ++k) {
           c += rx[first + j + k] * std::conj(ref[k]);
         }
-        worst_ratio = std::max(worst_ratio, std::abs(block[j] - c) / allowance);
+        const Cplx estimate{block.re[j], block.im[j]};
+        worst_ratio = std::max(worst_ratio, std::abs(estimate - c) / allowance);
         ++checked;
       }
     }

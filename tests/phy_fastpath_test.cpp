@@ -321,8 +321,10 @@ IqBuffer DemodSymbolPoints(std::span<const Cplx> symbol80,
                            std::span<const Cplx> channel,
                            std::size_t symbol_index, const RxConfig& config,
                            IqBuffer* constellation_out, PhaseTracker* tracker) {
-  IqBuffer bins = DemodulateSymbol(symbol80);
-  IqBuffer data = ExtractDataSubcarriers(bins, channel);
+  IqBuffer bins;
+  DemodulateSymbolInto(symbol80, bins);
+  IqBuffer data;
+  ExtractDataSubcarriersInto(bins, channel, data);
   if (config.pilot_phase_correction) {
     const double cpe = PilotPhaseError(bins, channel, symbol_index);
     const Cplx derot{std::cos(-cpe), std::sin(-cpe)};
@@ -343,7 +345,9 @@ BitVector DemodSymbolBits(std::span<const Cplx> symbol80,
   const IqBuffer data = DemodSymbolPoints(symbol80, channel, symbol_index,
                                           config, constellation_out, nullptr);
   const BitVector hard = DemapSymbols(data, params.modulation);
-  return DeinterleaveSymbol(hard, params);
+  BitVector bits;
+  DeinterleaveSymbolInto(hard, params, bits);
+  return bits;
 }
 
 /// CFO estimate from the periodicity of a training region: the phase
@@ -497,8 +501,8 @@ RxResult ReceiveFrameScalar(const IqBuffer& raw_rx,
       DeinterleaveSymbolSoftInto(llrs, params, deint);
       coded.insert(coded.end(), deint.begin(), deint.end());
     }
-    const std::vector<double> mother =
-        DepunctureSoft(coded, params.coding, info_bits * 2);
+    std::vector<double> mother;
+    DepunctureSoftInto(coded, params.coding, info_bits * 2, mother);
     scrambled = ViterbiDecodeSoftScalar(mother);
   } else {
     BitVector coded;
@@ -508,10 +512,12 @@ RxResult ReceiveFrameScalar(const IqBuffer& raw_rx,
           window(data_start + s * kSymbolLen, kSymbolLen), h, s + 1, config,
           constellation, &tracker);
       const BitVector hard = DemapSymbols(points, params.modulation);
-      const BitVector sym_bits = DeinterleaveSymbol(hard, params);
+      BitVector sym_bits;
+      DeinterleaveSymbolInto(hard, params, sym_bits);
       coded.insert(coded.end(), sym_bits.begin(), sym_bits.end());
     }
-    const BitVector mother = Depuncture(coded, params.coding, info_bits * 2);
+    BitVector mother;
+    DepunctureInto(coded, params.coding, info_bits * 2, mother);
     scrambled = ViterbiDecodeScalar(mother);
   }
 
@@ -563,7 +569,9 @@ BitVector NoisyDepuncturedStream(Rng& rng, std::size_t info_len,
   for (auto& b : punctured) {
     if (rng.NextDouble() < flip_prob) b ^= 1;
   }
-  return Depuncture(punctured, rate, mother.size());
+  BitVector stream;
+  DepunctureInto(punctured, rate, mother.size(), stream);
+  return stream;
 }
 
 TEST(FastViterbiTest, HardMatchesScalarAcrossRatesAndLengths) {
@@ -628,8 +636,8 @@ TEST(FastViterbiTest, SoftMatchesScalarAcrossRatesAndLengths) {
       for (Bit b : punctured) {
         noisy.push_back((b ? 1.0 : -1.0) + 0.8 * rng.NextGaussian());
       }
-      const std::vector<double> llrs =
-          DepunctureSoft(noisy, rate, mother.size());
+      std::vector<double> llrs;
+      DepunctureSoftInto(noisy, rate, mother.size(), llrs);
       const BitVector ref = ViterbiDecodeSoftScalar(llrs);
       BitVector fast;
       ViterbiDecodeSoftInto(llrs, decisions, fast);

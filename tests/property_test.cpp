@@ -111,8 +111,9 @@ TEST_P(RoundTripSeed, ViterbiInvertsEncoderForAllRates) {
     for (int i = 0; i < 6; ++i) data.push_back(0);
     const BitVector mother = phy80211::ConvolutionalEncode(data);
     const BitVector punctured = phy80211::Puncture(mother, params.coding);
-    const BitVector restored =
-        phy80211::Depuncture(punctured, params.coding, mother.size());
+    BitVector restored;
+    phy80211::DepunctureInto(punctured, params.coding, mother.size(),
+                             restored);
     EXPECT_EQ(phy80211::ViterbiDecode(restored), data)
         << "rate " << params.mbps;
   }
@@ -121,11 +122,18 @@ TEST_P(RoundTripSeed, ViterbiInvertsEncoderForAllRates) {
 TEST_P(RoundTripSeed, InterleaverBijectiveOnRandomStreams) {
   Rng rng(GetParam() + 1000);
   for (const auto& params : phy80211::kRateTable) {
-    const BitVector bits =
-        RandomBits(rng, 3 * params.coded_bits_per_symbol);
-    EXPECT_EQ(phy80211::DeinterleaveStream(
-                  phy80211::InterleaveStream(bits, params), params),
-              bits);
+    const std::size_t ncbps = params.coded_bits_per_symbol;
+    const BitVector bits = RandomBits(rng, 3 * ncbps);
+    const BitVector interleaved = phy80211::InterleaveStream(bits, params);
+    BitVector restored;
+    BitVector symbol;
+    for (std::size_t off = 0; off < interleaved.size(); off += ncbps) {
+      phy80211::DeinterleaveSymbolInto(
+          std::span<const Bit>(interleaved).subspan(off, ncbps), params,
+          symbol);
+      restored.insert(restored.end(), symbol.begin(), symbol.end());
+    }
+    EXPECT_EQ(restored, bits);
   }
 }
 

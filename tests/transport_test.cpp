@@ -5,6 +5,7 @@
 #include <set>
 #include <vector>
 
+#include "common/crc.h"
 #include "common/rng.h"
 #include "mac/plm.h"
 #include "mac/tag_mac.h"
@@ -196,7 +197,7 @@ TEST(AckCodecTest, UnknownVersionRejectsCleanly) {
   payload[17] = 1;
   const std::size_t body_start = 16;
   const std::size_t crc_start = payload.size() - 8;
-  const std::uint8_t crc = transport::CrcExtension(
+  const std::uint8_t crc = Crc8(
       std::span<const Bit>(payload.data() + body_start,
                            crc_start - body_start));
   for (std::size_t i = 0; i < 8; ++i) {

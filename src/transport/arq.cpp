@@ -214,7 +214,6 @@ std::vector<std::uint8_t> CoordinatorTagRx::FlushInOrder() {
 
 std::vector<std::uint8_t> CoordinatorTagRx::OnFrame(std::uint8_t seq,
                                                     std::size_t round) {
-  last_error_ = RxError::kNone;
   if (resync_pending_) {
     resync_pending_ = false;
     const std::uint8_t gap = SeqDistance(next_expected_, seq);
@@ -246,75 +245,46 @@ std::vector<std::uint8_t> CoordinatorTagRx::OnFrame(std::uint8_t seq,
     // cumulative ACK caught up with the newer sequence. Fall through
     // to normal processing.
   }
-  const std::uint8_t d = SeqDistance(next_expected_, seq);
-  if (d >= 128) {
-    // Behind the delivery point: a retransmission of something already
-    // delivered (or skipped). A *plausible* retransmission trails by
-    // at most a window or two (ACK lag, hole-skips); anything deeper
-    // is a stale replay and counts as misbehavior evidence.
-    ++stats_.duplicates;
-    const std::uint8_t behind = SeqDistance(seq, next_expected_);
-    if (behind > config_.replay_stale_behind) {
-      ++stats_.stale_rejected;
-      last_error_ = RxError::kStaleReplay;
-      if (trace_ != nullptr) {
-        trace_->Record(obs::EventKind::kRxReject,
-                       static_cast<std::uint32_t>(round), obs::kNoSlot,
-                       wire_id_, seq, static_cast<std::uint64_t>(last_error_));
+  last_error_ = Classify(seq);
+  switch (last_error_) {
+    case RxError::kNone: {
+      const std::uint8_t d = SeqDistance(next_expected_, seq);
+      if (d == 0) {
+        auto delivered = FlushInOrder();
+        // If a hole remains it is a *different* hole than before the
+        // flush (the stream advanced), so its starvation clock starts
+        // now.
+        if (blocked_) blocked_since_round_ = round;
+        return delivered;
       }
-    } else {
-      last_error_ = RxError::kDuplicate;
+      rx_bitmap_ |= std::uint32_t{1} << d;
+      ++stats_.out_of_order;
+      if (!blocked_) {
+        blocked_ = true;
+        blocked_since_round_ = round;
+      }
+      return {};
     }
-    return {};
+    case RxError::kDuplicate:
+    case RxError::kDuplicateOoo:
+      ++stats_.duplicates;
+      return {};
+    case RxError::kStaleReplay:
+      ++stats_.duplicates;
+      ++stats_.stale_rejected;
+      break;
+    case RxError::kBeyondWindow:
+      ++stats_.beyond_window;
+      break;
+    case RxError::kReplayAlias:
+      ++stats_.replay_rejected;
+      break;
   }
-  if (d == 0) {
-    auto delivered = FlushInOrder();
-    // If a hole remains it is a *different* hole than before the flush
-    // (the stream advanced), so its starvation clock starts now.
-    if (blocked_) blocked_since_round_ = round;
-    return delivered;
-  }
-  if (d >= config_.window) {
-    // The tag must not send past the window; a frame here is corrupt
-    // or hostile. Accepting it would let one bogus sequence fast-
-    // forward the stream over real data.
-    ++stats_.beyond_window;
-    last_error_ = RxError::kBeyondWindow;
-    if (trace_ != nullptr) {
-      trace_->Record(obs::EventKind::kRxReject,
-                     static_cast<std::uint32_t>(round), obs::kNoSlot, wire_id_,
-                     seq, static_cast<std::uint64_t>(last_error_));
-    }
-    return {};
-  }
-  if (config_.replay_guard && delivered_seen_.test(seq) &&
-      position_ - delivered_pos_[seq] < 256) {
-    // In the forward window, but this exact sequence was delivered
-    // less than a full wrap of stream positions ago — a legitimate
-    // new instance is impossible by serial arithmetic (the tag would
-    // have had to wrap the whole 8-bit space first). This is a replay
-    // aliased across the wrap; accepting it would hand the replayed
-    // payload to the application as fresh out-of-order data.
-    ++stats_.replay_rejected;
-    last_error_ = RxError::kReplayAlias;
-    if (trace_ != nullptr) {
-      trace_->Record(obs::EventKind::kRxReject,
-                     static_cast<std::uint32_t>(round), obs::kNoSlot, wire_id_,
-                     seq, static_cast<std::uint64_t>(last_error_));
-    }
-    return {};
-  }
-  const std::uint32_t bit = std::uint32_t{1} << d;
-  if (rx_bitmap_ & bit) {
-    ++stats_.duplicates;
-    last_error_ = RxError::kDuplicateOoo;
-    return {};
-  }
-  rx_bitmap_ |= bit;
-  ++stats_.out_of_order;
-  if (!blocked_) {
-    blocked_ = true;
-    blocked_since_round_ = round;
+  // A rejection: misbehavior evidence, kept by the flight recorder.
+  if (trace_ != nullptr) {
+    trace_->Record(obs::EventKind::kRxReject, static_cast<std::uint32_t>(round),
+                   obs::kNoSlot, wire_id_, seq,
+                   static_cast<std::uint64_t>(last_error_));
   }
   return {};
 }

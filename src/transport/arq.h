@@ -243,26 +243,41 @@ class CoordinatorTagRx {
   /// buffered). The taxonomy feeds the MAC police's evidence stream.
   RxError last_error() const { return last_error_; }
 
-  /// What OnFrame *would* classify this sequence as, without mutating
-  /// any receive state (kNone = it would deliver, buffer, or sanction
-  /// a pending resync re-anchor). Used for frames that are heard but
-  /// embargoed from the stream — a misbehavior-quarantined tag's probe
-  /// answers must still be classified so a stale or beyond-window
-  /// answer keeps incriminating it, while the untouched stream state
-  /// keeps an honestly-rehabilitating tag's classification identical
-  /// to what delivery would have seen.
+  /// How OnFrame classifies this sequence, without mutating any receive
+  /// state (kNone = it would deliver, buffer, or sanction a pending
+  /// resync re-anchor). OnFrame does the re-anchor first and then acts
+  /// on this. It is also used for frames that are heard but embargoed
+  /// from the stream — a misbehavior-quarantined tag's probe answers
+  /// must still be classified so a stale or beyond-window answer keeps
+  /// incriminating it, while the untouched stream state keeps an
+  /// honestly-rehabilitating tag's classification identical to what
+  /// delivery would have seen.
   RxError Classify(std::uint8_t seq) const {
     if (resync_pending_ && SeqDistance(next_expected_, seq) >= config_.window) {
       return RxError::kNone;  // would re-anchor: sanctioned
     }
     const std::uint8_t d = SeqDistance(next_expected_, seq);
     if (d >= 128) {
+      // Behind the delivery point: a retransmission of something
+      // already delivered (or skipped). A *plausible* retransmission
+      // trails by at most a window or two (ACK lag, hole-skips);
+      // anything deeper is a stale replay and counts as misbehavior
+      // evidence.
       return SeqDistance(seq, next_expected_) > config_.replay_stale_behind
                  ? RxError::kStaleReplay
                  : RxError::kDuplicate;
     }
     if (d == 0) return RxError::kNone;
+    // The tag must not send past the window; a frame here is corrupt or
+    // hostile. Accepting it would let one bogus sequence fast-forward
+    // the stream over real data.
     if (d >= config_.window) return RxError::kBeyondWindow;
+    // In the forward window, but this exact sequence was delivered less
+    // than a full wrap of stream positions ago — a legitimate new
+    // instance is impossible by serial arithmetic (the tag would have
+    // had to wrap the whole 8-bit space first). This is a replay aliased
+    // across the wrap; accepting it would hand the replayed payload to
+    // the application as fresh out-of-order data.
     if (config_.replay_guard && delivered_seen_.test(seq) &&
         position_ - delivered_pos_[seq] < 256) {
       return RxError::kReplayAlias;

@@ -426,9 +426,16 @@ class CapturingReporter : public benchmark::ConsoleReporter {
       if (run.error_occurred) continue;
       std::ostringstream e;
       e << "    {\"name\": \"" << run.benchmark_name() << "\","
-        << " \"iterations\": " << run.iterations << ","
-        << " \"real_time_ns\": " << run.GetAdjustedRealTime() << ","
-        << " \"cpu_time_ns\": " << run.GetAdjustedCPUTime();
+        << " \"iterations\": " << run.iterations << ",";
+      if (run.aggregate_unit == benchmark::kPercentage) {
+        // A `_cv` aggregate holds a coefficient of variation, a plain
+        // ratio; GetAdjusted*Time would scale it like a time.
+        e << " \"real_time_ratio\": " << run.real_accumulated_time << ","
+          << " \"cpu_time_ratio\": " << run.cpu_accumulated_time;
+      } else {
+        e << " \"real_time_ns\": " << run.GetAdjustedRealTime() << ","
+          << " \"cpu_time_ns\": " << run.GetAdjustedCPUTime();
+      }
       for (const auto& [name, counter] : run.counters) {
         // A zero counter's coefficient of variation is 0/0; JSON has no
         // NaN, so a non-finite value is written as null.

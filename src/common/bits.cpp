@@ -22,9 +22,17 @@ Bytes BitsToBytes(std::span<const Bit> bits) {
 }
 
 void BitsToBytesInto(std::span<const Bit> bits, Bytes& out) {
-  out.assign((bits.size() + 7) / 8, 0);
-  for (std::size_t i = 0; i < bits.size(); ++i) {
-    if (bits[i]) out[i / 8] |= static_cast<std::uint8_t>(1u << (i % 8));
+  // Branchless: random data bits would mispredict a per-bit branch
+  // about half the time. Any nonzero input sets its bit.
+  out.resize((bits.size() + 7) / 8);
+  const Bit* b = bits.data();
+  for (std::size_t j = 0; j < out.size(); ++j) {
+    const std::size_t count = std::min<std::size_t>(8, bits.size() - 8 * j);
+    unsigned byte = 0;
+    for (std::size_t k = 0; k < count; ++k) {
+      byte |= static_cast<unsigned>(b[8 * j + k] != 0) << k;
+    }
+    out[j] = static_cast<std::uint8_t>(byte);
   }
 }
 

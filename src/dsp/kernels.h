@@ -1,22 +1,28 @@
 // Fixed-shape kernels for the PHY hot paths, over structure-of-arrays
-// (SoA) doubles.
+// (SoA) doubles, plus the float32 filter kernel of the certified first
+// preamble scan.
 //
 // Most are plain loops that GCC auto-vectorizes at -O2/-O3 with the
-// baseline ISA. The preamble-scan block, NormalizedCorrelationX8, is
-// written once over GCC vector-extension types and built twice: for
-// the baseline target (SSE2 on x86-64) and under
-// __attribute__((target("avx2"))). It picks a build once per process
-// from the CPU. docs/phy_fast_path.md ("Build note") has the
+// baseline ISA. The preamble-scan blocks, NormalizedCorrelationX8 and
+// NcorrEstimateX32, are written once over GCC vector-extension types
+// and built twice: for the baseline target (SSE2 on x86-64) and under
+// __attribute__((target(...))) for AVX2. Each picks a build once per
+// process from the CPU. docs/phy_fast_path.md ("Build note") has the
 // disassembly that motivates this.
 //
-// Determinism contract: each kernel fixes its accumulation shape — one
-// sequential chain per output, in a fixed order — so a given input
-// produces bit-identical doubles on every run, thread count and
+// Determinism contract: each exact kernel fixes its accumulation shape
+// — one sequential chain per output, in a fixed order — so a given
+// input produces bit-identical doubles on every run, thread count and
 // IEEE-754 host. The vector lanes are independent outputs, so their
-// width never changes which operations a result goes through. No build
-// enables FMA (the avx2 target does not imply it): a fused multiply-add
+// width never changes which operations a result goes through. No exact
+// chain is ever fused (the avx2 target does not imply FMA, and
+// kernels.cpp is not built with contraction): a fused multiply-add
 // rounds once where the source rounds twice, so contraction, not lane
-// width, is what would make the bytes depend on the host.
+// width, is what would make the bytes depend on the host. Filter
+// builds (filter_kernels.cpp, -ffp-contract=fast) may fuse: their
+// values only choose which positions the exact chain evaluates, under
+// an error allowance that covers fused and unfused rounding alike, so
+// no output byte depends on which filter build ran.
 #pragma once
 
 #include <cstdint>
@@ -68,12 +74,41 @@ void NormalizedCorrelationX8Avx2(const double* x_re, const double* x_im,
 bool CpuHasAvx2();
 
 /// Marks a function definition as the AVX2 build of a kernel (a no-op
-/// off x86). The avx2 target does not enable FMA.
+/// off x86). The avx2 target does not enable FMA; the avx2,fma target
+/// is for filter builds only.
 #if defined(__x86_64__) || defined(__i386__)
 #define FREERIDER_TARGET_AVX2 __attribute__((target("avx2")))
+#define FREERIDER_TARGET_AVX2_FMA __attribute__((target("avx2,fma")))
 #else
 #define FREERIDER_TARGET_AVX2
+#define FREERIDER_TARGET_AVX2_FMA
 #endif
+
+/// Float32 filter estimate of the normalized correlation at 32 adjacent
+/// scan positions, j = 0..31:
+///   out32[j] = sqrt(|c_j|^2 / (e32[j] * p_energy))   if e32[j] > 0,
+///   out32[j] = +inf                                   otherwise,
+/// where c_j = sum_{k<len} x[j + k] * conj(p[k]) is accumulated in
+/// float, one chain per lane (fused or not, by build). Reads
+/// x[0, len + 31); out32 may alias e32. Not bit-reproducible across
+/// builds: callers turn it into a bound with an allowance
+/// (phy80211/sync.h, kFirstScanCorrAllowance).
+void NcorrEstimateX32(const float* x_re, const float* x_im, const float* p_re,
+                      const float* p_im, std::size_t len, const float* e32,
+                      float p_energy, float* out32);
+
+/// The two builds NcorrEstimateX32 chooses between, exposed so tests can
+/// measure each one's error. Call the AVX2 build only when
+/// CpuHasAvx2Fma() (off x86 it is the baseline build).
+void NcorrEstimateX32Baseline(const float* x_re, const float* x_im,
+                              const float* p_re, const float* p_im,
+                              std::size_t len, const float* e32,
+                              float p_energy, float* out32);
+void NcorrEstimateX32Avx2Fma(const float* x_re, const float* x_im,
+                             const float* p_re, const float* p_im,
+                             std::size_t len, const float* e32,
+                             float p_energy, float* out32);
+bool CpuHasAvx2Fma();
 
 /// Sliding 64-sample window energy over SoA inputs: out[n] holds
 /// sum_{k<64} |x[n+k]|^2 computed with the same add/subtract recurrence

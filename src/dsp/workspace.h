@@ -25,12 +25,13 @@
 namespace freerider::dsp {
 
 struct Workspace {
-  // --- Preamble scan (SoA split + scan state) ---
-  std::vector<double> scan_re;      ///< Re of the rx buffer, SoA.
-  std::vector<double> scan_im;      ///< Im of the rx buffer, SoA.
+  // --- Preamble scan (float filter input + scan state) ---
+  std::vector<float> scan_fre;      ///< Prescaled Re of the rx buffer, float.
+  std::vector<float> scan_fim;      ///< Prescaled Im of the rx buffer, float.
+  std::vector<float> scan_fest;     ///< Filter energies, then estimates.
   std::vector<double> win_energy;   ///< Sliding 64-sample window energy.
-  std::vector<double> ncorr;        ///< Normalized correlation per position.
-  std::vector<std::uint8_t> scan_keep;  ///< Second scan's surviving pairs.
+  std::vector<double> ncorr;        ///< Exact ncorr or an upper bound on it.
+  std::vector<std::uint8_t> scan_keep;  ///< Positions the screen kept.
 
   // --- Whole-buffer working copies (CFO mix output) ---
   IqBuffer rx_work;                 ///< CFO-corrected receive buffer.
@@ -40,7 +41,7 @@ struct Workspace {
   IqBuffer ltf_y1, ltf_y2;          ///< FFTs of the two long symbols.
   IqBuffer sym_bins;                ///< 64 FFT bins of one symbol.
   IqBuffer sym_data;                ///< 48 equalized data points.
-  IqBuffer sym_ref;                 ///< Re-mapped hard decisions (tracker).
+  IqBuffer sym_ref;                 ///< Nearest constellation points (tracker).
   BitVector sym_hard;               ///< Hard bits of one symbol.
   BitVector sym_deint;              ///< Deinterleaved bits of one symbol.
   std::vector<double> sym_llrs;     ///< Soft demap output of one symbol.

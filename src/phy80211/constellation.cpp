@@ -67,6 +67,20 @@ void Slice8(double v, Bit& b0, Bit& b1, Bit& b2) {
   b2 = static_cast<Bit>(code & 1);
 }
 
+// Nearest PAM level on the normalized axis: the slicer's bits mapped
+// back, so each equals the Map(Demap(v)) round trip by construction.
+double Level4(double v) {
+  Bit b0, b1;
+  Slice4(v, b0, b1);
+  return Pam4(b0, b1);
+}
+
+double Level8(double v) {
+  Bit b0, b1, b2;
+  Slice8(v, b0, b1, b2);
+  return Pam8(b0, b1, b2);
+}
+
 }  // namespace
 
 std::size_t BitsPerSymbol(Modulation mod) {
@@ -90,25 +104,59 @@ void MapBitsInto(std::span<const Bit> bits, Modulation mod, IqBuffer& out) {
   if (bits.size() % bps != 0) {
     throw std::invalid_argument("MapBits: bit count not a multiple of bps");
   }
-  out.clear();
-  out.reserve(bits.size() / bps);
-  for (std::size_t i = 0; i < bits.size(); i += bps) {
-    switch (mod) {
-      case Modulation::kBpsk:
-        out.emplace_back(Pam2(bits[i]), 0.0);
-        break;
-      case Modulation::kQpsk:
-        out.emplace_back(Pam2(bits[i]) * kQpskNorm, Pam2(bits[i + 1]) * kQpskNorm);
-        break;
-      case Modulation::kQam16:
-        out.emplace_back(Pam4(bits[i], bits[i + 1]) * kQam16Norm,
-                         Pam4(bits[i + 2], bits[i + 3]) * kQam16Norm);
-        break;
-      case Modulation::kQam64:
-        out.emplace_back(Pam8(bits[i], bits[i + 1], bits[i + 2]) * kQam64Norm,
-                         Pam8(bits[i + 3], bits[i + 4], bits[i + 5]) * kQam64Norm);
-        break;
-    }
+  out.resize(bits.size() / bps);
+  const Bit* b = bits.data();
+  switch (mod) {
+    case Modulation::kBpsk:
+      for (std::size_t i = 0; i < out.size(); ++i) out[i] = {Pam2(b[i]), 0.0};
+      break;
+    case Modulation::kQpsk:
+      for (std::size_t i = 0; i < out.size(); ++i, b += 2) {
+        out[i] = {Pam2(b[0]) * kQpskNorm, Pam2(b[1]) * kQpskNorm};
+      }
+      break;
+    case Modulation::kQam16:
+      for (std::size_t i = 0; i < out.size(); ++i, b += 4) {
+        out[i] = {Pam4(b[0], b[1]) * kQam16Norm, Pam4(b[2], b[3]) * kQam16Norm};
+      }
+      break;
+    case Modulation::kQam64:
+      for (std::size_t i = 0; i < out.size(); ++i, b += 6) {
+        out[i] = {Pam8(b[0], b[1], b[2]) * kQam64Norm,
+                  Pam8(b[3], b[4], b[5]) * kQam64Norm};
+      }
+      break;
+  }
+}
+
+void NearestPointsInto(std::span<const Cplx> symbols, Modulation mod,
+                       IqBuffer& out) {
+  out.resize(symbols.size());
+  const Cplx* sym = symbols.data();
+  switch (mod) {
+    case Modulation::kBpsk:
+      for (std::size_t i = 0; i < out.size(); ++i) {
+        out[i] = {Pam2(Slice2(sym[i].real())), 0.0};
+      }
+      break;
+    case Modulation::kQpsk:
+      for (std::size_t i = 0; i < out.size(); ++i) {
+        out[i] = {Pam2(Slice2(sym[i].real())) * kQpskNorm,
+                  Pam2(Slice2(sym[i].imag())) * kQpskNorm};
+      }
+      break;
+    case Modulation::kQam16:
+      for (std::size_t i = 0; i < out.size(); ++i) {
+        out[i] = {Level4(sym[i].real() / kQam16Norm) * kQam16Norm,
+                  Level4(sym[i].imag() / kQam16Norm) * kQam16Norm};
+      }
+      break;
+    case Modulation::kQam64:
+      for (std::size_t i = 0; i < out.size(); ++i) {
+        out[i] = {Level8(sym[i].real() / kQam64Norm) * kQam64Norm,
+                  Level8(sym[i].imag() / kQam64Norm) * kQam64Norm};
+      }
+      break;
   }
 }
 
@@ -191,10 +239,9 @@ void DemapSoftInto(std::span<const Cplx> symbols, Modulation mod,
 }
 
 bool IsValidConstellationPoint(Cplx point, Modulation mod, double tolerance) {
-  // Round-trip through the demapper: the nearest valid point.
-  const BitVector bits = DemapSymbols(std::span<const Cplx>{&point, 1}, mod);
-  const IqBuffer remapped = MapBits(bits, mod);
-  return std::abs(remapped[0] - point) <= tolerance;
+  IqBuffer nearest;
+  NearestPointsInto(std::span<const Cplx>{&point, 1}, mod, nearest);
+  return std::abs(nearest[0] - point) <= tolerance;
 }
 
 }  // namespace freerider::phy80211

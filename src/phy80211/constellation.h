@@ -30,6 +30,13 @@ void MapBitsInto(std::span<const Bit> bits, Modulation mod, IqBuffer& out);
 void DemapSymbolsInto(std::span<const Cplx> symbols, Modulation mod,
                       BitVector& out);
 
+/// Nearest constellation point of each symbol, into `out` (resized):
+/// out[i] equals MapBits(DemapSymbols(symbols[i])) bit for bit — the
+/// same slicers and levels, without the bits in between (so NaN
+/// coordinates land where the demapper sends them).
+void NearestPointsInto(std::span<const Cplx> symbols, Modulation mod,
+                       IqBuffer& out);
+
 /// Soft demap: one log-likelihood-ratio-style metric per coded bit
 /// (max-log approximation for the gray-coded QAMs). Positive values
 /// favour bit 1; magnitude is confidence. Feed to ViterbiDecodeSoft.

@@ -47,19 +47,31 @@ BitVector ViterbiDecodeSoft(std::span<const double> llrs);
 // --- Workspace variants ------------------------------------------------
 //
 // The kernels below are bit-identical to the scalar reference trellises:
-// exact integer path metrics for the hard decoder, and an add-order-
-// preserving multiply-select formulation for the soft decoder (exact for
-// all finite LLRs; see DESIGN.md §13). phy_fastpath_test pins the
+// exact, renormalized integer path metrics for the hard decoder, and an
+// add-order-preserving multiply-select formulation for the soft decoder
+// (exact for all finite LLRs; see DESIGN.md §13). phy_fastpath_test pins the
 // equivalence exhaustively against its test-local oracles.
 
-/// Branchless state-major hard decoder. `decisions` is caller-owned
-/// scratch (steps x 64 survivor take-bit bytes, two 32-byte planes per
-/// step) so repeated calls allocate nothing once warm; `out` is resized
-/// to coded.size() / 2. Throws std::length_error above 2^28 steps,
-/// where the integer path metrics could wrap (an 802.11 PSDU of 4095
-/// bytes is about 2^15 steps).
+/// Branchless state-major hard decoder on 16-bit path metrics,
+/// renormalized every 256 steps. `decisions` is caller-owned scratch
+/// (steps x 64 survivor take-bit bytes, two 32-byte planes per step) so
+/// repeated calls allocate nothing once warm; `out` is resized to
+/// coded.size() / 2. Throws std::length_error above 2^28 steps, where
+/// the decision planes would pass 16 GiB (an 802.11 PSDU of 4095 bytes
+/// is about 2^15 steps). Runs the AVX2 build when the CPU has AVX2 and
+/// the SSE2 baseline build otherwise; both give the same bits.
 void ViterbiDecodeInto(std::span<const Bit> coded_with_erasures,
                        std::vector<std::uint8_t>& decisions, BitVector& out);
+
+/// The two builds ViterbiDecodeInto chooses between, exposed so tests
+/// can hold each against the scalar oracle. Call the AVX2 build only
+/// when dsp::CpuHasAvx2() (off x86 it is the baseline build).
+void ViterbiDecodeIntoBaseline(std::span<const Bit> coded_with_erasures,
+                               std::vector<std::uint8_t>& decisions,
+                               BitVector& out);
+void ViterbiDecodeIntoAvx2(std::span<const Bit> coded_with_erasures,
+                           std::vector<std::uint8_t>& decisions,
+                           BitVector& out);
 
 /// Branchless state-major soft decoder (same scratch contract).
 void ViterbiDecodeSoftInto(std::span<const double> llrs,

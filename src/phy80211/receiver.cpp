@@ -25,7 +25,7 @@ constexpr std::size_t kTailBits = 6;
 /// from the mean rotation of equalized points against their nearest
 /// constellation points. Symmetric under the constellation's rotational
 /// symmetry group, hence transparent to the tag's codeword translation.
-/// The hard-decision round trip runs in ws scratch.
+/// The nearest points go to ws scratch.
 class PhaseTracker {
  public:
   PhaseTracker(bool enabled, Modulation mod, dsp::Workspace& ws)
@@ -37,8 +37,7 @@ class PhaseTracker {
     for (auto& p : points) p *= derot;
     // Residual rotation against hard decisions.
     Cplx acc{0.0, 0.0};
-    DemapSymbolsInto(points, mod_, ws_.sym_hard);
-    MapBitsInto(ws_.sym_hard, mod_, ws_.sym_ref);
+    NearestPointsInto(points, mod_, ws_.sym_ref);
     for (std::size_t i = 0; i < points.size(); ++i) {
       acc += points[i] * std::conj(ws_.sym_ref[i]);
     }

@@ -86,7 +86,7 @@ PacketOutcome RunOnePacketOn(const LinkConfig& config, std::size_t redundancy,
   const BitVector tag_bits =
       RandomBits(rng, core::TagBitCapacity(frame.waveform.size(), tcfg));
   chain.Reflect(tag_bits, tcfg);
-  const typename Phy::Rx result =
+  const typename Phy::Rx& result =
       chain.Receive(config.profile.noise_figure_db,
                     config.profile.phase_noise_rw_rad_per_sample, rng,
                     injector, faults);

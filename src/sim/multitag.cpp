@@ -455,7 +455,7 @@ RoundReport FullStackSim::StepRound() {
       ++empties_observed;
       continue;
     }
-    const phy80211::RxResult rx =
+    const phy80211::RxResult& rx =
         chain.Receive(/*noise_figure_db=*/5.0,
                       /*phase_noise_rw_rad_per_sample=*/0.0, rng_, injector_,
                       faults);

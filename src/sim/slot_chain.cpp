@@ -103,7 +103,7 @@ void SlotChain<Phy>::Reflect(std::span<const Bit> tag_bits,
 }
 
 template <class Phy>
-typename Phy::Rx SlotChain<Phy>::Receive(
+const typename Phy::Rx& SlotChain<Phy>::Receive(
     double noise_figure_db, double phase_noise_rw_rad_per_sample, Rng& rng,
     impair::FaultInjector& injector, const impair::FrameFaults& faults) {
   if (reflections_ == 0) {
@@ -118,7 +118,9 @@ typename Phy::Rx SlotChain<Phy>::Receive(
     ApplyPhaseDrift(ws_.capture, phase_noise_rw_rad_per_sample, rng);
   }
   injector.ApplyInterferer(ws_.capture, faults);
-  return Phy::Receive(ws_.capture);
+  typename Phy::Rx& rx = Phy::RxIn(ws_);
+  Phy::Receive(ws_.capture, rx);
+  return rx;
 }
 
 template class SlotChain<WifiSlot>;

@@ -28,6 +28,7 @@
 #include "common/types.h"
 #include "core/translator.h"
 #include "core/xor_decoder.h"
+#include "dsp/workspace.h"
 #include "impair/impair.h"
 #include "phy80211/receiver.h"
 #include "phy80211/transmitter.h"
@@ -37,11 +38,12 @@
 namespace freerider::sim {
 
 /// Per-thread scratch of the slot chain, like dsp::Workspace: one
-/// excitation frame per PHY (scaled in place once built), the receive
-/// capture and one reflection scratch for the second and later tags of
-/// a collision. Every buffer is fully overwritten before it is read, so
-/// reusing a workspace across slots is bit-identical to fresh buffers;
-/// capacity is retained up to the largest frame built on the thread.
+/// excitation frame and one receive result per PHY (the frame scaled in
+/// place once built), the receive capture and one reflection scratch
+/// for the second and later tags of a collision. Every buffer is fully
+/// overwritten before it is read, so reusing a workspace across slots is
+/// bit-identical to fresh buffers; capacity is retained up to the
+/// largest frame built on the thread.
 ///
 /// Ownership: one SlotChain borrows the workspace for one slot and
 /// returns it when it goes out of scope. A second chain on the same
@@ -50,6 +52,9 @@ struct SlotWorkspace {
   phy80211::TxFrame wifi;
   phy802154::TxFrame zigbee;
   phyble::TxFrame ble;
+  phy80211::RxResult wifi_rx;
+  phy802154::RxResult zigbee_rx;
+  phyble::RxResult ble_rx;
   IqBuffer capture;     ///< Lead pad | superposed reflections | trail pad.
   IqBuffer reflection;  ///< A later reflection before superposition.
   bool borrowed = false;
@@ -71,6 +76,7 @@ struct WifiSlot {
   static constexpr std::size_t kPad = 150;
   static constexpr bool kPhaseNoise = false;
   static Frame& FrameIn(SlotWorkspace& ws) { return ws.wifi; }
+  static Rx& RxIn(SlotWorkspace& ws) { return ws.wifi_rx; }
   static std::size_t PayloadBytes(std::size_t requested) { return requested; }
   static void Build(std::span<const std::uint8_t> payload, Frame& frame) {
     phy80211::BuildFrameInto(payload, {}, frame);
@@ -78,8 +84,8 @@ struct WifiSlot {
   static double DurationS(const Frame& frame) {
     return phy80211::FrameDurationS(frame);
   }
-  static Rx Receive(const IqBuffer& capture) {
-    return phy80211::ReceiveFrame(capture);
+  static void Receive(const IqBuffer& capture, Rx& rx) {
+    phy80211::ReceiveFrame(capture, {}, dsp::ThreadLocalWorkspace(), rx);
   }
   static bool Decoded(const Rx& rx) { return rx.signal_ok; }
   static core::TagDecodeResult Decode(const Frame& frame, const Rx& rx,
@@ -98,6 +104,7 @@ struct ZigbeeSlot {
   static constexpr std::size_t kPad = 200;
   static constexpr bool kPhaseNoise = true;
   static Frame& FrameIn(SlotWorkspace& ws) { return ws.zigbee; }
+  static Rx& RxIn(SlotWorkspace& ws) { return ws.zigbee_rx; }
   static std::size_t PayloadBytes(std::size_t requested) {
     return std::min<std::size_t>(requested, 100);
   }
@@ -107,8 +114,8 @@ struct ZigbeeSlot {
   static double DurationS(const Frame& frame) {
     return phy802154::FrameDurationS(frame);
   }
-  static Rx Receive(const IqBuffer& capture) {
-    return phy802154::ReceiveFrame(capture);
+  static void Receive(const IqBuffer& capture, Rx& rx) {
+    phy802154::ReceiveFrame(capture, {}, rx);
   }
   static bool Decoded(const Rx& rx) {
     return rx.detected && !rx.data_symbols.empty();
@@ -127,6 +134,7 @@ struct BleSlot {
   static constexpr std::size_t kPad = 200;
   static constexpr bool kPhaseNoise = false;
   static Frame& FrameIn(SlotWorkspace& ws) { return ws.ble; }
+  static Rx& RxIn(SlotWorkspace& ws) { return ws.ble_rx; }
   static std::size_t PayloadBytes(std::size_t requested) {
     return std::min<std::size_t>(requested, phyble::kMaxPayloadBytes);
   }
@@ -136,8 +144,9 @@ struct BleSlot {
   static double DurationS(const Frame& frame) {
     return phyble::FrameDurationS(frame);
   }
-  static Rx Receive(const IqBuffer& capture) {
-    return phyble::ReceiveFrame(capture);
+  // phyble has no into-form, so this receive still allocates.
+  static void Receive(const IqBuffer& capture, Rx& rx) {
+    rx = phyble::ReceiveFrame(capture);
   }
   static bool Decoded(const Rx& rx) {
     return rx.detected && !rx.stream_bits.empty();
@@ -180,10 +189,13 @@ class SlotChain {
   /// Rotate the superposed reflections by the drawn CFO, then add
   /// thermal noise over the padded capture, the receiver's random-walk
   /// phase drift (if the PHY has it and `phase_noise_rw_rad_per_sample`
-  /// is positive) and the interferer burst, and run the PHY receiver.
-  Rx Receive(double noise_figure_db, double phase_noise_rw_rad_per_sample,
-             Rng& rng, impair::FaultInjector& injector,
-             const impair::FrameFaults& faults);
+  /// is positive) and the interferer burst, and run the PHY receiver
+  /// into the workspace's result for this PHY. The result stays valid
+  /// until the workspace's next slot.
+  const Rx& Receive(double noise_figure_db,
+                    double phase_noise_rw_rad_per_sample, Rng& rng,
+                    impair::FaultInjector& injector,
+                    const impair::FrameFaults& faults);
 
  private:
   std::span<Cplx> Composite();

@@ -42,6 +42,26 @@ TEST(Bits, BitsToBytesPadsPartialByte) {
   EXPECT_EQ(bytes[0], 0x05);
 }
 
+TEST(Bits, BitsToBytesSetsABitForAnyNonzeroInput) {
+  // The per-bit branch it replaced set bit i whenever bits[i] != 0; the
+  // branchless form must agree on any byte values, not just 0 and 1.
+  Rng rng(5);
+  for (std::size_t n = 0; n <= 70; ++n) {
+    BitVector bits(n);
+    for (auto& b : bits) {
+      const std::uint64_t pick = rng.NextBelow(4);
+      b = pick == 0 ? 0 : pick == 1 ? 1 : pick == 2 ? 2 : 255;
+    }
+    Bytes want((n + 7) / 8, 0);
+    for (std::size_t i = 0; i < n; ++i) {
+      if (bits[i]) want[i / 8] |= static_cast<std::uint8_t>(1u << (i % 8));
+    }
+    Bytes got{0xAB, 0xCD};  // stale contents must not leak
+    BitsToBytesInto(bits, got);
+    EXPECT_EQ(got, want) << n;
+  }
+}
+
 TEST(Bits, BitsFromStringSkipsNoise) {
   EXPECT_EQ(BitsFromString("10 1_1"), BitsFromString("1011"));
 }

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <limits>
 
 #include "channel/awgn.h"
 #include "common/bits.h"
@@ -235,6 +237,48 @@ TEST_P(Rotation180, MapsConstellationToItself) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllMods, Rotation180,
+                         ::testing::Values(Modulation::kBpsk, Modulation::kQpsk,
+                                           Modulation::kQam16,
+                                           Modulation::kQam64));
+
+class NearestPoints : public ::testing::TestWithParam<Modulation> {};
+
+TEST_P(NearestPoints, MatchBitRoundTripBitForBit) {
+  // The phase tracker's slicer must equal Map(Demap(p)) to the last bit:
+  // on random points and on the decision edges (+-0, +-2, +-4 on the
+  // normalized axis, just either side of them) and NaN.
+  const Modulation mod = GetParam();
+  const double unit = mod == Modulation::kQam16   ? 0.31622776601683794
+                      : mod == Modulation::kQam64 ? 0.1543033499620919
+                                                  : 1.0;
+  std::vector<double> axis = {std::numeric_limits<double>::quiet_NaN(),
+                              -std::numeric_limits<double>::quiet_NaN()};
+  for (const double edge : {0.0, 2.0, 4.0, 6.0}) {
+    for (const double sign : {1.0, -1.0}) {
+      const double v = sign * edge * unit;
+      axis.insert(axis.end(), {v, std::nextafter(v, 1e9),
+                               std::nextafter(v, -1e9)});
+    }
+  }
+  IqBuffer points;
+  for (const double re : axis) {
+    for (const double im : axis) points.emplace_back(re, im);
+  }
+  Rng rng(13);
+  for (int i = 0; i < 4000; ++i) {
+    points.emplace_back(1.5 * rng.NextGaussian(), 1.5 * rng.NextGaussian());
+  }
+  const IqBuffer want = MapBits(DemapSymbols(points, mod), mod);
+  IqBuffer got{Cplx{9.0, 9.0}};  // stale contents must not leak
+  NearestPointsInto(points, mod, got);
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(std::memcmp(&got[i], &want[i], sizeof(Cplx)), 0)
+        << "point " << points[i] << " got " << got[i] << " want " << want[i];
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(AllMods, NearestPoints,
                          ::testing::Values(Modulation::kBpsk, Modulation::kQpsk,
                                            Modulation::kQam16,
                                            Modulation::kQam64));

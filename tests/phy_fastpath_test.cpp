@@ -574,35 +574,53 @@ BitVector NoisyDepuncturedStream(Rng& rng, std::size_t info_len,
   return stream;
 }
 
+using HardBuild = void (*)(std::span<const Bit>, std::vector<std::uint8_t>&,
+                           BitVector&);
+
+// Both builds of the 16-bit hard decoder, called directly (the AVX2 one
+// only on hosts that have it), and the dispatcher the receiver calls.
+std::vector<std::pair<const char*, HardBuild>> HardBuilds() {
+  std::vector<std::pair<const char*, HardBuild>> builds = {
+      {"baseline", ViterbiDecodeIntoBaseline},
+      {"dispatched", ViterbiDecodeInto}};
+  if (dsp::CpuHasAvx2()) builds.emplace_back("avx2", ViterbiDecodeIntoAvx2);
+  return builds;
+}
+
+// Every hard build decodes `coded` to the scalar trellis's bits.
+void ExpectHardBuildsMatchScalar(const BitVector& coded,
+                                 const std::string& what) {
+  const BitVector ref = ViterbiDecodeScalar(coded);
+  for (const auto& [name, build] : HardBuilds()) {
+    std::vector<std::uint8_t> decisions;
+    BitVector fast;
+    build(coded, decisions, fast);
+    ASSERT_EQ(ref, fast) << name << " " << what;
+  }
+}
+
 TEST(FastViterbiTest, HardMatchesScalarAcrossRatesAndLengths) {
   // Lengths 1..256 cover every puncture phase at the stream tail for
   // both punctured rates (periods 4 and 6 mother bits).
-  std::vector<std::uint8_t> decisions;
   for (CodingRate rate : kRates) {
     for (std::size_t len = 1; len <= 256; ++len) {
       Rng rng(1000 + len);
-      const BitVector coded =
-          NoisyDepuncturedStream(rng, len, rate, 0.05);
-      const BitVector ref = ViterbiDecodeScalar(coded);
-      BitVector fast;
-      ViterbiDecodeInto(coded, decisions, fast);
-      ASSERT_EQ(ref, fast) << "rate=" << static_cast<int>(rate)
-                           << " len=" << len;
+      ExpectHardBuildsMatchScalar(
+          NoisyDepuncturedStream(rng, len, rate, 0.05),
+          "rate=" + std::to_string(static_cast<int>(rate)) +
+              " len=" + std::to_string(len));
     }
   }
 }
 
 TEST(FastViterbiTest, HardMatchesScalarLongFramesManySeeds) {
-  std::vector<std::uint8_t> decisions;
   for (CodingRate rate : kRates) {
     for (std::uint64_t seed = 0; seed < 16; ++seed) {
       Rng rng(seed * 31 + 7);
-      const BitVector coded = NoisyDepuncturedStream(rng, 1000, rate, 0.08);
-      const BitVector ref = ViterbiDecodeScalar(coded);
-      BitVector fast;
-      ViterbiDecodeInto(coded, decisions, fast);
-      ASSERT_EQ(ref, fast) << "rate=" << static_cast<int>(rate)
-                           << " seed=" << seed;
+      ExpectHardBuildsMatchScalar(
+          NoisyDepuncturedStream(rng, 1000, rate, 0.08),
+          "rate=" + std::to_string(static_cast<int>(rate)) +
+              " seed=" + std::to_string(seed));
     }
   }
 }
@@ -610,16 +628,45 @@ TEST(FastViterbiTest, HardMatchesScalarLongFramesManySeeds) {
 TEST(FastViterbiTest, HardMatchesScalarWithErasuresAtEveryPhase) {
   // Beyond the natural puncture positions: force an erasure at every
   // residue of the widest puncture period (6 mother bits = positions
-  // 0..11 of the interleaved stream) to pin phase-independence.
-  std::vector<std::uint8_t> decisions;
-  for (std::size_t phase = 0; phase < 12; ++phase) {
-    Rng rng(500 + phase);
-    BitVector coded = NoisyDepuncturedStream(rng, 120, CodingRate::kHalf, 0.1);
-    for (std::size_t i = phase; i < coded.size(); i += 12) coded[i] = 2;
-    const BitVector ref = ViterbiDecodeScalar(coded);
-    BitVector fast;
-    ViterbiDecodeInto(coded, decisions, fast);
-    ASSERT_EQ(ref, fast) << "phase=" << phase;
+  // 0..11 of the interleaved stream) to pin phase-independence, on
+  // frames shorter than one renormalization period and across several.
+  for (const std::size_t len : {120, 700}) {
+    for (std::size_t phase = 0; phase < 12; ++phase) {
+      Rng rng(500 + phase + len);
+      BitVector coded =
+          NoisyDepuncturedStream(rng, len, CodingRate::kHalf, 0.1);
+      for (std::size_t i = phase; i < coded.size(); i += 12) coded[i] = 2;
+      ExpectHardBuildsMatchScalar(coded, "len=" + std::to_string(len) +
+                                             " phase=" + std::to_string(phase));
+    }
+  }
+}
+
+TEST(FastViterbiTest, HardMatchesScalarAcrossRenormalizations) {
+  // 2^17 + 37 steps: 512 renormalizations of the 16-bit metrics. At a
+  // 30 % flip rate the metrics also spread as far as they can. Coded
+  // bits drawn at random (no codeword at all) raise the minimum metric
+  // by about a third per step, so without renormalization it would
+  // cross 2^15 and wrap.
+  for (const double flip : {0.02, 0.3}) {
+    Rng rng(flip == 0.02 ? 61 : 62);
+    ExpectHardBuildsMatchScalar(
+        NoisyDepuncturedStream(rng, (std::size_t{1} << 17) + 37,
+                               CodingRate::kThreeQuarters, flip),
+        "flip=" + std::to_string(flip));
+  }
+  Rng rng(63);
+  ExpectHardBuildsMatchScalar(RandomBits(rng, std::size_t{1} << 19),
+                              "random coded bits");
+}
+
+TEST(FastViterbiTest, HardAllErasuresTieEverywhere) {
+  // Every branch costs 0, so every compare is a tie and every survivor
+  // must be the lower predecessor, as in the scalar trellis — before,
+  // at and after the first renormalization.
+  for (const std::size_t steps : {1, 5, 6, 7, 255, 256, 257, 3000}) {
+    ExpectHardBuildsMatchScalar(BitVector(2 * steps, Bit{2}),
+                                "steps=" + std::to_string(steps));
   }
 }
 
@@ -845,7 +892,9 @@ TEST(FastDetectTest, ScanMatchesScalarInEveryBlockLane) {
   // block; zero pads add gated (zero-energy) windows around it; tails
   // of 0..7 extra samples give positions % 8 every value, so the
   // remainder runs 0..7 positions. Besides the Detection, every ncorr
-  // the scan wrote must equal the 1-position remainder's value.
+  // the refine wrote must equal the 1-position remainder's value, and
+  // every other window the scan does not gate must hold an upper bound
+  // on it; the detected pair itself is always refined.
   const IqBuffer ltf = LongTrainingSymbol64();
   std::vector<double> ltf_re, ltf_im;
   double ltf_energy = 0.0;
@@ -875,11 +924,18 @@ TEST(FastDetectTest, ScanMatchesScalarInEveryBlockLane) {
       EXPECT_EQ(ref.found, fast.found) << "pad " << pad;
       EXPECT_EQ(ref.second_ltf_start, fast.second_ltf_start) << "pad " << pad;
       ASSERT_EQ(ws.ncorr.size(), positions);
+      std::vector<double> re, im;
+      dsp::SplitComplex(rx, re, im);
+      const std::size_t peak = fast.second_ltf_start - 64;
       for (std::size_t n = 0; n < positions; ++n) {
-        const double want = RemainderNcorr(
-            ws.scan_re.data() + n, ws.scan_im.data() + n, ltf_re.data(),
-            ltf_im.data(), kFftSize, ws.win_energy[n], ltf_energy);
-        ASSERT_EQ(std::memcmp(&want, &ws.ncorr[n], sizeof want), 0)
+        const double want =
+            RemainderNcorr(re.data() + n, im.data() + n, ltf_re.data(),
+                           ltf_im.data(), kFftSize, ws.win_energy[n],
+                           ltf_energy);
+        if (std::memcmp(&want, &ws.ncorr[n], sizeof want) == 0) continue;
+        ASSERT_NE(n, peak) << "pad " << pad << " zero_pads " << zero_pads;
+        ASSERT_NE(n, peak + 64) << "pad " << pad << " zero_pads " << zero_pads;
+        ASSERT_TRUE(ws.win_energy[n] <= 0.0 || ws.ncorr[n] > want)
             << "pad " << pad << " zero_pads " << zero_pads << " n " << n;
       }
     }
@@ -1389,6 +1445,289 @@ TEST(CertifiedRescan, AllowancesKeepThousandfoldMargin) {
   // in the normalizations and the bound; docs/phy_fast_path.md counts
   // them.
   EXPECT_GE(kRescanRelAllowance, 1e3 * 128 * std::ldexp(1.0, -53));
+}
+
+// ------------------------------------------------- certified first scan
+//
+// DetectPreambleFast filters every position with a float32 estimate and
+// refines only the blocks whose bound reaches the cutoff. Its Detection
+// must be the scalar oracle's, and every window it does not gate must
+// hold its exact normalized correlation or an upper bound on it:
+// across SNRs and pads, absolute scales, float underflow, non-finite
+// samples, degenerate buffers and ties.
+
+// The LTF as SoA doubles, with its sequential energy.
+struct LtfDoubles {
+  std::vector<double> re, im;
+  double energy = 0.0;
+};
+
+const LtfDoubles& Ltf() {
+  static const LtfDoubles ltf = [] {
+    LtfDoubles l;
+    for (const Cplx& x : LongTrainingSymbol64()) {
+      l.re.push_back(x.real());
+      l.im.push_back(x.imag());
+      l.energy += std::norm(x);
+    }
+    return l;
+  }();
+  return ltf;
+}
+
+// Checks DetectPreambleFast on a fresh workspace against the scalar
+// oracle and the ncorr it leaves against the exact chain. Returns the
+// oracle's Detection; `bounded` (if given) counts the windows holding a
+// bound rather than their exact value.
+Detection ExpectFirstScanMatchesScalar(const IqBuffer& rx, double threshold,
+                                       const std::string& what,
+                                       std::size_t* bounded = nullptr) {
+  const Detection want = DetectPreambleScalar(rx, threshold);
+  dsp::Workspace ws;
+  const Detection got = DetectPreambleFast(rx, threshold, ws);
+  EXPECT_EQ(got.found, want.found) << what;
+  EXPECT_EQ(got.second_ltf_start, want.second_ltf_start) << what;
+  if (rx.size() < 2 * kFftSize) return want;
+  const std::size_t positions = rx.size() - kFftSize + 1;
+  std::vector<double> re, im;
+  dsp::SplitComplex(rx, re, im);
+  std::size_t violations = 0;
+  std::size_t loose = 0;
+  for (std::size_t n = 0; n < positions; ++n) {
+    const double e = ws.win_energy[n];
+    if (e <= 0.0) continue;
+    const double exact =
+        RemainderNcorr(re.data() + n, im.data() + n, Ltf().re.data(),
+                       Ltf().im.data(), kFftSize, e, Ltf().energy);
+    if (std::memcmp(&exact, &ws.ncorr[n], sizeof exact) == 0) continue;
+    ++loose;
+    // A NaN exact value only arises behind a non-finite sample, where
+    // the scan refines everything; any other gap must be a bound.
+    if (!(ws.ncorr[n] > exact) && !std::isnan(exact)) ++violations;
+  }
+  EXPECT_EQ(violations, std::size_t{0}) << what;
+  if (bounded != nullptr) *bounded = loose;
+  return want;
+}
+
+TEST(CertifiedFirstScan, MatchesScalarAcrossSnrAndPads) {
+  int found = 0;
+  int missed = 0;
+  int i = 0;
+  for (double snr_db = -10.0; snr_db <= 30.0; snr_db += 1.25) {
+    for (const std::size_t pad : {0, 150, 2000}) {
+      Rng rng(Rng::ForTrial(2029, static_cast<std::uint64_t>(i), 0));
+      const IqBuffer rx =
+          RescanCapture(rng, 20 + rng.NextBelow(80), snr_db, 0.0, pad);
+      const double threshold = (i % 4 == 3) ? 0.3 : 0.55;
+      const Detection want = ExpectFirstScanMatchesScalar(
+          rx, threshold,
+          "snr " + std::to_string(snr_db) + " pad " + std::to_string(pad));
+      (want.found ? found : missed) += 1;
+      ++i;
+    }
+  }
+  // The sweep must straddle the detection threshold.
+  EXPECT_GT(found, 20);
+  EXPECT_GT(missed, 10);
+}
+
+// A 25 dB capture of a 40-byte frame, scaled so its largest component
+// is 1.
+IqBuffer UnitPeakCapture(Rng& rng, std::size_t pad) {
+  IqBuffer rx = RescanCapture(rng, 40, 25.0, 0.0, pad);
+  double m = 0.0;
+  for (const Cplx& x : rx) m = std::max({m, std::abs(x.real()), std::abs(x.imag())});
+  for (auto& x : rx) x /= m;
+  return rx;
+}
+
+TEST(CertifiedFirstScan, ScreenBoundsNearlyEveryWindow) {
+  // On a receiver-sized capture the filter must settle nearly every
+  // window with a bound, or the certified scan silently costs a full one.
+  Rng rng(51);
+  const IqBuffer rx = RescanCapture(rng, 800, 15.0, 0.0, 150);
+  std::size_t bounded = 0;
+  ASSERT_TRUE(ExpectFirstScanMatchesScalar(rx, 0.55, "800 B", &bounded).found);
+  const std::size_t positions = rx.size() - kFftSize + 1;
+  EXPECT_GT(positions, std::size_t{20000});
+  EXPECT_GT(bounded, positions - 64);
+}
+
+TEST(CertifiedFirstScan, ExtremeScales) {
+  // 1e+-80 stay in the filter's range; at 1e+-160 the energies
+  // overflow or underflow, the filter stands aside and the scan runs
+  // exactly.
+  Rng rng(52);
+  const IqBuffer base = UnitPeakCapture(rng, 150);
+  for (const double scale : {1e-160, 1e-80, 1e80, 1e160}) {
+    IqBuffer rx = base;
+    for (auto& x : rx) x *= scale;
+    std::size_t bounded = 0;
+    const Detection want = ExpectFirstScanMatchesScalar(
+        rx, 0.55, "scale " + std::to_string(scale), &bounded);
+    if (scale == 1e-80 || scale == 1e80) {
+      EXPECT_TRUE(want.found) << scale;
+      EXPECT_GT(bounded, std::size_t{0}) << scale;  // the filter ran
+    }
+  }
+}
+
+TEST(CertifiedFirstScan, FloatUnderflowInMixedCapture) {
+  // One capture mixes 1e+150 and 1e-150 samples: the prescale follows
+  // the loud ones, so the quiet ones underflow to zero in float and
+  // their windows get no bound. Once the frame is the quiet part (ahead
+  // of the loud samples, whose energy would otherwise swamp its windows
+  // in the recurrence), once the loud one.
+  Rng rng(53);
+  const IqBuffer frame = UnitPeakCapture(rng, 150);
+  for (const bool loud_frame : {false, true}) {
+    IqBuffer other;
+    for (int k = 0; k < 700; ++k) {
+      const double phase = kTwoPi * rng.NextDouble();
+      other.push_back((loud_frame ? 1e-150 : 1e150) *
+                      Cplx{std::cos(phase), std::sin(phase)});
+    }
+    IqBuffer rx = loud_frame ? other : IqBuffer{};
+    for (const Cplx& x : frame) rx.push_back((loud_frame ? 1e150 : 1e-150) * x);
+    if (!loud_frame) rx.insert(rx.end(), other.begin(), other.end());
+    std::size_t bounded = 0;
+    EXPECT_TRUE(ExpectFirstScanMatchesScalar(
+                    rx, 0.55, loud_frame ? "loud frame" : "quiet frame",
+                    &bounded)
+                    .found);
+    EXPECT_GT(bounded, std::size_t{0});  // the filter ran
+  }
+}
+
+TEST(CertifiedFirstScan, NonFiniteSampleBeforeAndAfterThePreamble) {
+  Rng rng(54);
+  const IqBuffer clean = RescanCapture(rng, 40, 25.0, 0.0, 500);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const Cplx bad : {Cplx{nan, 0.0}, Cplx{0.0, inf}, Cplx{-inf, inf}}) {
+    for (const std::size_t at : {std::size_t{40}, std::size_t{460},
+                                 std::size_t{500 + 400}, clean.size() - 30}) {
+      IqBuffer rx = clean;
+      rx[at] = bad;
+      ExpectFirstScanMatchesScalar(rx, 0.55,
+                                   "bad sample at " + std::to_string(at));
+    }
+  }
+}
+
+TEST(CertifiedFirstScan, AllZeroAndTooShortBuffers) {
+  const IqBuffer zeros(1024, Cplx{0.0, 0.0});
+  for (const double threshold : {0.55, 0.0, -1.0}) {
+    EXPECT_FALSE(ExpectFirstScanMatchesScalar(zeros, threshold, "zeros").found);
+  }
+  Rng rng(55);
+  for (std::size_t n = 0; n < 200; n += 7) {
+    IqBuffer rx(n);
+    for (auto& x : rx) x = {rng.NextGaussian(), rng.NextGaussian()};
+    ExpectFirstScanMatchesScalar(rx, 0.0, "size " + std::to_string(n));
+  }
+}
+
+TEST(CertifiedFirstScan, EarlierOfTwoIdenticalCopiesWinsTheTie) {
+  // Samples on a 2^-10 grid keep every window energy exact, so both
+  // copies give bit-identical pairs: strict `>` must keep the first,
+  // and the screen must refine both.
+  Rng rng(56);
+  IqBuffer wave = BuildFrame(RandomBytes(rng, 30), {}).waveform;
+  for (auto& x : wave) {
+    x = {std::round(x.real() * 1024.0) / 1024.0,
+         std::round(x.imag() * 1024.0) / 1024.0};
+  }
+  IqBuffer rx(300, Cplx{0.0, 0.0});
+  rx.insert(rx.end(), wave.begin(), wave.end());
+  rx.insert(rx.end(), 600, Cplx{0.0, 0.0});
+  rx.insert(rx.end(), wave.begin(), wave.end());
+  rx.insert(rx.end(), 300, Cplx{0.0, 0.0});
+  const Detection want = ExpectFirstScanMatchesScalar(rx, 0.55, "tie");
+  ASSERT_TRUE(want.found);
+  ASSERT_LT(want.second_ltf_start, 300 + wave.size());
+}
+
+TEST(CertifiedFirstScan, AllowanceKeepsThousandfoldMargin) {
+  // Each filter build's estimate must sit within 10^-3 of
+  // kFirstScanCorrAllowance of the exact chain's normalized correlation
+  // at every window it bounds, prescaled and screened as
+  // DetectPreambleFast does, over a long frame, a zero tail after a
+  // strong frame, noise alone and absolute scales.
+  using Build = void (*)(const float*, const float*, const float*,
+                         const float*, std::size_t, const float*, float,
+                         float*);
+  std::vector<std::pair<const char*, Build>> builds = {
+      {"baseline", dsp::NcorrEstimateX32Baseline}};
+  if (dsp::CpuHasAvx2Fma()) {
+    builds.emplace_back("avx2+fma", dsp::NcorrEstimateX32Avx2Fma);
+  }
+  std::vector<float> p_re, p_im;
+  for (std::size_t k = 0; k < kFftSize; ++k) {
+    p_re.push_back(static_cast<float>(Ltf().re[k]));
+    p_im.push_back(static_cast<float>(Ltf().im[k]));
+  }
+  const float p_energy = static_cast<float>(Ltf().energy);
+  for (const auto& [name, build] : builds) {
+    double worst = 0.0;
+    std::size_t checked = 0;
+    for (int c = 0; c < 5; ++c) {
+      Rng rng(Rng::ForTrial(57, static_cast<std::uint64_t>(c), 0));
+      IqBuffer rx = RescanCapture(rng, c == 0 ? 800 : 60,
+                                  c == 1 ? 45.0 : c == 4 ? -30.0 : 20.0, 0.0,
+                                  150);
+      if (c == 1) rx.resize(rx.size() + 2000, Cplx{0.0, 0.0});
+      const double scale = c == 2 ? 1e40 : c == 3 ? 1e-40 : 1.0;
+      for (auto& x : rx) x *= scale;
+      const std::size_t positions = rx.size() - kFftSize + 1;
+      const std::size_t padded = (positions + 31) / 32 * 32;
+
+      std::vector<double> re, im, energy;
+      dsp::SplitComplex(rx, re, im);
+      dsp::SlidingWindowEnergy64(re.data(), im.data(), positions, energy);
+      double m = 0.0;
+      for (std::size_t i = 0; i < rx.size(); ++i) {
+        m = std::max({m, std::abs(re[i]), std::abs(im[i])});
+      }
+      const int s = -std::ilogb(m);
+      std::vector<float> fre(padded + kFftSize - 1, 0.0f);
+      std::vector<float> fim(padded + kFftSize - 1, 0.0f);
+      for (std::size_t i = 0; i < rx.size(); ++i) {
+        fre[i] = static_cast<float>(std::ldexp(re[i], s));
+        fim[i] = static_cast<float>(std::ldexp(im[i], s));
+      }
+      std::vector<float> est(padded, 0.0f);
+      double prefix = 0.0;
+      for (std::size_t j = 0; j + 1 < kFftSize; ++j) {
+        prefix += re[j] * re[j] + im[j] * im[j];
+      }
+      for (std::size_t n = 0; n < positions; ++n) {
+        const std::size_t in = n + kFftSize - 1;
+        prefix += re[in] * re[in] + im[in] * im[in];
+        const double scaled = std::ldexp(energy[n], 2 * s);
+        if (energy[n] >= kRescanEnergyAllowance * prefix &&
+            scaled >= 0x1p-100) {
+          est[n] = static_cast<float>(scaled);
+        }
+      }
+      for (std::size_t n = 0; n < padded; n += 32) {
+        build(fre.data() + n, fim.data() + n, p_re.data(), p_im.data(),
+              kFftSize, est.data() + n, p_energy, est.data() + n);
+      }
+      for (std::size_t n = 0; n < positions; ++n) {
+        if (std::isinf(est[n])) continue;
+        const double exact = RemainderNcorr(
+            re.data() + n, im.data() + n, Ltf().re.data(), Ltf().im.data(),
+            kFftSize, energy[n], Ltf().energy);
+        worst = std::max(worst, std::abs(exact - est[n]));
+        ++checked;
+      }
+    }
+    EXPECT_GT(checked, std::size_t{30000}) << name;
+    EXPECT_LT(worst, 1e-3 * kFirstScanCorrAllowance)
+        << name << ": worst estimate error " << worst;
+  }
 }
 
 }  // namespace

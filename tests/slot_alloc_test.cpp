@@ -4,7 +4,9 @@
 // channel fault, and FullStackSim::StepRound with collisions make zero
 // heap allocations of 64 KiB or more. (A capture is 170–350 KB on these
 // links; the small per-slot vectors — payload bytes, tag bits, decoded
-// streams — stay well below the threshold and are not counted.)
+// streams — stay well below the threshold and are not counted.) The
+// receive step of a warm WiFi or ZigBee slot allocates nothing at all:
+// it decodes into the workspace's result.
 //
 // This binary replaces the global operator new to count large requests,
 // so it must stay its own executable.
@@ -24,14 +26,17 @@ namespace {
 
 constexpr std::size_t kLargeBytes = 64 * 1024;
 std::atomic<std::size_t> g_large_allocs{0};
+std::atomic<std::size_t> g_allocs{0};
 
 void* CountedAlloc(std::size_t size) {
+  g_allocs.fetch_add(1, std::memory_order_relaxed);
   if (size >= kLargeBytes) g_large_allocs.fetch_add(1, std::memory_order_relaxed);
   if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
   throw std::bad_alloc();
 }
 
 void* CountedAlignedAlloc(std::size_t size, std::align_val_t align) {
+  g_allocs.fetch_add(1, std::memory_order_relaxed);
   if (size >= kLargeBytes) g_large_allocs.fetch_add(1, std::memory_order_relaxed);
   const auto a = static_cast<std::size_t>(align);
   const std::size_t rounded = (size + a - 1) / a * a;
@@ -42,6 +47,8 @@ void* CountedAlignedAlloc(std::size_t size, std::align_val_t align) {
 std::size_t LargeAllocs() {
   return g_large_allocs.load(std::memory_order_relaxed);
 }
+
+std::size_t Allocs() { return g_allocs.load(std::memory_order_relaxed); }
 
 }  // namespace
 
@@ -105,6 +112,59 @@ TEST(SlotAlloc, WarmLinkSlotsAllocateNoCaptureBuffer) {
             << "radio " << static_cast<int>(radio) << " faults " << faults
             << " slot " << slot;
         EXPECT_EQ(stats.packets_attempted, 1u);
+      }
+    }
+  }
+}
+
+// One slot of `config`'s radio through the chain by hand; returns the
+// heap allocations its Receive step made.
+template <class Phy>
+std::size_t ReceiveStepAllocs(const sim::LinkConfig& config, Rng& rng,
+                              impair::FaultInjector& injector) {
+  const impair::FrameFaults faults = injector.DrawFrame();
+  core::TranslateConfig tcfg;
+  tcfg.radio = config.radio;
+  tcfg.tag_clock_ppm = faults.tag_clock_ppm;
+  tcfg.start_slip_samples = faults.start_slip_samples;
+  sim::SlotChain<Phy> chain(sim::ThreadLocalSlotWorkspace(), Phy::kPad,
+                            Phy::kPad);
+  const Bytes payload =
+      RandomBytes(rng, config.profile.excitation_payload_bytes);
+  const typename Phy::Frame& frame = chain.Excite(
+      std::span(payload).first(Phy::PayloadBytes(payload.size())), -60.0,
+      injector, faults);
+  const BitVector tag_bits =
+      RandomBits(rng, core::TagBitCapacity(frame.waveform.size(), tcfg));
+  chain.Reflect(tag_bits, tcfg);
+  const std::size_t before = Allocs();
+  const typename Phy::Rx& rx =
+      chain.Receive(config.profile.noise_figure_db,
+                    config.profile.phase_noise_rw_rad_per_sample, rng,
+                    injector, faults);
+  const std::size_t made = Allocs() - before;
+  EXPECT_TRUE(rx.detected);
+  return made;
+}
+
+TEST(SlotAlloc, WarmLinkSlotReceiveAllocatesNothing) {
+  for (const core::RadioType radio :
+       {core::RadioType::kWifi, core::RadioType::kZigbee}) {
+    for (const bool faults : {false, true}) {
+      const sim::LinkConfig config = OnePacketLink(radio, faults);
+      impair::FaultInjector injector(config.impairments, 17);
+      Rng rng(19);
+      for (int slot = 0; slot < 12; ++slot) {
+        const std::size_t made =
+            radio == core::RadioType::kWifi
+                ? ReceiveStepAllocs<sim::WifiSlot>(config, rng, injector)
+                : ReceiveStepAllocs<sim::ZigbeeSlot>(config, rng, injector);
+        // Four warm-up slots: a result vector may still grow once when
+        // a later frame decodes longer than any before it.
+        if (slot >= 4) {
+          EXPECT_EQ(made, 0u) << "radio " << static_cast<int>(radio)
+                              << " faults " << faults << " slot " << slot;
+        }
       }
     }
   }
